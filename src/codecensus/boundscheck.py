@@ -218,9 +218,10 @@ def check_dimension_bounds(n: int) -> CheckResult:
 
 def theorem_constants_report(n_values=(20, 30, 40)) -> CheckResult:
     """Empirical exponents e(n) next to the paper-facing constants; the
-    bracket constants themselves are never asserted (their derivation has an
-    apparent factor-2 ambiguity; see the decisions ledger of this repo's
-    build notes)."""
+    bracket constants themselves are never asserted.  They are ambiguous by
+    a factor 2 in R: the exact e(n) here tends to 1/4 (0.216 at n = 40),
+    one below the bracket around 5/4, which is what counting n^2 rather
+    than C(n, 2) = n(n-1)/2 transpositions in the dominant term gives."""
     rows = {}
     for n in n_values:
         rep = correction_report(n)

@@ -17,7 +17,7 @@ import mpmath
 
 from .cyclestruct import class_size, cycle_types_of
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import lattice_dim_poly, lattice_size
+from .submodcount import lattice_dim_poly
 
 
 @dataclass(frozen=True)
@@ -37,28 +37,24 @@ class CensusRow:
 @lru_cache(maxsize=None)
 def count_codes(n: int) -> CensusRow:
     """Exact census at n: orbit count, total subspace count, per-dimension
-    orbit counts.  The orbit-counting sum must divide exactly by n!."""
+    orbit counts.  Each per-dimension orbit-counting sum must divide
+    exactly by n!; b is their total, so it divides too."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = 0
     dim_sum = [0] * (n + 1)
     for ct in cycle_types_of(n):
         weight = class_size(ct)
-        total += weight * lattice_size(ct)
         for d, c in enumerate(lattice_dim_poly(ct)):
             dim_sum[d] += weight * c
     nfact = factorial(n)
-    b, rem = divmod(total, nfact)
-    if rem:
-        raise ArithmeticError(f"orbit sum not divisible by {n}! at n={n}")
     by_dim = []
     for d, s in enumerate(dim_sum):
         bd, rem = divmod(s, nfact)
         if rem:
-            raise ArithmeticError(f"dimension-{d} orbit sum not divisible by {n}!")
+            raise ArithmeticError(
+                f"dimension-{d} orbit sum not divisible by {n}! at n={n}")
         by_dim.append(bd)
-    assert sum(by_dim) == b
-    return CensusRow(n=n, b=b, G=gauss_total(n, 2), by_dim=tuple(by_dim))
+    return CensusRow(n=n, b=sum(by_dim), G=gauss_total(n, 2), by_dim=tuple(by_dim))
 
 
 def count_codes_by_dim(n: int, d: int) -> int:

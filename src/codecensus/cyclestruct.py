@@ -163,5 +163,9 @@ def primary_components(ct: CycleType) -> tuple[PrimaryComponent, ...]:
     first; the GF(2)-dimensions of the blocks sum to n.
     """
     comps = _components_cached(ct.parts)
-    assert sum(c.dim for c in comps) == ct.n
+    dims = sum(c.dim for c in comps)
+    if dims != ct.n:
+        raise ArithmeticError(
+            f"primary blocks of cycle type {ct} have dimensions summing to "
+            f"{dims}, expected n = {ct.n}")
     return comps

@@ -393,15 +393,20 @@ def nilpotent_submodule_census(lam, Q):
 
     Enumerates every subspace in echelon form, keeps the invariant ones,
     and bins them by module type (read off the kernel filtration: the
-    conjugate type part i is dim J^(i-1)M - dim J^i M).  Returns a dict
-    mapping type partitions to counts.
+    conjugate type part i is dim J^(i-1)M - dim J^i M).  Returns a fresh
+    dict mapping type partitions to counts; the enumeration itself is
+    memoized per (type, Q).
     """
+    return dict(_nilpotent_census(tuple(sorted(lam, reverse=True)), Q))
+
+
+@lru_cache(maxsize=None)
+def _nilpotent_census(lam, Q):
     (mul,) = _field_tables(Q)
     m = sum(lam)
     if m > 6:
         raise ValueError(f"|lam| must be <= 6, got {m}")
-    shift = _jordan_shift(tuple(sorted(lam, reverse=True)))
-    nonzero = tuple(range(1, Q))
+    shift = _jordan_shift(lam)
     census = {(): 1}  # the zero submodule
 
     for d in range(1, m + 1):
@@ -442,4 +447,68 @@ def nilpotent_submodule_census(lam, Q):
                 mu = tuple(sum(1 for c in conj if c >= i)
                            for i in range(1, conj[0] + 1)) if conj else ()
                 census[mu] = census.get(mu, 0) + 1
-    return census
+    return tuple(census.items())
+
+
+# ---------------------------------------------------------------------------
+# slow reference for the graded block lattice: one term of the type-counting
+# formula per submodule type, with its own partition loop and Gaussian
+# binomials (nothing shared with submodcount or qarith)
+
+
+def _conjugate(parts):
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
+
+
+def _gaussian_binomial(n, k, q):
+    # [n choose k]_q = prod_{i<k} (q^(n-i) - 1) / (q^(i+1) - 1)
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _sub_conjugates(lc):
+    """Every nonincreasing mc with mc[i] <= lc[i], trailing zeros dropped."""
+    out = []
+
+    def rec(i, cap, prefix):
+        out.append(prefix)
+        if i == len(lc):
+            return
+        for v in range(1, min(cap, lc[i]) + 1):
+            rec(i + 1, v, prefix + (v,))
+
+    rec(0, lc[0] if lc else 0, ())
+    return out
+
+
+def graded_submodule_counts(lam, Q, d):
+    """Submodule counts of a type-lam block over a residue field of size
+    Q = 2^d, graded by GF(2)-dimension d * |mu|, by listing every
+    submodule type mu' <= lam' and evaluating
+
+        prod_i Q^(mu'_{i+1} (lam'_i - mu'_i))
+               * [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_Q
+
+    for each one."""
+    if not lam:
+        raise ValueError("lam must be nonempty")
+    if Q != 2 ** d:
+        raise ValueError(f"Q={Q} does not match residue degree d={d}")
+    lc = _conjugate(tuple(lam))
+    coeffs = [0] * (d * sum(lam) + 1)
+    for mc in _sub_conjugates(lc):
+        count = 1
+        for i, l_i in enumerate(lc):
+            m_i = mc[i] if i < len(mc) else 0
+            m_next = mc[i + 1] if i + 1 < len(mc) else 0
+            count *= Q ** (m_next * (l_i - m_i))
+            count *= _gaussian_binomial(l_i - m_next, m_i - m_next, Q)
+        coeffs[d * sum(mc)] += count
+    return tuple(coeffs)

@@ -8,6 +8,13 @@ coordinates, by
     N(lam, mu; Q) = prod_i Q^(mu'_{i+1} (lam'_i - mu'_i))
                         * qbinom(lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}; Q).
 
+Each factor depends only on the neighbouring columns (mu'_i, mu'_{i+1}), so
+the counts of all submodules of a block, graded by size, are a
+transfer-matrix sum: component_lattice runs a chain DP over the columns of
+lam' instead of listing every type mu' <= lam'.  The type-by-type
+enumerator survives as the slow reference oracle.graded_submodule_counts,
+which the tests check the DP against.
+
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
 """
@@ -15,7 +22,6 @@ over its primary blocks) and the same count graded by GF(2)-dimension.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .cyclestruct import CycleType, primary_components
 from .qarith import gauss_binomial
@@ -51,36 +57,45 @@ def _count_conj(lc: tuple[int, ...], mc: tuple[int, ...], Q: int) -> int:
     return result
 
 
-def _sub_conjugates(lc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # nonincreasing sequences mc with mc[i] <= lc[i], trailing zeros trimmed
-    def rec(i: int, cap: int, prefix: tuple[int, ...]):
-        if i == len(lc) or cap == 0:
-            yield prefix
-            return
-        for v in range(min(cap, lc[i]), 0, -1):
-            yield from rec(i + 1, v, prefix + (v,))
-        yield prefix  # stop here (zeros from position i on)
-
-    yield from rec(0, lc[0] if lc else 0, ())
-
-
 @lru_cache(maxsize=None)
 def component_lattice(lam: tuple[int, ...], Q: int, d: int) -> tuple[int, ...]:
     """Submodule counts of a type-lam block graded by GF(2)-dimension.
 
     Entry k counts submodules whose type mu has d * |mu| = k; the block
     itself has GF(2)-dimension d * |lam|.  Q must equal 2^d.
+
+    Chain DP over the conjugate columns, last to first.  After column i the
+    state is m = mu'_i and polys[m] lists the summed type counts of all
+    tails mu'_i..mu'_k by their size, starting at size m (the smallest a
+    tail headed by m can have).  Stepping to column i-1 with part t >= m
+    multiplies by that column's factor of the type-counting formula and
+    adds t to the size, which in offset coordinates shifts by m.
     """
     if not lam:
         raise ValueError("lam must be nonempty")
     if Q != 1 << d:
         raise ValueError(f"Q={Q} does not match residue degree d={d}")
-    lc = conjugate(lam)
-    size = sum(lam)
-    coeffs = [0] * (d * size + 1)
-    for mc in _sub_conjugates(lc):
-        coeffs[d * sum(mc)] += _count_conj(lc, mc, Q)
-    assert coeffs[0] == 1 and coeffs[-1] == 1
+    polys = [[1]]  # past the last column: mu'_{k+1} = 0, empty tail
+    for l_i in reversed(conjugate(lam)):
+        new = []
+        for t in range(l_i + 1):
+            heads = range(min(t, len(polys) - 1) + 1)  # m <= t, m <= next column
+            acc = [0] * max(len(polys[m]) + m for m in heads)
+            for m in heads:
+                # Q^(m (l_i - t)) * qbinom(l_i - m, t - m; Q), with Q = 2^d
+                c = gauss_binomial(l_i - m, t - m, Q) << (d * m * (l_i - t))
+                for j, a in enumerate(polys[m], m):
+                    acc[j] += c * a
+            new.append(acc)
+        polys = new
+    coeffs = [0] * (d * sum(lam) + 1)
+    for t, poly in enumerate(polys):
+        for j, a in enumerate(poly, t):
+            coeffs[d * j] += a
+    if coeffs[0] != 1 or coeffs[-1] != 1:
+        raise ArithmeticError(
+            f"block lattice of type {lam} over Q={Q} has end counts "
+            f"{coeffs[0]}, {coeffs[-1]} (expected 1, 1)")
     return tuple(coeffs)
 
 
@@ -113,5 +128,8 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
                     if b:
                         new[i + j] += a * b
         poly = tuple(new)
-    assert len(poly) == ct.n + 1
+    if len(poly) != ct.n + 1:
+        raise ArithmeticError(
+            f"dimension polynomial of cycle type {ct} has length {len(poly)}, "
+            f"expected n + 1 = {ct.n + 1}")
     return poly

@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from codecensus import burnside
 from codecensus.burnside import (
     correction_report,
     count_codes,
@@ -26,6 +27,19 @@ class TestCountCodes:
     def test_n4_hand_sum(self):
         assert count_codes(4).b == (67 + 6 * 27 + 3 * 15 + 8 * 10 + 6 * 5) // 24
         assert count_codes(4).b == 16
+
+    def test_indivisible_dimension_sum_raises(self, monkeypatch):
+        real = burnside.lattice_dim_poly
+
+        def off_by_one(ct):
+            poly = real(ct)
+            if ct.parts == (1, 1, 1, 1):
+                return poly[:2] + (poly[2] + 1,) + poly[3:]
+            return poly
+
+        monkeypatch.setattr(burnside, "lattice_dim_poly", off_by_one)
+        with pytest.raises(ArithmeticError, match="dimension-2"):
+            count_codes.__wrapped__(4)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from codecensus import cyclestruct
 from codecensus.cyclestruct import (
     CycleType,
     class_size,
@@ -104,6 +105,13 @@ class TestPrimaryComponents:
             if primary_components(ct)[0].dim == 8
         )
         assert total > factorial(4) * 2 ** 8
+
+    def test_wrong_block_dimensions_raise(self, monkeypatch):
+        blocks = cyclestruct._components_cached((3, 1))
+        monkeypatch.setattr(cyclestruct, "_components_cached",
+                            lambda parts: blocks[1:])
+        with pytest.raises(ArithmeticError, match="3,1"):
+            primary_components(CycleType((3, 1)))
 
     def test_against_minimal_polynomial_oracle(self):
         for n in range(1, 8):

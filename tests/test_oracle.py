@@ -8,9 +8,11 @@ from codecensus.oracle import (
     apply_perm,
     classify,
     enum_subspaces,
+    graded_submodule_counts,
     invariant_count,
     map_apply,
     minimal_polynomial,
+    nilpotent_submodule_census,
     perm_from_cycle_type,
     perm_operator,
     rref,
@@ -109,6 +111,24 @@ class TestNilpotentPartEquivalence:
                 images = [map_apply(shifted, row) for row in s]
                 under_shifted = rref(s + tuple(images), n) == s
                 assert under_t == under_shifted
+
+
+class TestNilpotentSubmoduleCensus:
+    def test_callers_cannot_change_the_memoized_result(self):
+        first = nilpotent_submodule_census((2, 1), 2)
+        assert first == {(): 1, (1,): 3, (2,): 2, (1, 1): 1, (2, 1): 1}
+        first[(1,)] = 0
+        assert nilpotent_submodule_census([1, 2], 2)[(1,)] == 3
+
+
+class TestGradedSubmoduleCounts:
+    def test_small_blocks(self):
+        assert graded_submodule_counts((2, 1), 2, 1) == (1, 3, 3, 1)
+        assert graded_submodule_counts((1, 1), 4, 2) == (1, 0, 5, 0, 1)
+
+    def test_rejects_mismatched_field(self):
+        with pytest.raises(ValueError):
+            graded_submodule_counts((1,), 4, 1)
 
 
 class TestClassify:

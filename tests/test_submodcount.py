@@ -1,7 +1,13 @@
 import pytest
 
-from codecensus.cyclestruct import CycleType, cycle_types_of, partitions_of
-from codecensus.oracle import nilpotent_submodule_census
+from codecensus import submodcount
+from codecensus.cyclestruct import (
+    CycleType,
+    cycle_types_of,
+    partitions_of,
+    primary_components,
+)
+from codecensus.oracle import graded_submodule_counts, nilpotent_submodule_census
 from codecensus.qarith import gauss_binomial, gauss_total
 from codecensus.submodcount import (
     component_lattice,
@@ -95,6 +101,54 @@ class TestComponentLattice:
         with pytest.raises(ValueError):
             component_lattice((1,), 4, 1)
 
+    def test_wrong_end_counts_raise(self, monkeypatch):
+        real = submodcount.gauss_binomial
+        monkeypatch.setattr(submodcount, "gauss_binomial",
+                            lambda n, k, q: 2 * real(n, k, q))
+        with pytest.raises(ArithmeticError, match=r"\(2, 1\)"):
+            component_lattice.__wrapped__((2, 1), 2, 1)
+
+
+class TestChainDPAgainstReferences:
+    """The chain DP against independent second opinions: the type-by-type
+    enumerator, brute-force submodule enumeration, and the closed form for
+    two-part types."""
+
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3)])
+    def test_every_type_up_to_14(self, Q, d):
+        for size in range(1, 15):
+            for lam in partitions_of(size):
+                assert component_lattice(lam, Q, d) == \
+                    graded_submodule_counts(lam, Q, d), (lam, Q)
+
+    def test_every_census_block_up_to_n24(self):
+        blocks = {
+            (c.module_type, c.residue_size, c.deg)
+            for n in range(1, 25)
+            for ct in cycle_types_of(n)
+            for c in primary_components(ct)
+        }
+        for key in blocks:
+            assert component_lattice(*key) == graded_submodule_counts(*key), key
+
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
+    def test_brute_force_binned_by_size(self, Q, d):
+        for size in range(1, 7):
+            for lam in partitions_of(size):
+                expected = [0] * (d * size + 1)
+                for mu, count in nilpotent_submodule_census(lam, Q).items():
+                    expected[d * sum(mu)] += count
+                assert component_lattice(lam, Q, d) == tuple(expected), (lam, Q)
+
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3)])
+    def test_two_part_closed_form(self, Q, d):
+        # subgroups of Z_{p^a} x Z_{p^b}: sum over i <= a, j <= b of Q^min(i,j)
+        for a in range(1, 33):
+            for b in range(1, a + 1):
+                expected = sum(Q ** min(i, j)
+                               for i in range(a + 1) for j in range(b + 1))
+                assert component_total((a, b), Q, d) == expected, (a, b, Q)
+
 
 class TestLatticeSize:
     def test_identity_counts_all_subspaces(self):
@@ -133,9 +187,15 @@ class TestLatticeDimPoly:
                 assert poly[0] == 1 and poly[-1] == 1
                 assert sum(poly) == lattice_size(ct)
 
-    def test_kernel_of_t_plus_1_block_is_cycle_count(self):
-        from codecensus.cyclestruct import primary_components
+    def test_wrong_length_raises(self, monkeypatch):
+        ct = CycleType((3, 1))
+        blocks = primary_components(ct)
+        monkeypatch.setattr(submodcount, "primary_components",
+                            lambda c: blocks[:-1])
+        with pytest.raises(ArithmeticError, match="3,1"):
+            lattice_dim_poly(ct)
 
+    def test_kernel_of_t_plus_1_block_is_cycle_count(self):
         for n in range(1, 13):
             for ct in cycle_types_of(n):
                 lam = primary_components(ct)[0].module_type
