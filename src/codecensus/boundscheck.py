@@ -10,12 +10,12 @@ Asymptotic-constant checks are report-only, never asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial, log2
+from math import comb, factorial
 
 import mpmath
 
-from .burnside import correction_report, count_codes, non_identity_sum
-from .cyclestruct import CycleType, class_size, cycle_types_of, primary_components
+from .burnside import correction_report, count_codes, non_identity_sum, sums_by_t1_type
+from .cyclestruct import CycleType, cycle_types_of, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
 from .submodcount import component_total, lattice_size
 
@@ -138,26 +138,41 @@ def check_lower_bound_4(n: int) -> CheckResult:
                         "ratio_den": floor})
 
 
+def d_ranges(n: int, n1: int, r: int) -> tuple[bool, bool, bool, bool]:
+    """Membership of a non-identity cycle type with t+1 block dimension n1
+    and r cycles in the raw ranges D1..D4, by exact integer comparisons:
+
+    D1: n1 <= n - 6 log n                 n^6 * 2^n1 <= 2^n
+    D2: 1 <= r <= 8 log n1                2^r <= n1^8
+    D3: 8 log n1 < r < n1 - 8 log n1      n1^8 < 2^r, n1^8 * 2^r < 2^n1
+    D4: n1 - 8 log n1 <= r <= n - 1       2^n1 <= n1^8 * 2^r
+
+    D2..D4 exclude D1."""
+    in_d1 = n ** 6 << n1 <= 1 << n
+    in_d2 = not in_d1 and 1 <= r and 1 << r <= n1 ** 8
+    in_d3 = not in_d1 and n1 ** 8 < 1 << r and n1 ** 8 << r < 1 << n1
+    in_d4 = not in_d1 and 1 << n1 <= n1 ** 8 << r and r <= n - 1
+    return in_d1, in_d2, in_d3, in_d4
+
+
 def classify_D(n: int) -> CheckResult:
     """Partition the non-identity cycle types (weighted by class size) into
     the four diagnostic classes by block dimension n1 and cycle count r;
     reports each class's share of the orbit sum.  Classes are assigned
     first-match in order D1..D4 (the raw D2/D4 ranges overlap at small n);
-    only the cover-everything property is asserted."""
+    only the cover-everything property is asserted.  n1 and r are read off
+    the t+1 module type lambda_1 (|lambda_1| and its number of parts), so
+    the census sums grouped by lambda_1 carry the weights."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sums = {k: 0 for k in ("D1", "D2", "D3", "D4")}
     overlap_weight = 0
-    for ct in cycle_types_of(n):
-        r = ct.r
+    for lam_1, poly in sums_by_t1_type(n).items():
+        n1, r = sum(lam_1), len(lam_1)
         if r == n:  # identity
             continue
-        _, _, n1, _ = _t_plus_1_data(ct)
-        weight = class_size(ct) * lattice_size(ct)
-        in_d1 = n1 <= n - 6 * log2(n)
-        in_d2 = not in_d1 and 1 <= r <= 8 * log2(n1)
-        in_d3 = not in_d1 and 8 * log2(n1) < r < n1 - 8 * log2(n1)
-        in_d4 = not in_d1 and n1 - 8 * log2(n1) <= r <= n - 1
+        weight = sum(poly)
+        in_d1, in_d2, in_d3, in_d4 = d_ranges(n, n1, r)
         if in_d1:
             sums["D1"] += weight
         elif in_d2:
@@ -170,7 +185,8 @@ def classify_D(n: int) -> CheckResult:
             sums["D4"] += weight
         else:
             return CheckResult("classify_D", (n, n), FAIL,
-                               counterexample={"type": str(ct), "n1": n1, "r": r})
+                               counterexample={"t1_type": ",".join(map(str, lam_1)),
+                                               "n1": n1, "r": r})
     total = sum(sums.values())
     shares = {k: (float(v) / total if total else 0.0) for k, v in sums.items()}
     return CheckResult("classify_D", (n, n), REPORT,

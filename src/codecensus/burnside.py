@@ -2,9 +2,48 @@
 
 b(n) is the number of S_n-orbits on subspaces of GF(2)^n.  By the
 Cauchy-Frobenius lemma it equals the average, over all permutations, of the
-number of invariant subspaces, which we aggregate by cycle type.  The
-census row also carries the dimension-refined counts b(n, d) and the
-relative correction n! * b(n) / G(n,2) - 1.
+number of invariant subspaces.  The census row also carries the
+dimension-refined counts b(n, d) and the relative correction
+n! * b(n) / G(n,2) - 1.
+
+The invariant subspaces of a permutation split over the primary blocks of
+its operator.  A cycle of length 2^a * u (u odd) adds a part 2^a to the
+module type of every irreducible factor of t^u - 1, that is, of every
+irreducible whose order e divides u.  All irreducibles of one order e share
+one module type lambda_e, so the graded count of a cycle type is the
+product over odd e of the block lattice of lambda_e, taken once for each
+irreducible of order e.
+
+Rather than visit the p(n) cycle types one by one, sums_by_t1_type runs a
+dynamic program over the odd parts u of the cycle lengths, from the largest
+odd u <= n down to 1:
+
+- Transition.  At stage u, choose mu, the multiset of 2-power parts 2^a of
+  the cycles of length 2^a * u, and add mu to the pending module type of
+  every odd e dividing u.  Later stages only reach orders dividing smaller
+  u, so the block of the irreducibles of order exactly u is then complete.
+- State.  (size used, pending module types of the orders still open).  Its
+  value, a polynomial in the dimension, is the sum over the choices that
+  reach it of n!/z_partial times the product of the completed block
+  lattices, where z_partial = prod l^m * m! over the cycles chosen so far.
+  Transitions that reach the same completed type and state are summed
+  before that block's polynomial is multiplied in, so each block
+  polynomial is convolved once per merged state, not once per cycle type.
+- Exactness.  Each stage divides the values by the z-product of the cycles
+  it adds.  Cycles added at different stages have different lengths, so
+  the z-products multiply to the z-product of the partial cycle type, and
+  that divides m! for a partial type of size m, which divides n!.  So every
+  term of the sum stays an integer and the division leaves no remainder;
+  one that does raises.  Every cycle type has
+  one invariant subspace of dimension 0 and one of dimension n, and the
+  class sizes sum to n!, so the dimension-0 and dimension-n totals must
+  both equal n!; count_codes also requires every per-dimension total to
+  divide by n!.
+- Grouping.  The last stage (u = 1) completes the t+1 block, so its results
+  are keyed by the t+1 module type lambda_1: for each lambda_1, the sum of
+  class_size * lattice_dim_poly over the cycle types with that t+1 type.
+  count_codes adds them up; boundscheck.classify_D reads the block
+  dimension |lambda_1| and the cycle count len(lambda_1) from the keys.
 """
 
 from __future__ import annotations
@@ -15,9 +54,10 @@ from math import comb, factorial
 
 import mpmath
 
-from .cyclestruct import class_size, cycle_types_of
+from .cyclestruct import z_product
+from .gf2poly import degree, irreducibles_of_order
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import lattice_dim_poly
+from .submodcount import component_lattice
 
 
 @dataclass(frozen=True)
@@ -34,6 +74,104 @@ class CensusRow:
             return mpmath.mpf(num) / mpmath.mpf(self.G)
 
 
+def binary_partitions(s: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """All multisets of powers of two summing to s, with no part above cap
+    (default: no bound), as nonincreasing tuples."""
+    if cap is None:
+        cap = 1 << max(s.bit_length() - 1, 0)
+    if cap == 1:
+        return [(1,) * s]
+    return [(cap,) * m + rest
+            for m in range(s // cap + 1)
+            for rest in binary_partitions(s - m * cap, cap >> 1)]
+
+
+def _convolve(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _add_into(acc: dict, key, poly) -> None:
+    have = acc.get(key)
+    if have is None:
+        acc[key] = poly
+    else:
+        for i, c in enumerate(poly):
+            have[i] += c
+
+
+def completed_block(lam: tuple[int, ...], irreducibles: tuple[int, ...]) -> list[int]:
+    """Graded submodule counts of the primary blocks of type lam, one over
+    each of the given irreducibles, convolved together."""
+    poly = [1]
+    for p in irreducibles:
+        d = degree(p)
+        poly = _convolve(poly, component_lattice(lam, 1 << d, d))
+    return poly
+
+
+def _stage(n: int, u: int, states: dict) -> dict:
+    """Apply the stage-u choices to every state; returns the summed values
+    keyed by (completed type lambda_u, size used, pending types)."""
+    divisors = [e for e in range(1, u + 1, 2) if u % e == 0]
+    choices = [[(mu, z_product([p * u for p in mu])) for mu in binary_partitions(s)]
+               for s in range(n // u + 1)]
+    reached: dict = {}
+    for (used, pending), value in states.items():
+        sizes = [n - used] if u == 1 else range((n - used) // u + 1)
+        for s in sizes:
+            for mu, z in choices[s]:
+                if any(c % z for c in value):
+                    raise ArithmeticError(
+                        f"stage u={u} at n={n}: value not divisible by the "
+                        f"z-product {z} of cycles {[p * u for p in mu]}")
+                types = dict(pending)
+                if mu:
+                    for e in divisors:
+                        types[e] = tuple(sorted(types.get(e, ()) + mu, reverse=True))
+                lam_u = types.pop(u, ())
+                key = (lam_u, used + s * u, tuple(sorted(types.items())))
+                _add_into(reached, key, [c // z for c in value])
+    return reached
+
+
+@lru_cache(maxsize=None)
+def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """For each t+1 module type lambda_1 of a permutation of n points, the
+    sum of class_size(ct) * lattice_dim_poly(ct) over the cycle types ct
+    with that t+1 type, by the odd-part DP of the module docstring."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    nfact = factorial(n)
+    states: dict = {(0, ()): [nfact]}
+    for u in range(n - 1 + n % 2, 1, -2):
+        irreducibles = irreducibles_of_order(u)
+        merged: dict = {}
+        for (lam_u, used, pending), value in _stage(n, u, states).items():
+            if lam_u:
+                value = _convolve(value, completed_block(lam_u, irreducibles))
+            _add_into(merged, (used, pending), value)
+        states = merged
+    irreducibles = irreducibles_of_order(1)
+    result = {lam_1: tuple(_convolve(value, completed_block(lam_1, irreducibles)))
+              for (lam_1, _, _), value in _stage(n, 1, states).items()}
+    for lam_1, poly in result.items():
+        if len(poly) != n + 1:
+            raise ArithmeticError(
+                f"t+1 type {lam_1} at n={n}: dimension polynomial has length "
+                f"{len(poly)}, expected n + 1 = {n + 1}")
+    for d in (0, n):
+        total = sum(poly[d] for poly in result.values())
+        if total != nfact:
+            raise ArithmeticError(
+                f"dimension-{d} orbit sum is {total} at n={n}, expected {n}!")
+    return result
+
+
 @lru_cache(maxsize=None)
 def count_codes(n: int) -> CensusRow:
     """Exact census at n: orbit count, total subspace count, per-dimension
@@ -42,10 +180,9 @@ def count_codes(n: int) -> CensusRow:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dim_sum = [0] * (n + 1)
-    for ct in cycle_types_of(n):
-        weight = class_size(ct)
-        for d, c in enumerate(lattice_dim_poly(ct)):
-            dim_sum[d] += weight * c
+    for poly in sums_by_t1_type(n).values():
+        for d, c in enumerate(poly):
+            dim_sum[d] += c
     nfact = factorial(n)
     by_dim = []
     for d, s in enumerate(dim_sum):

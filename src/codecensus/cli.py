@@ -7,13 +7,15 @@ with an explicit precision field.  Identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 asserted check failed, 2 usage error, 3 ceiling
-violation.
+violation, 4 internal error (any other exception, such as an
+ArithmeticError from a census self-check; one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import os
 import sys
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CEILING = 3
+EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +42,25 @@ class CeilingError(Exception):
 
 def _mpf_str(value, precision: int) -> str:
     return mpmath.nstr(value, precision, strip_zeros=False)
+
+
+def _decimal_str(value: int) -> str:
+    """Decimal digits of a nonnegative int of any size.  str() refuses ints
+    of more than 4300 digits and takes quadratic time; splitting by powers
+    of two and recombining in the decimal module (fast multiplication at
+    this size) takes a fraction of a second for a million digits."""
+    if value.bit_length() <= 4096:
+        return str(value)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+    def rec(v: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:
+            return decimal.Decimal(v)
+        half = bits // 2
+        high = ctx.multiply(rec(v >> half, bits - half), ctx.power(2, half))
+        return ctx.add(high, rec(v & ((1 << half) - 1), half))
+
+    return str(rec(value, value.bit_length()))
 
 
 def _emit(obj) -> None:
@@ -94,9 +116,9 @@ def cmd_table(args) -> int:
 
 def cmd_gauss(args) -> int:
     if args.d is None:
-        print(qarith.gauss_total(args.n, args.q))
+        print(_decimal_str(qarith.gauss_total(args.n, args.q)))
     else:
-        print(qarith.gauss_binomial(args.n, args.d, args.q))
+        print(_decimal_str(qarith.gauss_binomial(args.n, args.d, args.q)))
     return EXIT_OK
 
 
@@ -107,8 +129,8 @@ def cmd_lattice(args) -> int:
         "schema": SCHEMA_VERSION,
         "type": str(ct),
         "n": ct.n,
-        "lattice_size": str(lattice_size(ct)),
-        "dim_poly": [str(c) for c in poly],
+        "lattice_size": _decimal_str(lattice_size(ct)),
+        "dim_poly": [_decimal_str(c) for c in poly],
     })
     return EXIT_OK
 
@@ -230,6 +252,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.cache:
         gf2poly.save_factor_cache(args.cache)
     return code

@@ -9,6 +9,7 @@ parts are powers of two.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -37,12 +38,6 @@ class CycleType:
     def r(self) -> int:
         """Number of cycles."""
         return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
 
     @classmethod
     def parse(cls, text: str) -> "CycleType":
@@ -124,35 +119,25 @@ def partition_count(n: int) -> int:
     return total
 
 
+def z_product(lengths) -> int:
+    """prod(l^m * m!) over the distinct cycle lengths l, with multiplicity m,
+    of a multiset of cycle lengths: the order of the centralizer of any
+    permutation with those cycles."""
+    z = 1
+    for length, m in Counter(lengths).items():
+        z *= length ** m * factorial(m)
+    return z
+
+
 def class_size(ct: CycleType) -> int:
     """Number of permutations with this cycle type: n! / prod(l^m * m!)."""
-    z = 1
-    for length, mult in ct.multiplicities().items():
-        z *= length ** mult * factorial(mult)
-    return factorial(ct.n) // z
+    return factorial(ct.n) // z_product(ct.parts)
 
 
 def _split_two_power(length: int) -> tuple[int, int]:
     # length = 2^a * u with u odd; returns (2^a, u)
     two_part = length & -length
     return two_part, length // two_part
-
-
-@lru_cache(maxsize=None)
-def _components_cached(parts: tuple[int, ...]) -> tuple[PrimaryComponent, ...]:
-    by_poly: dict[int, list[int]] = {}
-    for length in parts:
-        two_part, u = _split_two_power(length)
-        for p in factor_cyclic(u):
-            by_poly.setdefault(p, []).append(two_part)
-    components = []
-    for p, type_parts in by_poly.items():
-        components.append(
-            PrimaryComponent(p, tuple(sorted(type_parts, reverse=True)))
-        )
-    # t+1 first, then by (degree, bit pattern)
-    components.sort(key=lambda c: (c.irreducible != T_PLUS_1, c.deg, c.irreducible))
-    return tuple(components)
 
 
 def primary_components(ct: CycleType) -> tuple[PrimaryComponent, ...]:
@@ -162,10 +147,18 @@ def primary_components(ct: CycleType) -> tuple[PrimaryComponent, ...]:
     type of every irreducible factor of t^u - 1.  The t+1 block comes
     first; the GF(2)-dimensions of the blocks sum to n.
     """
-    comps = _components_cached(ct.parts)
+    by_poly: dict[int, list[int]] = {}
+    for length in ct.parts:
+        two_part, u = _split_two_power(length)
+        for p in factor_cyclic(u):
+            by_poly.setdefault(p, []).append(two_part)
+    comps = [PrimaryComponent(p, tuple(sorted(type_parts, reverse=True)))
+             for p, type_parts in by_poly.items()]
+    # t+1 first, then by (degree, bit pattern)
+    comps.sort(key=lambda c: (c.irreducible != T_PLUS_1, c.deg, c.irreducible))
     dims = sum(c.dim for c in comps)
     if dims != ct.n:
         raise ArithmeticError(
             f"primary blocks of cycle type {ct} have dimensions summing to "
             f"{dims}, expected n = {ct.n}")
-    return comps
+    return tuple(comps)

@@ -189,6 +189,18 @@ def factor_cyclic(u: int) -> tuple[int, ...]:
     return result
 
 
+def irreducibles_of_order(e: int) -> tuple[int, ...]:
+    """Irreducible factors of t^e - 1 of order exactly e (e odd): those that
+    divide no t^f - 1 with f | e, f < e.  They are the factors of the e-th
+    cyclotomic polynomial, phi(e) / ord_e(2) of them, each of degree
+    ord_e(2); sorted as factor_cyclic sorts them."""
+    lower = set()
+    for f in range(1, e, 2):
+        if e % f == 0:
+            lower.update(factor_cyclic(f))
+    return tuple(p for p in factor_cyclic(e) if p not in lower)
+
+
 def save_factor_cache(path: str) -> None:
     """Persist all memoized factorizations; one line per u."""
     with _cache_lock:

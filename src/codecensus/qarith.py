@@ -34,21 +34,22 @@ def _validate_prime_power(q: int) -> None:
         raise ValueError(f"q must be a prime power, got {q}")
 
 
-@lru_cache(maxsize=None)
 def gauss_total(n: int, q: int) -> int:
     """Number of subspaces of an n-dimensional space over the q-element field.
 
-    Computed by the recurrence G(n+1) = 2 G(n) + (q^n - 1) G(n-1) with
-    G(0) = 1, G(1) = 2.
+    Computed by the recurrence G(k+1) = 2 G(k) + (q^k - 1) G(k-1) with
+    G(0) = 1, G(1) = 2, iterated upward.  When q is a power of two the
+    product q^k * G(k-1) is a shift.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _validate_prime_power(q)
-    if n == 0:
-        return 1
-    if n == 1:
-        return 2
-    return 2 * gauss_total(n - 1, q) + (q ** (n - 1) - 1) * gauss_total(n - 2, q)
+    shift = q.bit_length() - 1 if q & (q - 1) == 0 else 0
+    prev, cur = 1, 2  # G(k-1), G(k) at k = 1
+    for k in range(1, n):
+        scaled = prev << (shift * k) if shift else q ** k * prev
+        prev, cur = cur, 2 * cur + scaled - prev
+    return cur if n else prev
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+from math import log2
+
 import pytest
 
 from codecensus.boundscheck import (
@@ -9,11 +11,39 @@ from codecensus.boundscheck import (
     check_lemma2_3,
     check_lower_bound_4,
     classify_D,
+    d_ranges,
     run_suite,
     theorem_constants_report,
 )
+from codecensus.cyclestruct import class_size, cycle_types_of, primary_components
 from codecensus.qarith import gauss_total
-from codecensus.submodcount import component_total
+from codecensus.submodcount import component_total, lattice_size
+
+
+def float_d_ranges(n, n1, r):
+    """The D1..D4 ranges as first written, with floating-point log2."""
+    in_d1 = n1 <= n - 6 * log2(n)
+    in_d2 = not in_d1 and 1 <= r <= 8 * log2(n1)
+    in_d3 = not in_d1 and 8 * log2(n1) < r < n1 - 8 * log2(n1)
+    in_d4 = not in_d1 and n1 - 8 * log2(n1) <= r <= n - 1
+    return in_d1, in_d2, in_d3, in_d4
+
+
+def per_type_classify(n):
+    """classify_D's sums and D2/D4 overlap, one cycle type at a time."""
+    sums = {k: 0 for k in ("D1", "D2", "D3", "D4")}
+    overlap = 0
+    for ct in cycle_types_of(n):
+        if ct.r == n:
+            continue
+        n1 = primary_components(ct)[0].dim
+        weight = class_size(ct) * lattice_size(ct)
+        in_d = float_d_ranges(n, n1, ct.r)
+        first = in_d.index(True)
+        sums[f"D{first + 1}"] += weight
+        if first == 1 and in_d[3]:
+            overlap += weight
+    return sums, overlap
 
 
 class TestLemma1:
@@ -79,6 +109,19 @@ class TestClassifyD:
         from codecensus.burnside import non_identity_sum
 
         assert total == non_identity_sum(n)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_per_type_classification(self, n):
+        sums, overlap = per_type_classify(n)
+        r = classify_D(n)
+        assert r.witnesses["sums"] == sums
+        assert r.witnesses["d2_d4_overlap_weight"] == overlap
+
+    def test_exact_ranges_match_float_ranges(self):
+        for n in range(1, 61):
+            for n1 in range(1, n + 1):
+                for r in range(1, n1 + 1):
+                    assert d_ranges(n, n1, r) == float_d_ranges(n, n1, r), (n, n1, r)
 
     def test_shares_sum_to_one(self):
         shares = classify_D(12).witnesses["shares"]

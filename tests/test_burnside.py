@@ -4,13 +4,33 @@ import pytest
 
 from codecensus import burnside
 from codecensus.burnside import (
+    binary_partitions,
     correction_report,
     count_codes,
     count_codes_by_dim,
     non_identity_sum,
+    sums_by_t1_type,
     transposition_class_sum,
 )
+from codecensus.cyclestruct import class_size, cycle_types_of, primary_components
 from codecensus.qarith import gauss_total
+from codecensus.submodcount import lattice_dim_poly
+
+
+IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n = 4
+
+
+def patch_identity_block(monkeypatch, change):
+    """Make the DP's completed t+1 block of the n = 4 identity wrong by
+    change(poly), bypassing the memo so that nothing wrong is cached."""
+    real = burnside.completed_block
+
+    def patched(lam, irreducibles):
+        poly = real(lam, irreducibles)
+        return change(poly) if lam == IDENTITY_T1_TYPE_N4 else poly
+
+    monkeypatch.setattr(burnside, "completed_block", patched)
+    monkeypatch.setattr(burnside, "sums_by_t1_type", sums_by_t1_type.__wrapped__)
 
 
 class TestCountCodes:
@@ -29,17 +49,18 @@ class TestCountCodes:
         assert count_codes(4).b == 16
 
     def test_indivisible_dimension_sum_raises(self, monkeypatch):
-        real = burnside.lattice_dim_poly
-
-        def off_by_one(ct):
-            poly = real(ct)
-            if ct.parts == (1, 1, 1, 1):
-                return poly[:2] + (poly[2] + 1,) + poly[3:]
-            return poly
-
-        monkeypatch.setattr(burnside, "lattice_dim_poly", off_by_one)
+        patch_identity_block(monkeypatch, lambda p: p[:2] + [p[2] + 1] + p[3:])
         with pytest.raises(ArithmeticError, match="dimension-2"):
             count_codes.__wrapped__(4)
+
+    @pytest.mark.parametrize("n", [30, 36, 40])
+    def test_pinned_orbit_counts(self, n):
+        # values of the cycle-type-by-cycle-type census this DP replaced
+        assert count_codes(n).b == {
+            30: 1546979006722411921344403588696175713,
+            36: 681161082738485250747475804007378928590435416185835812333,
+            40: 23372463796163078495688581903892070493912802072318020214239665562069548984,
+        }[n]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -52,6 +73,57 @@ class TestCountCodes:
         assert row.by_dim == row.by_dim[::-1]  # duality X -> X_perp
         assert row.by_dim[0] == row.by_dim[n] == 1
         assert factorial(n) * row.b >= row.G  # orbit-count floor
+
+
+class TestOddPartDP:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_per_type_sums_grouped_by_t1_type(self, n):
+        expected = {}
+        for ct in cycle_types_of(n):
+            lam_1 = primary_components(ct)[0].module_type
+            weight = class_size(ct)
+            poly = [weight * c for c in lattice_dim_poly(ct)]
+            if lam_1 in expected:
+                poly = [a + b for a, b in zip(expected[lam_1], poly)]
+            expected[lam_1] = poly
+        assert sums_by_t1_type(n) == {k: tuple(v) for k, v in expected.items()}
+
+    def test_binary_partitions_follow_the_recurrence(self):
+        counts = [len(binary_partitions(s)) for s in range(2 * 64 + 2)]
+        assert counts[:2] == [1, 1]
+        for m in range(1, 65):
+            assert counts[2 * m + 1] == counts[2 * m]
+            assert counts[2 * m] == counts[2 * m - 1] + counts[m]
+
+    def test_binary_partitions_are_distinct_two_power_multisets(self):
+        for s in range(41):
+            parts = binary_partitions(s)
+            assert len(set(parts)) == len(parts)
+            for mu in parts:
+                assert sum(mu) == s and list(mu) == sorted(mu, reverse=True)
+                assert all(p & (p - 1) == 0 for p in mu)
+
+    def test_indivisible_stage_raises(self, monkeypatch):
+        real = burnside.z_product
+        monkeypatch.setattr(burnside, "z_product", lambda lengths: 5 * real(lengths))
+        with pytest.raises(ArithmeticError, match="stage u=3 at n=4"):
+            sums_by_t1_type.__wrapped__(4)
+
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_wrong_end_total_raises(self, monkeypatch, d):
+        def bump(poly):
+            poly = list(poly)
+            poly[d] += 1
+            return poly
+
+        patch_identity_block(monkeypatch, bump)
+        with pytest.raises(ArithmeticError, match=f"dimension-{d} orbit sum is 25"):
+            sums_by_t1_type.__wrapped__(4)
+
+    def test_wrong_length_raises(self, monkeypatch):
+        patch_identity_block(monkeypatch, lambda p: p[:-1])
+        with pytest.raises(ArithmeticError, match="length 4"):
+            sums_by_t1_type.__wrapped__(4)
 
 
 class TestByDim:

@@ -6,7 +6,9 @@ from math import factorial
 import mpmath
 import pytest
 
-from codecensus.cli import EXIT_CEILING, EXIT_OK, EXIT_USAGE, main
+from codecensus import burnside, cli
+from codecensus.cli import EXIT_CEILING, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from codecensus.qarith import gauss_total
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,15 @@ class TestGauss:
         _, out = run_cli(capsys, "gauss", "--n", "4", "--q", "2", "--d", "2")
         assert out.strip() == "35"
 
+    def test_n3000(self, capsys):
+        # far beyond the interpreter's recursion limit and its 4300-digit
+        # limit on converting ints to decimal strings
+        code, out = run_cli(capsys, "gauss", "--n", "3000", "--q", "2")
+        assert code == EXIT_OK
+        digits = out.strip()
+        assert digits.isdigit() and len(digits) == 677319
+        assert int(digits[-30:]) == gauss_total(3000, 2) % 10 ** 30
+
     def test_bad_q_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "gauss", "--n", "2", "--q", "6")
         assert code == EXIT_USAGE
@@ -57,6 +68,14 @@ class TestLattice:
         assert rec["lattice_size"] == str(2 * 16 - 5)
         # dimension profile confirmed by the brute-force oracle at n=4
         assert [int(c) for c in rec["dim_poly"]] == [1, 7, 11, 7, 1]
+
+    def test_counts_beyond_4300_digits(self, capsys):
+        # the identity on 300 points fixes all G(300, 2) subspaces
+        code, out = run_cli(capsys, "lattice", "--type", ",".join(["1"] * 300))
+        assert code == EXIT_OK
+        size = json.loads(out)["lattice_size"]
+        assert len(size) > 4300
+        assert int(size[-30:]) == gauss_total(300, 2) % 10 ** 30
 
     def test_unsorted_input_accepted(self, capsys):
         _, out = run_cli(capsys, "lattice", "--type", "1,2,1")
@@ -135,6 +154,11 @@ class TestLimits:
         assert rec["u"].startswith("7.3719688")
         assert rec["precision"] == 40
 
+    def test_n3000(self, capsys):
+        code, out = run_cli(capsys, "limits", "--n", "3000")
+        assert code == EXIT_OK
+        assert json.loads(out)["u"].startswith("7.37196880146")
+
     def test_low_precision_is_ceiling_error(self, capsys):
         code, _ = run_cli(capsys, "limits", "--n", "10", "--precision", "5")
         assert code == EXIT_CEILING
@@ -151,6 +175,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_count", broken)
+        code = main(["count", "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 4
+        assert captured.err == "error: RuntimeError: boom\n"
+        assert captured.out == ""
+
+    def test_census_self_check_exits_4(self, capsys, monkeypatch):
+        real = burnside.completed_block
+
+        def off_by_one(lam, irreducibles):
+            poly = real(lam, irreducibles)
+            return poly[:2] + [poly[2] + 1] + poly[3:] if lam == (1, 1, 1, 1) else poly
+
+        monkeypatch.setattr(burnside, "completed_block", off_by_one)
+        monkeypatch.setattr(burnside, "sums_by_t1_type", burnside.sums_by_t1_type.__wrapped__)
+        monkeypatch.setattr(burnside, "count_codes", burnside.count_codes.__wrapped__)
+        code = main(["count", "--n", "4"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL
+        assert err.startswith("error: ArithmeticError: dimension-2") and err.count("\n") == 1
 
 
 class TestCache:

@@ -10,6 +10,7 @@ from codecensus.cyclestruct import (
     partition_count,
     partitions_of,
     primary_components,
+    z_product,
 )
 from codecensus.gf2poly import T_PLUS_1
 from codecensus.oracle import minimal_polynomial, perm_from_cycle_type
@@ -54,6 +55,13 @@ class TestClassSize:
     @pytest.mark.parametrize("n", range(1, 31))
     def test_class_sizes_sum_to_factorial(self, n):
         assert sum(class_size(ct) for ct in cycle_types_of(n)) == factorial(n)
+
+
+class TestZProduct:
+    def test_small_multisets(self):
+        assert z_product([3, 1]) == 3
+        assert z_product([2, 2, 1]) == 2 ** 2 * 2 * 1
+        assert z_product([]) == 1
 
 
 class TestPrimaryComponents:
@@ -107,9 +115,10 @@ class TestPrimaryComponents:
         assert total > factorial(4) * 2 ** 8
 
     def test_wrong_block_dimensions_raise(self, monkeypatch):
-        blocks = cyclestruct._components_cached((3, 1))
-        monkeypatch.setattr(cyclestruct, "_components_cached",
-                            lambda parts: blocks[1:])
+        real = cyclestruct.factor_cyclic
+        # drop t^2 + t + 1, the degree-2 factor of t^3 - 1
+        monkeypatch.setattr(cyclestruct, "factor_cyclic",
+                            lambda u: real(u)[:1])
         with pytest.raises(ArithmeticError, match="3,1"):
             primary_components(CycleType((3, 1)))
 

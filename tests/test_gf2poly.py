@@ -1,9 +1,12 @@
+from math import gcd
+
 import pytest
 
 from codecensus.gf2poly import (
     cyclotomic_cosets,
     degree,
     factor_cyclic,
+    irreducibles_of_order,
     load_factor_cache,
     mult_order_of_2,
     poly_divmod,
@@ -96,6 +99,25 @@ class TestFactorCyclic:
         first = factor_cyclic(93)
         gp._factor_cache.clear()
         assert factor_cyclic(93) == first
+
+
+class TestIrreduciblesOfOrder:
+    def test_cyclotomic_closed_form_up_to_201(self):
+        # the irreducibles of order exactly e split the e-th cyclotomic
+        # polynomial: phi(e) / ord_e(2) factors, each of degree ord_e(2)
+        for e in range(1, 202, 2):
+            phi = sum(1 for a in range(1, e + 1) if gcd(a, e) == 1)
+            k = mult_order_of_2(e)
+            factors = irreducibles_of_order(e)
+            assert len(factors) == phi // k
+            assert all(degree(p) == k for p in factors)
+            assert set(factors) <= set(factor_cyclic(e))
+
+    def test_orders_partition_the_factors(self):
+        for u in (15, 21, 45, 63):
+            by_order = [p for e in range(1, u + 1, 2) if u % e == 0
+                        for p in irreducibles_of_order(e)]
+            assert sorted(by_order) == sorted(factor_cyclic(u))
 
 
 class TestCacheFile:

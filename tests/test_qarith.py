@@ -36,6 +36,17 @@ class TestGaussTotal:
                 2 * gauss_total(n, q) + (q ** n - 1) * gauss_total(n - 1, q)
             )
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_sum_of_gaussian_binomials(self, q):
+        for n in range(61):
+            assert gauss_total(n, q) == sum(gauss_binomial(n, d, q)
+                                            for d in range(n + 1))
+
+    def test_deep_n_does_not_recurse(self):
+        # 3000 levels would exceed the interpreter's recursion limit;
+        # Lemma 1's sandwich 2^(n^2/4) <= G(n,2) <= 23 * 2^(n^2/4)
+        assert 1 << 2250000 <= gauss_total(3000, 2) <= 23 << 2250000
+
 
 class TestGaussBinomial:
     def test_dimension_zero(self):
