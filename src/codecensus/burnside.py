@@ -12,7 +12,8 @@ module type of every irreducible factor of t^u - 1, that is, of every
 irreducible whose order e divides u.  All irreducibles of one order e share
 one module type lambda_e, so the graded count of a cycle type is the
 product over odd e of the block lattice of lambda_e, taken once for each
-irreducible of order e.
+irreducible of order e.  There are phi(e) / ord_e(2) of them, of degree
+ord_e(2) (gf2poly.cyclotomic_split), so no polynomial is factored.
 
 Rather than visit the p(n) cycle types one by one, sums_by_t1_type runs a
 dynamic program over the odd parts u of the cycle lengths, from the largest
@@ -54,8 +55,8 @@ from math import comb, factorial
 
 import mpmath
 
-from .cyclestruct import z_product
-from .gf2poly import degree, irreducibles_of_order
+from .cyclestruct import odd_divisors, z_product
+from .gf2poly import cyclotomic_split
 from .qarith import DEFAULT_PRECISION, gauss_total
 from .submodcount import component_lattice
 
@@ -104,20 +105,22 @@ def _add_into(acc: dict, key, poly) -> None:
             have[i] += c
 
 
-def completed_block(lam: tuple[int, ...], irreducibles: tuple[int, ...]) -> list[int]:
-    """Graded submodule counts of the primary blocks of type lam, one over
-    each of the given irreducibles, convolved together."""
+def completed_block(lam: tuple[int, ...], split: tuple[int, int]) -> list[int]:
+    """Graded submodule counts of the primary blocks of type lam over the
+    irreducibles of one order, convolved together; split is that order's
+    (count, degree) from cyclotomic_split."""
+    count, d = split
+    block = component_lattice(lam, 1 << d, d)
     poly = [1]
-    for p in irreducibles:
-        d = degree(p)
-        poly = _convolve(poly, component_lattice(lam, 1 << d, d))
+    for _ in range(count):
+        poly = _convolve(poly, block)
     return poly
 
 
 def _stage(n: int, u: int, states: dict) -> dict:
     """Apply the stage-u choices to every state; returns the summed values
     keyed by (completed type lambda_u, size used, pending types)."""
-    divisors = [e for e in range(1, u + 1, 2) if u % e == 0]
+    divisors = odd_divisors(u)
     choices = [[(mu, z_product([p * u for p in mu])) for mu in binary_partitions(s)]
                for s in range(n // u + 1)]
     reached: dict = {}
@@ -149,15 +152,15 @@ def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     nfact = factorial(n)
     states: dict = {(0, ()): [nfact]}
     for u in range(n - 1 + n % 2, 1, -2):
-        irreducibles = irreducibles_of_order(u)
+        split = cyclotomic_split(u)
         merged: dict = {}
         for (lam_u, used, pending), value in _stage(n, u, states).items():
             if lam_u:
-                value = _convolve(value, completed_block(lam_u, irreducibles))
+                value = _convolve(value, completed_block(lam_u, split))
             _add_into(merged, (used, pending), value)
         states = merged
-    irreducibles = irreducibles_of_order(1)
-    result = {lam_1: tuple(_convolve(value, completed_block(lam_1, irreducibles)))
+    split = cyclotomic_split(1)
+    result = {lam_1: tuple(_convolve(value, completed_block(lam_1, split)))
               for (lam_1, _, _), value in _stage(n, 1, states).items()}
     for lam_1, poly in result.items():
         if len(poly) != n + 1:

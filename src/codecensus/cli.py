@@ -17,12 +17,11 @@ import argparse
 import csv
 import decimal
 import json
-import os
 import sys
 
 import mpmath
 
-from . import boundscheck, burnside, gf2poly, oracle, qarith
+from . import boundscheck, burnside, oracle, qarith
 from .cyclestruct import CycleType
 from .qarith import DEFAULT_PRECISION
 from .submodcount import lattice_dim_poly, lattice_size
@@ -192,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact census of inequivalent binary codes and the "
                     "accompanying verification suite.",
     )
-    parser.add_argument("--cache", metavar="PATH",
-                        help="optional factorization cache file (loaded if "
-                             "present, rewritten on exit)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="census row at one n")
@@ -242,10 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache and os.path.exists(args.cache):
-        gf2poly.load_factor_cache(args.cache)
     try:
-        code = args.func(args)
+        return args.func(args)
     except CeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
@@ -255,9 +249,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.cache:
-        gf2poly.save_factor_cache(args.cache)
-    return code
 
 
 if __name__ == "__main__":

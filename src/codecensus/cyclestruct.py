@@ -1,10 +1,14 @@
 """Cycle types of the symmetric group and their primary-component data.
 
 A cycle type is a partition of n (the multiset of cycle lengths of a
-permutation).  Each cycle length splits as 2^a * u with u odd; the
-irreducible factors of t^u - 1 then determine the primary blocks of the
-permutation operator on GF(2)^n, each block carrying a module type whose
-parts are powers of two.
+permutation).  Each cycle length splits as 2^a * u with u odd, and the
+cycle adds a part 2^a to the module type of every irreducible factor of
+t^u - 1.  Those factors are the irreducibles of order e for the odd e
+dividing u, and all irreducibles of one order share one module type, so
+the primary blocks of the permutation operator on GF(2)^n follow from the
+orders alone: order e gives phi(e) / ord_e(2) blocks of degree ord_e(2)
+(gf2poly.cyclotomic_split).  No polynomial is factored to build them; a
+block's irreducible is found only when its .irreducible is read.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 from typing import Iterator
 
-from .gf2poly import T_PLUS_1, degree, factor_cyclic
+from .gf2poly import cyclotomic_split, irreducibles_of_order
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,18 @@ class CycleType:
 
 @dataclass(frozen=True)
 class PrimaryComponent:
-    """One irreducible-primary block of the permutation operator."""
+    """One irreducible-primary block of the permutation operator: the
+    index-th irreducible of order exactly `order`."""
 
-    irreducible: int          # GF(2)[t] bit vector
+    order: int                # least odd e with the irreducible dividing t^e - 1
+    index: int                # position among the irreducibles of that order
+    deg: int                  # ord_e(2), the degree of the irreducible
     module_type: tuple[int, ...]  # partition, parts are powers of two
 
     @property
-    def deg(self) -> int:
-        return degree(self.irreducible)
+    def irreducible(self) -> int:
+        """The irreducible as a GF(2)[t] bit vector (factors t^order - 1)."""
+        return irreducibles_of_order(self.order)[self.index]
 
     @property
     def residue_size(self) -> int:
@@ -140,22 +148,31 @@ def _split_two_power(length: int) -> tuple[int, int]:
     return two_part, length // two_part
 
 
+def odd_divisors(u: int) -> list[int]:
+    """The divisors of odd u, ascending."""
+    small = [e for e in range(1, isqrt(u) + 1, 2) if u % e == 0]
+    return small + [u // e for e in reversed(small) if e * e != u]
+
+
 def primary_components(ct: CycleType) -> tuple[PrimaryComponent, ...]:
     """Primary blocks of the operator of any permutation with this type.
 
     Each cycle of length 2^a * u contributes one part 2^a to the module
-    type of every irreducible factor of t^u - 1.  The t+1 block comes
-    first; the GF(2)-dimensions of the blocks sum to n.
+    type of every irreducible whose order e divides u.  Sorted by (degree,
+    order, index), so the t+1 block (order 1, the only order of degree 1)
+    comes first; the GF(2)-dimensions of the blocks sum to n.
     """
-    by_poly: dict[int, list[int]] = {}
+    by_order: dict[int, list[int]] = {}
     for length in ct.parts:
         two_part, u = _split_two_power(length)
-        for p in factor_cyclic(u):
-            by_poly.setdefault(p, []).append(two_part)
-    comps = [PrimaryComponent(p, tuple(sorted(type_parts, reverse=True)))
-             for p, type_parts in by_poly.items()]
-    # t+1 first, then by (degree, bit pattern)
-    comps.sort(key=lambda c: (c.irreducible != T_PLUS_1, c.deg, c.irreducible))
+        for e in odd_divisors(u):
+            by_order.setdefault(e, []).append(two_part)
+    comps = []
+    for e, type_parts in by_order.items():
+        count, deg = cyclotomic_split(e)
+        module_type = tuple(sorted(type_parts, reverse=True))
+        comps.extend(PrimaryComponent(e, i, deg, module_type) for i in range(count))
+    comps.sort(key=lambda c: (c.deg, c.order, c.index))
     dims = sum(c.dim for c in comps)
     if dims != ct.n:
         raise ArithmeticError(

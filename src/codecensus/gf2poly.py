@@ -1,17 +1,25 @@
 """Polynomial arithmetic over the 2-element field, bit-vector coefficients.
 
 A polynomial is an int whose bit i is the coefficient of t^i (so t+1 is 0b11
-= 3 and the zero polynomial is 0).  The main service is the factorization of
-t^u - 1 for odd u into its distinct irreducible factors, which proceeds by
-distinct-degree splitting with the expected degree multiset read off the
-2-cyclotomic cosets mod u.
+= 3 and the zero polynomial is 0).
+
+The primary blocks of a permutation operator depend on the irreducible
+factors of t^u - 1 (u odd) only through their orders: the factors of order
+exactly e (e | u) split the e-th cyclotomic polynomial into phi(e) / ord_e(2)
+irreducibles, each of degree ord_e(2) (Lidl & Niederreiter, Finite Fields,
+Thm 2.47).  cyclotomic_split gives that count and degree from integer
+arithmetic alone, and it is all the census and the lattice counts use.
+
+factor_cyclic factors t^u - 1 into its distinct irreducibles by
+distinct-degree splitting, with the expected degree multiset read off the
+2-cyclotomic cosets mod u.  It serves only PrimaryComponent.irreducible
+(read on demand), the tests and the comparison with the brute-force
+minimal polynomials.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from math import gcd as int_gcd
 
 ONE = 1
 T_PLUS_1 = 0b11
@@ -59,7 +67,7 @@ def poly_mulmod(a: int, b: int, m: int) -> int:
 
 
 def poly_powmod(a: int, e: int, m: int) -> int:
-    result = 1
+    result = poly_mod(1, m)
     a = poly_mod(a, m)
     while e:
         if e & 1:
@@ -92,6 +100,31 @@ def mult_order_of_2(m: int) -> int:
         acc = (acc * 2) % m
         e += 1
     return e
+
+
+def _euler_phi(m: int) -> int:
+    result, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+def cyclotomic_split(e: int) -> tuple[int, int]:
+    """(count, degree) of the irreducibles of order exactly e (e odd): the
+    e-th cyclotomic polynomial over GF(2) is a product of phi(e) / ord_e(2)
+    distinct irreducibles of degree ord_e(2).  Nothing is factored."""
+    deg = mult_order_of_2(e)
+    count, rem = divmod(_euler_phi(e), deg)
+    if rem:
+        raise ArithmeticError(
+            f"phi({e}) is not divisible by the order {deg} of 2 mod {e}")
+    return count, deg
 
 
 def cyclotomic_cosets(u: int) -> list[frozenset[int]]:
@@ -137,7 +170,6 @@ def _equal_degree_split(f: int, d: int, rng: random.Random) -> list[int]:
 
 
 _factor_cache: dict[int, tuple[int, ...]] = {}
-_cache_lock = threading.Lock()
 
 
 def factor_cyclic(u: int) -> tuple[int, ...]:
@@ -148,8 +180,7 @@ def factor_cyclic(u: int) -> tuple[int, ...]:
     """
     if u < 1 or u % 2 == 0:
         raise ValueError(f"u must be odd and >= 1, got {u}")
-    with _cache_lock:
-        cached = _factor_cache.get(u)
+    cached = _factor_cache.get(u)
     if cached is not None:
         return cached
 
@@ -184,8 +215,7 @@ def factor_cyclic(u: int) -> tuple[int, ...]:
         raise AssertionError(f"factor degrees disagree with cosets for u={u}")
 
     result = tuple(factors)
-    with _cache_lock:
-        _factor_cache[u] = result
+    _factor_cache[u] = result
     return result
 
 
@@ -198,36 +228,10 @@ def irreducibles_of_order(e: int) -> tuple[int, ...]:
     for f in range(1, e, 2):
         if e % f == 0:
             lower.update(factor_cyclic(f))
-    return tuple(p for p in factor_cyclic(e) if p not in lower)
-
-
-def save_factor_cache(path: str) -> None:
-    """Persist all memoized factorizations; one line per u."""
-    with _cache_lock:
-        items = sorted(_factor_cache.items())
-    with open(path, "w") as fh:
-        for u, factors in items:
-            degs = ",".join(str(degree(p)) for p in factors)
-            hexes = ",".join(format(p, "x") for p in factors)
-            fh.write(f"{u}: {degs}; {hexes}\n")
-
-
-def load_factor_cache(path: str) -> int:
-    """Load a persisted cache; returns the number of entries loaded."""
-    count = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            head, body = line.split(":", 1)
-            u = int(head)
-            degs_part, hex_part = body.split(";")
-            factors = tuple(int(h, 16) for h in hex_part.split(","))
-            degs = tuple(int(s) for s in degs_part.split(","))
-            if tuple(degree(p) for p in factors) != degs:
-                raise ValueError(f"corrupt cache line for u={u}")
-            with _cache_lock:
-                _factor_cache[u] = factors
-            count += 1
-    return count
+    result = tuple(p for p in factor_cyclic(e) if p not in lower)
+    count, deg = cyclotomic_split(e)
+    if len(result) != count or any(degree(p) != deg for p in result):
+        raise ArithmeticError(
+            f"irreducibles of order {e} disagree with the cyclotomic split: "
+            f"expected {count} of degree {deg}")
+    return result

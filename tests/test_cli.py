@@ -203,16 +203,3 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL
         assert err.startswith("error: ArithmeticError: dimension-2") and err.count("\n") == 1
-
-
-class TestCache:
-    def test_cache_written_and_reused(self, capsys, tmp_path):
-        path = tmp_path / "factors.cache"
-        code, _ = run_cli(capsys, "--cache", str(path),
-                          "lattice", "--type", "3,2,1")
-        assert code == EXIT_OK and path.exists()
-        text = path.read_text()
-        code, _ = run_cli(capsys, "--cache", str(path),
-                          "lattice", "--type", "3,2,1")
-        assert code == EXIT_OK
-        assert path.read_text() == text

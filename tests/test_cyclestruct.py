@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -12,8 +13,8 @@ from codecensus.cyclestruct import (
     primary_components,
     z_product,
 )
-from codecensus.gf2poly import T_PLUS_1
-from codecensus.oracle import minimal_polynomial, perm_from_cycle_type
+from codecensus.gf2poly import T_PLUS_1, degree, factor_cyclic
+from codecensus.oracle import MINPOLY_CEILING, minimal_polynomial, perm_from_cycle_type
 
 
 class TestPartitions:
@@ -115,15 +116,15 @@ class TestPrimaryComponents:
         assert total > factorial(4) * 2 ** 8
 
     def test_wrong_block_dimensions_raise(self, monkeypatch):
-        real = cyclestruct.factor_cyclic
-        # drop t^2 + t + 1, the degree-2 factor of t^3 - 1
-        monkeypatch.setattr(cyclestruct, "factor_cyclic",
-                            lambda u: real(u)[:1])
+        real = cyclestruct.cyclotomic_split
+        # drop the order-3 block, t^2 + t + 1
+        monkeypatch.setattr(cyclestruct, "cyclotomic_split",
+                            lambda e: (0, 2) if e == 3 else real(e))
         with pytest.raises(ArithmeticError, match="3,1"):
             primary_components(CycleType((3, 1)))
 
     def test_against_minimal_polynomial_oracle(self):
-        for n in range(1, 8):
+        for n in range(1, MINPOLY_CEILING + 1):
             for ct in cycle_types_of(n):
                 perm = perm_from_cycle_type(ct.parts)
                 facts = {p: (e, k) for p, e, k in minimal_polynomial(perm)}
@@ -133,6 +134,42 @@ class TestPrimaryComponents:
                     exp, kdim = facts[c.irreducible]
                     assert exp == c.max_exponent
                     assert kdim == c.dim
+
+
+def blocks_by_factoring(parts):
+    """The blocks grouped by the irreducible factors of t^u - 1 themselves,
+    as a multiset of (irreducible, module type, degree)."""
+    by_poly = {}
+    for length in parts:
+        two_part = length & -length
+        for p in factor_cyclic(length // two_part):
+            by_poly.setdefault(p, []).append(two_part)
+    return Counter((p, tuple(sorted(type_parts, reverse=True)), degree(p))
+                   for p, type_parts in by_poly.items())
+
+
+def blocks_by_order(parts):
+    return Counter((c.irreducible, c.module_type, c.deg)
+                   for c in primary_components(CycleType(parts)))
+
+
+class TestBlocksFromOrdersAgainstFactoring:
+    def test_every_type_up_to_14(self):
+        for n in range(1, 15):
+            for parts in partitions_of(n):
+                assert blocks_by_order(parts) == blocks_by_factoring(parts), parts
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 1), (4, 3, 1)])
+    def test_odd_u_up_to_255(self, shape):
+        for u in range(1, 256, 2):
+            parts = tuple(k * u for k in shape)
+            assert blocks_by_order(parts) == blocks_by_factoring(parts), parts
+
+    def test_t_plus_1_first_then_degree_order_index(self):
+        comps = primary_components(CycleType((45, 21, 8, 1)))
+        keys = [(c.deg, c.order, c.index) for c in comps]
+        assert comps[0].order == 1 and comps[0].irreducible == T_PLUS_1
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 class TestCycleType:

@@ -1,19 +1,30 @@
+from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from codecensus import gf2poly
 from codecensus.gf2poly import (
     cyclotomic_cosets,
+    cyclotomic_split,
     degree,
     factor_cyclic,
     irreducibles_of_order,
-    load_factor_cache,
     mult_order_of_2,
     poly_divmod,
+    poly_gcd,
+    poly_mod,
     poly_mul,
+    poly_mulmod,
+    poly_powmod,
     poly_str,
-    save_factor_cache,
 )
+
+
+def euler_phi(e):
+    return sum(1 for a in range(1, e + 1) if gcd(a, e) == 1)
 
 
 class TestMultOrder:
@@ -120,17 +131,74 @@ class TestIrreduciblesOfOrder:
             assert sorted(by_order) == sorted(factor_cyclic(u))
 
 
-class TestCacheFile:
-    def test_round_trip(self, tmp_path):
-        import codecensus.gf2poly as gp
+class TestCyclotomicSplit:
+    def test_closed_form_up_to_1535(self):
+        for e in range(1, 1536, 2):
+            k = mult_order_of_2(e)
+            assert cyclotomic_split(e) == (euler_phi(e) // k, k)
 
-        for u in (1, 3, 9, 21, 45):
-            factor_cyclic(u)
-        path = tmp_path / "factors.cache"
-        save_factor_cache(str(path))
-        snapshot = dict(gp._factor_cache)
-        gp._factor_cache.clear()
-        count = load_factor_cache(str(path))
-        assert count >= 5
-        for u, factors in snapshot.items():
-            assert gp._factor_cache[u] == factors
+    def test_indivisible_phi_raises(self, monkeypatch):
+        # phi(7) = 6 is not a multiple of a (wrong) order 4
+        monkeypatch.setattr(gf2poly, "mult_order_of_2", lambda m: 4)
+        with pytest.raises(ArithmeticError, match=r"phi\(7\)"):
+            cyclotomic_split(7)
+
+    def test_wrong_split_of_factors_raises(self, monkeypatch):
+        real = gf2poly.cyclotomic_split
+        monkeypatch.setattr(gf2poly, "cyclotomic_split",
+                            lambda e: (1, 6) if e == 7 else real(e))
+        with pytest.raises(ArithmeticError, match="order 7"):
+            irreducibles_of_order(7)
+
+    def test_rejects_even(self):
+        with pytest.raises(ValueError):
+            cyclotomic_split(6)
+
+
+polys = st.integers(min_value=0, max_value=(1 << 160) - 1)
+nonzero_polys = st.integers(min_value=1, max_value=(1 << 80) - 1)
+odd_u = st.integers(min_value=0, max_value=150).map(lambda k: 2 * k + 1)
+
+
+class TestProperties:
+    @settings(derandomize=True, max_examples=200)
+    @given(polys, nonzero_polys)
+    def test_division_identity(self, a, b):
+        q, r = poly_divmod(a, b)
+        assert poly_mul(q, b) ^ r == a
+        assert degree(r) < degree(b)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(nonzero_polys, polys, nonzero_polys)
+    def test_gcd_divides_and_scales(self, a, b, c):
+        g = poly_gcd(a, b)
+        assert poly_mod(a, g) == 0 and poly_mod(b, g) == 0
+        assert poly_gcd(poly_mul(a, c), poly_mul(b, c)) == poly_mul(g, c)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(polys, st.integers(min_value=0, max_value=40),
+           st.integers(min_value=1, max_value=(1 << 64) - 1))
+    @example(a=5, e=0, m=1)  # modulo a constant every power is 0
+    def test_powmod_is_repeated_mulmod(self, a, e, m):
+        acc = poly_mod(1, m)
+        for _ in range(e):
+            acc = poly_mulmod(acc, a, m)
+        assert poly_powmod(a, e, m) == acc
+
+    @settings(derandomize=True, max_examples=200)
+    @given(odd_u)
+    def test_factors_multiply_back_and_group_by_order(self, u):
+        factors = factor_cyclic(u)
+        prod = 1
+        for p in factors:
+            prod = poly_mul(prod, p)
+        assert prod == (1 << u) | 1
+        divisors = [e for e in range(1, u + 1, 2) if u % e == 0]
+        # the order of p: the least e with p | t^e + 1 (orders divide u)
+        order = {p: next(e for e in divisors if poly_mod((1 << e) | 1, p) == 0)
+                 for p in factors}
+        per_order = Counter(order.values())
+        for e in divisors:
+            k = mult_order_of_2(e)
+            assert per_order[e] == euler_phi(e) // k
+            assert all(degree(p) == k for p in factors if order[p] == e)
