@@ -30,6 +30,9 @@ odd u <= n down to 1:
   Transitions that reach the same completed type and state are summed
   before that block's polynomial is multiplied in, so each block
   polynomial is convolved once per merged state, not once per cycle type.
+  The product of one order's blocks (completed_block) and the strided
+  convolution that multiplies it in are submodcount.order_lattice and
+  submodcount.convolve, the same kernel that lattice_dim_poly uses.
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type, and
@@ -58,7 +61,7 @@ import mpmath
 from .cyclestruct import odd_divisors, z_product
 from .gf2poly import cyclotomic_split
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import component_lattice
+from .submodcount import convolve, order_lattice
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,6 @@ def binary_partitions(s: int, cap: int | None = None) -> list[tuple[int, ...]]:
             for rest in binary_partitions(s - m * cap, cap >> 1)]
 
 
-def _convolve(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
 def _add_into(acc: dict, key, poly) -> None:
     have = acc.get(key)
     if have is None:
@@ -106,15 +100,10 @@ def _add_into(acc: dict, key, poly) -> None:
 
 
 def completed_block(lam: tuple[int, ...], split: tuple[int, int]) -> list[int]:
-    """Graded submodule counts of the primary blocks of type lam over the
-    irreducibles of one order, convolved together; split is that order's
-    (count, degree) from cyclotomic_split."""
-    count, d = split
-    block = component_lattice(lam, 1 << d, d)
-    poly = [1]
-    for _ in range(count):
-        poly = _convolve(poly, block)
-    return poly
+    """The product of the block lattices of type lam over the irreducibles
+    of one order, in s = t^deg coordinates; split is that order's
+    (count, deg) from cyclotomic_split."""
+    return order_lattice(lam, *split)
 
 
 def _stage(n: int, u: int, states: dict) -> dict:
@@ -156,11 +145,11 @@ def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         merged: dict = {}
         for (lam_u, used, pending), value in _stage(n, u, states).items():
             if lam_u:
-                value = _convolve(value, completed_block(lam_u, split))
+                value = convolve(value, completed_block(lam_u, split), stride=split[1])
             _add_into(merged, (used, pending), value)
         states = merged
     split = cyclotomic_split(1)
-    result = {lam_1: tuple(_convolve(value, completed_block(lam_1, split)))
+    result = {lam_1: tuple(convolve(value, completed_block(lam_1, split)))
               for (lam_1, _, _), value in _stage(n, 1, states).items()}
     for lam_1, poly in result.items():
         if len(poly) != n + 1:

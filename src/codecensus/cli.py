@@ -6,9 +6,10 @@ JSON numbers long before n = 40); high-precision reals are decimal strings
 with an explicit precision field.  Identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 asserted check failed, 2 usage error, 3 ceiling
-violation, 4 internal error (any other exception, such as an
-ArithmeticError from a census self-check; one line on stderr).
+Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
+n < 1 and an output file that cannot be opened), 3 ceiling violation,
+4 internal error (any other exception, such as an ArithmeticError from a
+census self-check; one line on stderr).
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ def _census_record(row: burnside.CensusRow, by_dim: bool,
 
 
 def cmd_count(args) -> int:
-    if args.n < 1:
-        raise CeilingError(f"n must be >= 1, got {args.n}")
     row = burnside.count_codes(args.n)
     _emit(_census_record(row, args.by_dim))
     return EXIT_OK
@@ -92,10 +91,13 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     if args.max_n < 1:
-        raise CeilingError(f"max-n must be >= 1, got {args.max_n}")
-    rows = [burnside.count_codes(n) for n in range(1, args.max_n + 1)]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+        raise ValueError(f"max-n must be >= 1, got {args.max_n}")
     try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+    try:
+        rows = [burnside.count_codes(n) for n in range(1, args.max_n + 1)]
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(["n", "b", "G", "correction"])

@@ -17,11 +17,20 @@ which the tests check the DP against.
 
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
+Both are taken per odd order e rather than per block: the phi(e)/ord_e(2)
+irreducibles of order e share one module type and the degree d = ord_e(2),
+and a degree-d block has submodules only in dimensions that are multiples
+of d.  So order_lattice raises the block's nonzero coefficients, a short
+dense polynomial in s = t^d, to the number of blocks, and lattice_dim_poly
+convolves that product into the running polynomial once with the
+stride-aware kernel convolve, with stride d.  The census DP (burnside)
+multiplies its blocks with the same two functions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .cyclestruct import CycleType, primary_components
 from .qarith import gauss_binomial
@@ -103,33 +112,72 @@ def component_total(lam: tuple[int, ...], Q: int, d: int) -> int:
     return sum(component_lattice(lam, Q, d))
 
 
+def convolve(a, b, stride: int = 1) -> list[int]:
+    """Coefficients of a(t) * b(t^stride): entry j of b is the coefficient
+    of t^(stride * j), so the zeros between the strided entries are never
+    visited.  The shorter factor is walked outside, skipping its zero
+    entries: the census multiplies short state polynomials with many zeros
+    by longer blocks, a lattice query a long running polynomial by short
+    per-order products."""
+    out = [0] * (len(a) + stride * (len(b) - 1))
+    if len(a) <= len(b):
+        for i, x in enumerate(a):
+            if x:
+                for k, y in zip(range(i, len(out), stride), b):
+                    out[k] += x * y
+    else:
+        for j, y in enumerate(b):
+            if y:
+                for k, x in enumerate(a, stride * j):
+                    out[k] += x * y
+    return out
+
+
+def order_lattice(lam: tuple[int, ...], count: int, d: int) -> list[int]:
+    """Graded submodule counts of count >= 1 blocks of type lam over
+    irreducibles of degree d, multiplied together, in s = t^d coordinates:
+    entry j counts submodules of GF(2)-dimension d * j.  For the
+    irreducibles of one odd order e, count = phi(e)/ord_e(2), d = ord_e(2),
+    and all share lam."""
+    block = list(component_lattice(lam, 1 << d, d)[::d])
+    poly = block
+    for _ in range(count - 1):
+        poly = convolve(poly, block)
+    return poly
+
+
+def _orders(ct: CycleType):
+    """(module type, count, degree) of each odd order's blocks.  The blocks
+    of primary_components are sorted by (degree, order, index), so the
+    blocks of one order are contiguous."""
+    for (_, lam, d), comps in groupby(primary_components(ct),
+                                      key=lambda c: (c.order, c.module_type, c.deg)):
+        yield lam, sum(1 for _ in comps), d
+
+
 def lattice_size(ct: CycleType) -> int:
     """Number of invariant subspaces of (any permutation with) this cycle
-    type: product of the per-block submodule counts."""
+    type: product of the per-block submodule counts, one power per odd
+    order."""
     result = 1
-    for comp in primary_components(ct):
-        result *= component_total(comp.module_type, comp.residue_size, comp.deg)
+    for lam, count, d in _orders(ct):
+        result *= component_total(lam, 1 << d, d) ** count
     return result
 
 
 def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     """Invariant-subspace counts graded by dimension (index = dimension).
 
-    Convolution of the per-block graded counts; entries sum to
+    Product over the odd orders of the cycle type of each order's block
+    product (order_lattice, in s = t^d coordinates), each convolved into
+    the running polynomial once with stride d; entries sum to
     lattice_size(ct) and the length is n + 1.
     """
-    poly = (1,)
-    for comp in primary_components(ct):
-        block = component_lattice(comp.module_type, comp.residue_size, comp.deg)
-        new = [0] * (len(poly) + len(block) - 1)
-        for i, a in enumerate(poly):
-            if a:
-                for j, b in enumerate(block):
-                    if b:
-                        new[i + j] += a * b
-        poly = tuple(new)
+    poly = [1]
+    for lam, count, d in _orders(ct):
+        poly = convolve(poly, order_lattice(lam, count, d), stride=d)
     if len(poly) != ct.n + 1:
         raise ArithmeticError(
             f"dimension polynomial of cycle type {ct} has length {len(poly)}, "
             f"expected n + 1 = {ct.n + 1}")
-    return poly
+    return tuple(poly)

@@ -107,6 +107,20 @@ class TestTable:
         assert code == EXIT_OK
         assert path.read_text().splitlines()[0] == "n,b,G,correction"
 
+    def test_unwritable_out_is_usage_error_before_census(self, capsys, tmp_path,
+                                                         monkeypatch):
+        def no_census(n):
+            raise AssertionError("census ran before the output was opened")
+
+        monkeypatch.setattr(burnside, "count_codes", no_census)
+        path = tmp_path / "missing" / "table.csv"
+        code = main(["table", "--max-n", "3", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not path.exists()
+
 
 class TestVerify:
     def test_lemma1_passes(self, capsys):
@@ -175,6 +189,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestNonPositiveN:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "0"],
+        ["count", "--n", "-3"],
+        ["table", "--max-n", "0"],
+        ["verify", "--suite", "all", "--max-n", "0"],
+        ["oracle", "--n", "0"],
+        ["gauss", "--n", "-1", "--q", "2"],
+    ])
+    def test_is_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestInternalErrors:

@@ -1,4 +1,9 @@
+import random
+from itertools import groupby
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codecensus import submodcount
 from codecensus.cyclestruct import (
@@ -7,12 +12,19 @@ from codecensus.cyclestruct import (
     partitions_of,
     primary_components,
 )
-from codecensus.oracle import graded_submodule_counts, nilpotent_submodule_census
+from codecensus.oracle import (
+    apply_perm,
+    enum_subspaces,
+    graded_submodule_counts,
+    nilpotent_submodule_census,
+    perm_from_cycle_type,
+)
 from codecensus.qarith import gauss_binomial, gauss_total
 from codecensus.submodcount import (
     component_lattice,
     component_total,
     conjugate,
+    convolve,
     count_submodules_by_type,
     lattice_dim_poly,
     lattice_size,
@@ -200,3 +212,85 @@ class TestLatticeDimPoly:
             for ct in cycle_types_of(n):
                 lam = primary_components(ct)[0].module_type
                 assert conjugate(lam)[0] == ct.r
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def per_block_dim_poly(ct):
+    """One plain convolution per primary block, in GF(2)-dimension
+    coordinates: the reference for the per-order strided product."""
+    poly = [1]
+    for comp in primary_components(ct):
+        poly = schoolbook(poly, component_lattice(
+            comp.module_type, comp.residue_size, comp.deg))
+    return tuple(poly)
+
+
+def random_cycle_type(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    seen, parts = [False] * n, []
+    for i in range(n):
+        length = 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length:
+            parts.append(length)
+    return CycleType(tuple(sorted(parts, reverse=True)))
+
+
+class TestGradedBruteForce:
+    """Every entry of lattice_dim_poly against the invariant subspaces of
+    that dimension, counted by brute force."""
+
+    @pytest.mark.parametrize("ct", [ct for n in range(1, 7) for ct in cycle_types_of(n)]
+                             + [CycleType(p) for p in ((7,), (6, 1), (4, 3), (2, 2, 2, 1))],
+                             ids=str)
+    def test_invariant_subspaces_by_dimension(self, ct):
+        perm = perm_from_cycle_type(ct.parts)
+        counts = [0] * (ct.n + 1)
+        for s in enum_subspaces(ct.n):
+            if apply_perm(s, perm, ct.n) == s:
+                counts[len(s)] += 1
+        assert lattice_dim_poly(ct) == tuple(counts)
+
+
+class TestPerOrderProduct:
+    """The per-order strided product against one plain convolution per
+    block, on types whose orders carry several irreducibles."""
+
+    @pytest.mark.parametrize("parts", [
+        (7,), (14, 7), (31,), (21, 7, 3, 1), (127, 1), (255,), (1023,) + (1,) * 20,
+    ], ids=lambda p: ",".join(map(str, p[:4])))
+    def test_many_blocks_per_order(self, parts):
+        ct = CycleType(parts)
+        assert max(sum(1 for _ in g) for _, g in groupby(
+            primary_components(ct), key=lambda c: c.order)) > 1
+        expected = per_block_dim_poly(ct)
+        assert lattice_dim_poly(ct) == expected
+        assert lattice_size(ct) == sum(expected)
+
+    def test_random_permutation_types(self):
+        rng = random.Random(2020)
+        for _ in range(30):
+            ct = random_cycle_type(rng, rng.randint(64, 400))
+            expected = per_block_dim_poly(ct)
+            assert lattice_dim_poly(ct) == expected, ct
+            assert lattice_size(ct) == sum(expected), ct
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+           st.integers(1, 6))
+    def test_convolve_is_schoolbook_with_spread_b(self, a, b, stride):
+        spread = [0] * (stride * (len(b) - 1) + 1)
+        spread[::stride] = b
+        assert convolve(a, b, stride) == schoolbook(a, spread)
