@@ -48,6 +48,11 @@ odd u <= n down to 1:
   class_size * lattice_dim_poly over the cycle types with that t+1 type.
   count_codes adds them up; boundscheck.classify_D reads the block
   dimension |lambda_1| and the cycle count len(lambda_1) from the keys.
+  The t+1 types are grouped by their core, lambda_1 without its 1-parts
+  (one 1-part per odd cycle).  Each core's block lattices come from one
+  fixed-point walk (submodcount.fixed_point_walk, through t1_lattices),
+  one chain DP and then one shift-and-add step per 1-part, and each is
+  multiplied into its value as soon as it is made, so no lattice is kept.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import mpmath
 from .cyclestruct import odd_divisors, z_product
 from .gf2poly import cyclotomic_split
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import convolve, order_lattice
+from .submodcount import convolve, fixed_point_walk, order_lattice
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,13 @@ def completed_block(lam: tuple[int, ...], split: tuple[int, int]) -> list[int]:
     return order_lattice(lam, *split)
 
 
+def t1_lattices(core: tuple[int, ...], fs):
+    """The t+1 block lattices of the types core + (1,) * f, for the
+    ascending fixed-point counts fs, as (f, lattice) pairs in order.  t+1
+    is the one irreducible of order 1, of degree 1, so Q = 2."""
+    return fixed_point_walk(core, fs, 2, 1)
+
+
 def _stage(n: int, u: int, states: dict) -> dict:
     """Apply the stage-u choices to every state; returns the summed values
     keyed by (completed type lambda_u, size used, pending types)."""
@@ -148,9 +160,16 @@ def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
                 value = convolve(value, completed_block(lam_u, split), stride=split[1])
             _add_into(merged, (used, pending), value)
         states = merged
-    split = cyclotomic_split(1)
-    result = {lam_1: tuple(convolve(value, completed_block(lam_1, split)))
-              for (lam_1, _, _), value in _stage(n, 1, states).items()}
+    result = {lam_1: value for (lam_1, _, _), value in _stage(n, 1, states).items()}
+    del states
+    cores: dict = {}
+    for lam_1 in result:
+        f = lam_1.count(1)
+        cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
+    for core, fs in cores.items():
+        for f, lattice in t1_lattices(core, sorted(fs)):
+            lam_1 = core + (1,) * f
+            result[lam_1] = tuple(convolve(result[lam_1], lattice))
     for lam_1, poly in result.items():
         if len(poly) != n + 1:
             raise ArithmeticError(

@@ -16,6 +16,7 @@ from math import factorial
 ENUM_CEILING = 7      # 29212 subspaces at n=7
 CLASSIFY_CEILING = 5  # 374 subspaces x 120 permutations at n=5
 MINPOLY_CEILING = 16
+SLEPIAN_MAX_DIM = 4    # |GL(4,2)| = 20160 matrices; |GL(5,2)| = 9999360 is too many
 
 
 def rref(rows, n):
@@ -512,3 +513,58 @@ def graded_submodule_counts(lam, Q, d):
             count *= _gaussian_binomial(l_i - m_next, m_i - m_next, Q)
         coeffs[d * sum(mc)] += count
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _gl_cycle_lengths(d):
+    """For every invertible d x d matrix over GF(2), listed as a tuple of
+    column bitmasks, the cycle lengths of its action on the 2^d vectors of
+    GF(2)^d; returns {sorted cycle lengths: number of matrices}."""
+    found = {}
+    for cols in product(range(1 << d), repeat=d):
+        if gf2_rank(cols) < d:
+            continue
+        seen = set()
+        lengths = []
+        for v in range(1 << d):
+            length = 0
+            while v not in seen:
+                seen.add(v)
+                v = map_apply(cols, v)
+                length += 1
+            if length:
+                lengths.append(length)
+        key = tuple(sorted(lengths))
+        found[key] = found.get(key, 0) + 1
+    return found
+
+
+def slepian_code_count(n, d):
+    """Number of inequivalent binary n-codes of dimension at most d, by
+    Slepian's method.
+
+    The columns of a d x n generator matrix form an n-multiset of vectors
+    of GF(2)^d, and two matrices span equivalent codes exactly when row
+    operations (GL(d,2)) and column permutations take one to the other.
+    So the count is the number of GL(d,2)-orbits on n-multisets of GF(2)^d,
+    which Burnside's lemma gives as the average over g in GL(d,2) of the
+    multisets fixed by g: a fixed multiset is constant on each cycle of g,
+    so there are [x^n] prod over the cycles of 1 / (1 - x^len) of them.
+    Nothing here uses the cycle-type census."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= d <= SLEPIAN_MAX_DIM:
+        raise ValueError(f"d must be in [0, {SLEPIAN_MAX_DIM}], got {d}")
+    classes = _gl_cycle_lengths(d)
+    total = 0
+    for lengths, matrices in classes.items():
+        ways = [1] + [0] * n
+        for length in lengths:
+            for k in range(length, n + 1):
+                ways[k] += ways[k - length]
+        total += matrices * ways[n]
+    orbits, rem = divmod(total, sum(classes.values()))
+    if rem:
+        raise ArithmeticError(f"GL({d},2) fixed-multiset sum at n={n} is not "
+                              f"divisible by the group order")
+    return orbits

@@ -1,3 +1,4 @@
+from hashlib import sha256
 from math import comb, factorial
 
 import pytest
@@ -21,15 +22,15 @@ IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n
 
 
 def patch_identity_block(monkeypatch, change):
-    """Make the DP's completed t+1 block of the n = 4 identity wrong by
+    """Make the DP's t+1 block lattice of the n = 4 identity wrong by
     change(poly), bypassing the memo so that nothing wrong is cached."""
-    real = burnside.completed_block
+    real = burnside.t1_lattices
 
-    def patched(lam, irreducibles):
-        poly = real(lam, irreducibles)
-        return change(poly) if lam == IDENTITY_T1_TYPE_N4 else poly
+    def patched(core, fs):
+        for f, poly in real(core, fs):
+            yield f, change(poly) if core + (1,) * f == IDENTITY_T1_TYPE_N4 else poly
 
-    monkeypatch.setattr(burnside, "completed_block", patched)
+    monkeypatch.setattr(burnside, "t1_lattices", patched)
     monkeypatch.setattr(burnside, "sums_by_t1_type", sums_by_t1_type.__wrapped__)
 
 
@@ -61,6 +62,16 @@ class TestCountCodes:
             36: 681161082738485250747475804007378928590435416185835812333,
             40: 23372463796163078495688581903892070493912802072318020214239665562069548984,
         }[n]
+
+    def test_pinned_row_n50(self):
+        # b(50) and the sha256 of "b(50,0),b(50,1),...,b(50,50)" from the
+        # census before its t+1 lattices came from the fixed-point walk
+        row = count_codes(50)
+        assert row.b == int(
+            "3375153945843959956071897824957099413818487682380205331182407492"
+            "1401332295891907718487050309429646518361307552161135342173361")
+        assert sha256(",".join(map(str, row.by_dim)).encode()).hexdigest() == \
+            "87094ea065b353646644ab1a050471a278e03c490cd1aac04123c1559bb4cf30"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -221,13 +221,15 @@ class TestInternalErrors:
         assert captured.out == ""
 
     def test_census_self_check_exits_4(self, capsys, monkeypatch):
-        real = burnside.completed_block
+        real = burnside.t1_lattices
 
-        def off_by_one(lam, irreducibles):
-            poly = real(lam, irreducibles)
-            return poly[:2] + [poly[2] + 1] + poly[3:] if lam == (1, 1, 1, 1) else poly
+        def off_by_one(core, fs):
+            for f, poly in real(core, fs):
+                if core + (1,) * f == (1, 1, 1, 1):
+                    poly = poly[:2] + [poly[2] + 1] + poly[3:]
+                yield f, poly
 
-        monkeypatch.setattr(burnside, "completed_block", off_by_one)
+        monkeypatch.setattr(burnside, "t1_lattices", off_by_one)
         monkeypatch.setattr(burnside, "sums_by_t1_type", burnside.sums_by_t1_type.__wrapped__)
         monkeypatch.setattr(burnside, "count_codes", burnside.count_codes.__wrapped__)
         code = main(["count", "--n", "4"])

@@ -3,8 +3,10 @@ from math import factorial
 
 import pytest
 
+from codecensus.burnside import count_codes
 from codecensus.cyclestruct import CycleType, cycle_types_of, partitions_of
 from codecensus.oracle import (
+    _gl_cycle_lengths,
     apply_perm,
     classify,
     enum_subspaces,
@@ -16,6 +18,7 @@ from codecensus.oracle import (
     perm_from_cycle_type,
     perm_operator,
     rref,
+    slepian_code_count,
 )
 from codecensus.qarith import gauss_total
 from codecensus.submodcount import lattice_size
@@ -195,3 +198,31 @@ class TestMinimalPolynomial:
             perm = perm_from_cycle_type(parts)
             facts = minimal_polynomial(perm)
             assert sum(k for _, _, k in facts) == len(perm)
+
+
+class TestSlepianCount:
+    """Slepian's count over GL(d,2) against the census: it gives
+    sum_{k <= d} b(n, k), and duality b(n, d) = b(n, n - d) carries each
+    difference to the top of the row."""
+
+    def test_group_orders(self):
+        assert [sum(_gl_cycle_lengths(d).values()) for d in range(5)] == \
+            [1, 1, 6, 168, 20160]
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    def test_low_and_high_dimensions_of_the_census_row(self, n):
+        row = count_codes(n)
+        below = 0
+        for d in range(5):
+            count = slepian_code_count(n, d)
+            assert count - below == row.by_dim[d] == row.by_dim[n - d], (n, d)
+            below = count
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dimension_at_least_n_counts_every_code(self, n):
+        assert slepian_code_count(n, 4) == count_codes(n).b
+
+    @pytest.mark.parametrize("n,d", [(0, 1), (3, -1), (3, 5)])
+    def test_rejects_out_of_range(self, n, d):
+        with pytest.raises(ValueError):
+            slepian_code_count(n, d)

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecensus import submodcount
+from codecensus.burnside import sums_by_t1_type
 from codecensus.cyclestruct import (
     CycleType,
     cycle_types_of,
@@ -26,6 +31,7 @@ from codecensus.submodcount import (
     conjugate,
     convolve,
     count_submodules_by_type,
+    fixed_point_walk,
     lattice_dim_poly,
     lattice_size,
 )
@@ -160,6 +166,88 @@ class TestChainDPAgainstReferences:
                 expected = sum(Q ** min(i, j)
                                for i in range(a + 1) for j in range(b + 1))
                 assert component_total((a, b), Q, d) == expected, (a, b, Q)
+
+
+def cores_up_to(size):
+    """The empty core and every partition of at most size with no part 1."""
+    yield ()
+    for k in range(2, size + 1):
+        yield from (lam for lam in partitions_of(k) if 1 not in lam)
+
+
+class TestFixedPointWalk:
+    """The fixed-point recurrence H'[t] = H[t-1] + Q^t H[t] against the
+    chain DP run on the whole type and the type-by-type enumerator."""
+
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
+    def test_every_small_core_and_fixed_point_count(self, Q, d):
+        for core in cores_up_to(10):
+            fs = range(0 if core else 1, 13)
+            walked = list(fixed_point_walk(core, fs, Q, d))
+            assert [f for f, _ in walked] == list(fs)
+            for f, lattice in walked:
+                lam = core + (1,) * f
+                assert tuple(lattice) == component_lattice.__wrapped__(lam, Q, d), lam
+                if sum(lam) <= 14:
+                    assert tuple(lattice) == graded_submodule_counts(lam, Q, d), lam
+
+    def test_sparse_fixed_point_counts(self):
+        walked = dict(fixed_point_walk((3, 2), [0, 0, 5, 9], 2, 1))
+        for f in (0, 5, 9):
+            assert tuple(walked[f]) == component_lattice.__wrapped__(
+                (3, 2) + (1,) * f, 2, 1)
+
+    def test_every_census_t1_type_at_n48(self):
+        cores = {}
+        for lam_1 in sums_by_t1_type(48):
+            f = lam_1.count(1)
+            cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
+        assert sum(map(len, cores.values())) > len(cores) > 1
+        for core, fs in cores.items():
+            for f, lattice in fixed_point_walk(core, sorted(fs), 2, 1):
+                lam_1 = core + (1,) * f
+                assert tuple(lattice) == component_lattice.__wrapped__(lam_1, 2, 1), lam_1
+
+    @pytest.mark.parametrize("core,fs", [((), [0]), ((2,), [3, 1])])
+    def test_rejects_empty_type_and_descending_counts(self, core, fs):
+        with pytest.raises(ValueError):
+            list(fixed_point_walk(core, fs, 2, 1))
+
+    def test_rejects_mismatched_field(self):
+        with pytest.raises(ValueError):
+            list(fixed_point_walk((2,), [1], 4, 1))
+
+    def test_corrupt_step_raises(self, monkeypatch):
+        real = submodcount.fixed_point_step
+
+        def corrupt(rows, d):
+            new = real(rows, d)
+            new[0] += 1  # one more submodule of dimension 0
+            return new
+
+        monkeypatch.setattr(submodcount, "fixed_point_step", corrupt)
+        with pytest.raises(ArithmeticError, match=r"end counts 2, 1"):
+            list(fixed_point_walk((3, 2), [1], 2, 1))
+
+    def test_corrupt_step_raises_without_asserts(self):
+        script = (
+            "from codecensus import submodcount as s\n"
+            "real = s.fixed_point_step\n"
+            "def corrupt(rows, d):\n"
+            "    new = real(rows, d)\n"
+            "    new[0] += 1\n"
+            "    return new\n"
+            "s.fixed_point_step = corrupt\n"
+            "list(s.fixed_point_walk((3, 2), [1], 2, 1))\n"
+        )
+        src = Path(submodcount.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "ArithmeticError: block lattice of type (3, 2, 1)" in proc.stderr
+        assert "end counts 2, 1" in proc.stderr
 
 
 class TestLatticeSize:
