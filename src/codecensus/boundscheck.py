@@ -91,7 +91,7 @@ def check_lemma1(n_max: int) -> CheckResult:
 def _t_plus_1_data(ct: CycleType):
     comp = primary_components(ct)[0]
     lam = comp.module_type
-    return comp, component_total(lam, 2, 1), comp.dim, comp.max_exponent
+    return component_total(lam, 2, 1), comp.dim, comp.max_exponent
 
 
 def check_lemma2_3(n: int) -> CheckResult:
@@ -101,7 +101,7 @@ def check_lemma2_3(n: int) -> CheckResult:
         raise ValueError(f"n must be <= 12, got {n}")
     worst = None
     for ct in cycle_types_of(n):
-        comp1, L1, n1, mu1 = _t_plus_1_data(ct)
+        L1, n1, mu1 = _t_plus_1_data(ct)
         r = ct.r
         L = lattice_size(ct)
         bound3a = gauss_total(r, 2) * gauss_total(n1 - r, 2)

@@ -13,7 +13,7 @@ irreducible whose order e divides u.  All irreducibles of one order e share
 one module type lambda_e, so the graded count of a cycle type is the
 product over odd e of the block lattice of lambda_e, taken once for each
 irreducible of order e.  There are phi(e) / ord_e(2) of them, of degree
-ord_e(2) (gf2poly.cyclotomic_split), so no polynomial is factored.
+ord_e(2) (cyclestruct.cyclotomic_split), so no polynomial is factored.
 
 Rather than visit the p(n) cycle types one by one, sums_by_t1_type runs a
 dynamic program over the odd parts u of the cycle lengths, from the largest
@@ -30,9 +30,9 @@ odd u <= n down to 1:
   Transitions that reach the same completed type and state are summed
   before that block's polynomial is multiplied in, so each block
   polynomial is convolved once per merged state, not once per cycle type.
-  The product of one order's blocks (completed_block) and the strided
-  convolution that multiplies it in are submodcount.order_lattice and
-  submodcount.convolve, the same kernel that lattice_dim_poly uses.
+  The product of one order's blocks and the strided convolution that
+  multiplies it in are submodcount.order_lattice and submodcount.convolve,
+  the same kernel that lattice_dim_poly uses.
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type, and
@@ -63,8 +63,7 @@ from math import comb, factorial
 
 import mpmath
 
-from .cyclestruct import odd_divisors, z_product
-from .gf2poly import cyclotomic_split
+from .cyclestruct import cyclotomic_split, odd_divisors, z_product
 from .qarith import DEFAULT_PRECISION, gauss_total
 from .submodcount import convolve, fixed_point_walk, order_lattice
 
@@ -102,13 +101,6 @@ def _add_into(acc: dict, key, poly) -> None:
     else:
         for i, c in enumerate(poly):
             have[i] += c
-
-
-def completed_block(lam: tuple[int, ...], split: tuple[int, int]) -> list[int]:
-    """The product of the block lattices of type lam over the irreducibles
-    of one order, in s = t^deg coordinates; split is that order's
-    (count, deg) from cyclotomic_split."""
-    return order_lattice(lam, *split)
 
 
 def t1_lattices(core: tuple[int, ...], fs):
@@ -157,7 +149,7 @@ def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         merged: dict = {}
         for (lam_u, used, pending), value in _stage(n, u, states).items():
             if lam_u:
-                value = convolve(value, completed_block(lam_u, split), stride=split[1])
+                value = convolve(value, order_lattice(lam_u, *split), stride=split[1])
             _add_into(merged, (used, pending), value)
         states = merged
     result = {lam_1: value for (lam_1, _, _), value in _stage(n, 1, states).items()}

@@ -22,7 +22,7 @@ import sys
 
 import mpmath
 
-from . import boundscheck, burnside, oracle, qarith
+from . import boundscheck, burnside, qarith
 from .cyclestruct import CycleType
 from .qarith import DEFAULT_PRECISION
 from .submodcount import lattice_dim_poly, lattice_size
@@ -156,6 +156,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # the brute-force reference stays out of every other command
+
     if args.classify:
         if args.n > oracle.CLASSIFY_CEILING:
             raise CeilingError(

@@ -6,9 +6,11 @@ cycle adds a part 2^a to the module type of every irreducible factor of
 t^u - 1.  Those factors are the irreducibles of order e for the odd e
 dividing u, and all irreducibles of one order share one module type, so
 the primary blocks of the permutation operator on GF(2)^n follow from the
-orders alone: order e gives phi(e) / ord_e(2) blocks of degree ord_e(2)
-(gf2poly.cyclotomic_split).  No polynomial is factored to build them; a
-block's irreducible is found only when its .irreducible is read.
+orders alone: the irreducibles of order exactly e split the e-th cyclotomic
+polynomial into phi(e) / ord_e(2) factors, each of degree ord_e(2) (Lidl &
+Niederreiter, Finite Fields, Thm 2.47).  cyclotomic_split gives that count
+and degree from integer arithmetic, and primary_components keeps one record
+per order; no polynomial is factored.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 from typing import Iterator
-
-from .gf2poly import cyclotomic_split, irreducibles_of_order
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,14 @@ class CycleType:
 
 @dataclass(frozen=True)
 class PrimaryComponent:
-    """One irreducible-primary block of the permutation operator: the
-    index-th irreducible of order exactly `order`."""
+    """The primary blocks of the permutation operator over the irreducibles
+    of order exactly `order`: count blocks, one per irreducible, all of one
+    degree and one module type."""
 
-    order: int                # least odd e with the irreducible dividing t^e - 1
-    index: int                # position among the irreducibles of that order
-    deg: int                  # ord_e(2), the degree of the irreducible
+    order: int                # odd e; the irreducibles divide no t^f - 1, f < e
+    count: int                # phi(e) / ord_e(2), the number of those irreducibles
+    deg: int                  # ord_e(2), the degree of each irreducible
     module_type: tuple[int, ...]  # partition, parts are powers of two
-
-    @property
-    def irreducible(self) -> int:
-        """The irreducible as a GF(2)[t] bit vector (factors t^order - 1)."""
-        return irreducibles_of_order(self.order)[self.index]
 
     @property
     def residue_size(self) -> int:
@@ -74,8 +70,9 @@ class PrimaryComponent:
 
     @property
     def dim(self) -> int:
-        """GF(2)-dimension of the block: deg * |module_type|."""
-        return self.deg * sum(self.module_type)
+        """GF(2)-dimension of the order's blocks together:
+        count * deg * |module_type|."""
+        return self.count * self.deg * sum(self.module_type)
 
     @property
     def max_exponent(self) -> int:
@@ -154,25 +151,63 @@ def odd_divisors(u: int) -> list[int]:
     return small + [u // e for e in reversed(small) if e * e != u]
 
 
+def mult_order_of_2(m: int) -> int:
+    """Least e >= 1 with 2^e = 1 mod m (m odd); 1 for m = 1."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"m must be odd and >= 1, got {m}")
+    if m == 1:
+        return 1
+    e = 1
+    acc = 2 % m
+    while acc != 1:
+        acc = (acc * 2) % m
+        e += 1
+    return e
+
+
+def _euler_phi(m: int) -> int:
+    result, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+def cyclotomic_split(e: int) -> tuple[int, int]:
+    """(count, degree) of the irreducibles of order exactly e (e odd): the
+    e-th cyclotomic polynomial over GF(2) is a product of phi(e) / ord_e(2)
+    distinct irreducibles of degree ord_e(2).  Nothing is factored."""
+    deg = mult_order_of_2(e)
+    count, rem = divmod(_euler_phi(e), deg)
+    if rem:
+        raise ArithmeticError(
+            f"phi({e}) is not divisible by the order {deg} of 2 mod {e}")
+    return count, deg
+
+
 def primary_components(ct: CycleType) -> tuple[PrimaryComponent, ...]:
-    """Primary blocks of the operator of any permutation with this type.
+    """Primary blocks of the operator of any permutation with this type,
+    one record per odd order of irreducible.
 
     Each cycle of length 2^a * u contributes one part 2^a to the module
     type of every irreducible whose order e divides u.  Sorted by (degree,
-    order, index), so the t+1 block (order 1, the only order of degree 1)
-    comes first; the GF(2)-dimensions of the blocks sum to n.
+    order), so the t+1 block (order 1, the only order of degree 1, one
+    irreducible) comes first; the GF(2)-dimensions of the records sum to n.
     """
     by_order: dict[int, list[int]] = {}
     for length in ct.parts:
         two_part, u = _split_two_power(length)
         for e in odd_divisors(u):
             by_order.setdefault(e, []).append(two_part)
-    comps = []
-    for e, type_parts in by_order.items():
-        count, deg = cyclotomic_split(e)
-        module_type = tuple(sorted(type_parts, reverse=True))
-        comps.extend(PrimaryComponent(e, i, deg, module_type) for i in range(count))
-    comps.sort(key=lambda c: (c.deg, c.order, c.index))
+    comps = [PrimaryComponent(e, *cyclotomic_split(e),
+                              tuple(sorted(type_parts, reverse=True)))
+             for e, type_parts in by_order.items()]
+    comps.sort(key=lambda c: (c.deg, c.order))
     dims = sum(c.dim for c in comps)
     if dims != ct.n:
         raise ArithmeticError(

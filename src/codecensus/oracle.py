@@ -3,11 +3,14 @@
 Subspaces of GF(2)^n are held as tuples of int bitmasks in reduced row
 echelon form (bit i = coordinate i), so equality of subspaces is tuple
 equality.  Everything here is deliberately naive: explicit enumeration,
-explicit permutation action, explicit linear algebra.
+explicit permutation action, explicit linear algebra.  The module imports
+nothing from the rest of the package, so the fast path is checked against
+code it shares nothing with.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -200,6 +203,181 @@ def classify(n: int) -> OrbitReport:
 
 
 # ---------------------------------------------------------------------------
+# GF(2)[t] arithmetic and the factoring of t^u - 1: the reference that the
+# cyclotomic split of the fast path (cyclestruct.cyclotomic_split) is tested
+# against.  A polynomial is an int whose bit i is the coefficient of t^i, so
+# t+1 is 0b11 and the zero polynomial is 0.
+
+
+def degree(p: int) -> int:
+    """Degree of p; -1 for the zero polynomial."""
+    return p.bit_length() - 1
+
+
+def poly_mul(a: int, b: int) -> int:
+    """Carry-less product."""
+    result = 0
+    while b:
+        low = b & -b
+        result ^= a << (low.bit_length() - 1)
+        b ^= low
+    return result
+
+
+def poly_divmod(a: int, b: int) -> tuple[int, int]:
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = degree(b)
+    quo = 0
+    while degree(a) >= db:
+        shift = degree(a) - db
+        quo ^= 1 << shift
+        a ^= b << shift
+    return quo, a
+
+
+def poly_mod(a: int, b: int) -> int:
+    return poly_divmod(a, b)[1]
+
+
+def poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def poly_mulmod(a: int, b: int, m: int) -> int:
+    return poly_mod(poly_mul(a, b), m)
+
+
+def poly_powmod(a: int, e: int, m: int) -> int:
+    result = poly_mod(1, m)
+    a = poly_mod(a, m)
+    while e:
+        if e & 1:
+            result = poly_mulmod(result, a, m)
+        a = poly_mulmod(a, a, m)
+        e >>= 1
+    return result
+
+
+def poly_str(p: int) -> str:
+    """Human-readable form, e.g. 't^3 + t + 1'."""
+    if p == 0:
+        return "0"
+    terms = []
+    for i in range(degree(p), -1, -1):
+        if (p >> i) & 1:
+            terms.append("1" if i == 0 else ("t" if i == 1 else f"t^{i}"))
+    return " + ".join(terms)
+
+
+def cyclotomic_cosets(u: int) -> list[frozenset[int]]:
+    """The 2-cyclotomic cosets mod u (u odd), sorted by smallest member."""
+    if u < 1 or u % 2 == 0:
+        raise ValueError(f"u must be odd and >= 1, got {u}")
+    seen = [False] * u
+    cosets = []
+    for a in range(u):
+        if seen[a]:
+            continue
+        coset = set()
+        x = a
+        while x not in coset:
+            coset.add(x)
+            seen[x] = True
+            x = (2 * x) % u
+        cosets.append(frozenset(coset))
+    return cosets
+
+
+def _trace_poly(h: int, d: int, m: int) -> int:
+    # h + h^2 + h^4 + ... + h^(2^(d-1)) mod m
+    acc = 0
+    term = poly_mod(h, m)
+    for _ in range(d):
+        acc ^= term
+        term = poly_mulmod(term, term, m)
+    return acc
+
+
+def _equal_degree_split(f: int, d: int, rng: random.Random) -> list[int]:
+    # f is squarefree, all irreducible factors of degree exactly d
+    if degree(f) == d:
+        return [f]
+    while True:
+        h = rng.getrandbits(degree(f))
+        g = poly_gcd(f, _trace_poly(h, d, f))
+        if 0 < degree(g) < degree(f):
+            left = _equal_degree_split(g, d, rng)
+            right = _equal_degree_split(poly_divmod(f, g)[0], d, rng)
+            return left + right
+
+
+_factor_cache: dict[int, tuple[int, ...]] = {}
+
+
+def factor_cyclic(u: int) -> tuple[int, ...]:
+    """Distinct irreducible factors of t^u - 1 over GF(2), u odd, by
+    distinct-degree and Cantor-Zassenhaus equal-degree splitting.
+
+    Returned sorted by (degree, bit pattern); t+1 is always present.  The
+    result is verified by re-multiplication and against the degree multiset
+    of the 2-cyclotomic cosets mod u, and memoized.
+    """
+    if u < 1 or u % 2 == 0:
+        raise ValueError(f"u must be odd and >= 1, got {u}")
+    cached = _factor_cache.get(u)
+    if cached is not None:
+        return cached
+
+    target = (1 << u) | 1  # t^u + 1 = t^u - 1 in characteristic 2
+    degrees = sorted(len(c) for c in cyclotomic_cosets(u))
+    rng = random.Random(u)  # deterministic per u
+    factors: list[int] = []
+    remaining = target
+    d = 0
+    x = 0b10
+    power = x  # t^(2^d) mod remaining, rebuilt as remaining shrinks
+    while degree(remaining) > 0:
+        d += 1
+        if degree(remaining) < 2 * d:
+            factors.append(remaining)  # remaining is itself irreducible
+            remaining = 1
+            break
+        power = poly_powmod(power, 2, remaining)
+        g = poly_gcd(remaining, power ^ x)
+        if degree(g) > 0:
+            factors.extend(_equal_degree_split(g, d, rng))
+            remaining = poly_divmod(remaining, g)[0]
+            power = poly_mod(power, remaining)
+
+    factors.sort(key=lambda p: (degree(p), p))
+    prod = 1
+    for p in factors:
+        prod = poly_mul(prod, p)
+    if prod != target:
+        raise AssertionError(f"factorization of t^{u} - 1 failed verification")
+    if sorted(degree(p) for p in factors) != degrees:
+        raise AssertionError(f"factor degrees disagree with cosets for u={u}")
+
+    result = tuple(factors)
+    _factor_cache[u] = result
+    return result
+
+
+def irreducibles_of_order(e: int) -> tuple[int, ...]:
+    """Irreducible factors of t^e - 1 of order exactly e (e odd): those that
+    divide no t^f - 1 with f | e, f < e.  They are the factors of the e-th
+    cyclotomic polynomial; sorted as factor_cyclic sorts them."""
+    lower = set()
+    for f in range(1, e, 2):
+        if e % f == 0:
+            lower.update(factor_cyclic(f))
+    return tuple(p for p in factor_cyclic(e) if p not in lower)
+
+
+# ---------------------------------------------------------------------------
 # permutation operators as explicit GF(2) matrices
 
 
@@ -260,8 +438,6 @@ def minimal_polynomial(perm):
     trial division in increasing bit order, independent of the cyclotomic
     machinery.
     """
-    from .gf2poly import degree, poly_divmod
-
     n = len(perm)
     if n > MINPOLY_CEILING:
         raise ValueError(f"n must be <= {MINPOLY_CEILING}, got {n}")
@@ -312,8 +488,6 @@ def minimal_polynomial(perm):
 
 
 def _pow_poly(p, e):
-    from .gf2poly import poly_mul
-
     result = 1
     for _ in range(e):
         result = poly_mul(result, p)

@@ -41,20 +41,20 @@ share one chain DP per core.
 
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
-Both are taken per odd order e rather than per block: the phi(e)/ord_e(2)
-irreducibles of order e share one module type and the degree d = ord_e(2),
-and a degree-d block has submodules only in dimensions that are multiples
-of d.  So order_lattice raises the block's nonzero coefficients, a short
-dense polynomial in s = t^d, to the number of blocks, and lattice_dim_poly
-convolves that product into the running polynomial once with the
-stride-aware kernel convolve, with stride d.  The census DP (burnside)
+Both are taken per odd order e, one primary_components record each,
+rather than per block: the phi(e)/ord_e(2) irreducibles of order e share
+one module type and the degree d = ord_e(2), and a degree-d block has
+submodules only in dimensions that are multiples of d.  So order_lattice
+raises the block's nonzero coefficients, a short dense polynomial in
+s = t^d, to the number of blocks, and lattice_dim_poly convolves that
+product into the running polynomial once with the stride-aware kernel
+convolve, with stride d.  The census DP (burnside)
 multiplies its blocks with the same two functions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 
 from .cyclestruct import CycleType, primary_components
 from .qarith import gauss_binomial
@@ -247,22 +247,13 @@ def order_lattice(lam: tuple[int, ...], count: int, d: int) -> list[int]:
     return poly
 
 
-def _orders(ct: CycleType):
-    """(module type, count, degree) of each odd order's blocks.  The blocks
-    of primary_components are sorted by (degree, order, index), so the
-    blocks of one order are contiguous."""
-    for (_, lam, d), comps in groupby(primary_components(ct),
-                                      key=lambda c: (c.order, c.module_type, c.deg)):
-        yield lam, sum(1 for _ in comps), d
-
-
 def lattice_size(ct: CycleType) -> int:
     """Number of invariant subspaces of (any permutation with) this cycle
     type: product of the per-block submodule counts, one power per odd
     order."""
     result = 1
-    for lam, count, d in _orders(ct):
-        result *= component_total(lam, 1 << d, d) ** count
+    for c in primary_components(ct):
+        result *= component_total(c.module_type, c.residue_size, c.deg) ** c.count
     return result
 
 
@@ -275,8 +266,9 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     lattice_size(ct) and the length is n + 1.
     """
     poly = [1]
-    for lam, count, d in _orders(ct):
-        poly = convolve(poly, order_lattice(lam, count, d), stride=d)
+    for c in primary_components(ct):
+        poly = convolve(poly, order_lattice(c.module_type, c.count, c.deg),
+                        stride=c.deg)
     if len(poly) != ct.n + 1:
         raise ArithmeticError(
             f"dimension polynomial of cycle type {ct} has length {len(poly)}, "

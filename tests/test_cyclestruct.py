@@ -13,8 +13,14 @@ from codecensus.cyclestruct import (
     primary_components,
     z_product,
 )
-from codecensus.gf2poly import T_PLUS_1, degree, factor_cyclic
-from codecensus.oracle import MINPOLY_CEILING, minimal_polynomial, perm_from_cycle_type
+from codecensus.oracle import (
+    MINPOLY_CEILING,
+    degree,
+    factor_cyclic,
+    irreducibles_of_order,
+    minimal_polynomial,
+    perm_from_cycle_type,
+)
 
 
 class TestPartitions:
@@ -70,7 +76,7 @@ class TestPrimaryComponents:
         comps = primary_components(CycleType((1,) * 6))
         assert len(comps) == 1
         c = comps[0]
-        assert c.irreducible == T_PLUS_1
+        assert (c.order, c.count, c.deg) == (1, 1, 1)
         assert c.module_type == (1,) * 6
         assert c.dim == 6 and c.max_exponent == 1
 
@@ -78,21 +84,23 @@ class TestPrimaryComponents:
         comps = primary_components(CycleType((2, 1, 1, 1)))
         assert len(comps) == 1
         c = comps[0]
-        assert c.irreducible == T_PLUS_1
+        assert (c.order, c.count, c.deg) == (1, 1, 1)
         assert c.module_type == (2, 1, 1, 1)
         assert c.dim == 5 and c.max_exponent == 2
 
     def test_3_cycle(self):
         comps = primary_components(CycleType((3,)))
-        assert [c.irreducible for c in comps] == [T_PLUS_1, 0b111]
+        # t+1, then t^2 + t + 1, the one irreducible of order 3
+        assert [(c.order, c.count, c.deg) for c in comps] == [(1, 1, 1), (3, 1, 2)]
         assert comps[0].module_type == (1,)
         assert comps[1].module_type == (1,) and comps[1].residue_size == 4
+        assert [c.dim for c in comps] == [1, 2]
 
     def test_dimensions_and_bounds(self):
         for n in range(1, 13):
             for ct in cycle_types_of(n):
                 comps = primary_components(ct)
-                assert comps[0].irreducible == T_PLUS_1
+                assert (comps[0].order, comps[0].count, comps[0].deg) == (1, 1, 1)
                 assert sum(c.dim for c in comps) == n
                 assert ct.r <= comps[0].dim <= n
                 expected_mu = max(p & -p for p in ct.parts)
@@ -124,33 +132,49 @@ class TestPrimaryComponents:
             primary_components(CycleType((3, 1)))
 
     def test_against_minimal_polynomial_oracle(self):
+        # the minimal polynomial's factors grouped by order: one record per
+        # order, with the factors' degree, their number, their common
+        # exponent and their summed primary-block dimensions
+        order_of = {p: e for e in range(1, MINPOLY_CEILING + 1, 2)
+                    for p in irreducibles_of_order(e)}
         for n in range(1, MINPOLY_CEILING + 1):
             for ct in cycle_types_of(n):
                 perm = perm_from_cycle_type(ct.parts)
-                facts = {p: (e, k) for p, e, k in minimal_polynomial(perm)}
+                by_order = {}
+                for p, exp, kdim in minimal_polynomial(perm):
+                    by_order.setdefault(order_of[p], []).append((degree(p), exp, kdim))
                 comps = primary_components(ct)
-                assert {c.irreducible for c in comps} == set(facts)
+                assert {c.order for c in comps} == set(by_order)
                 for c in comps:
-                    exp, kdim = facts[c.irreducible]
-                    assert exp == c.max_exponent
-                    assert kdim == c.dim
+                    facts = by_order[c.order]
+                    assert {fact[:2] for fact in facts} == {(c.deg, c.max_exponent)}
+                    assert len(facts) == c.count
+                    assert sum(kdim for _, _, kdim in facts) == c.dim
 
 
 def blocks_by_factoring(parts):
     """The blocks grouped by the irreducible factors of t^u - 1 themselves,
-    as a multiset of (irreducible, module type, degree)."""
-    by_poly = {}
+    as a multiset of (order, module type, degree), one element per factor.
+    A factor's order is the odd e | u whose irreducibles of order exactly e
+    include it."""
+    by_poly, order_of = {}, {}
     for length in parts:
         two_part = length & -length
-        for p in factor_cyclic(length // two_part):
+        u = length // two_part
+        for e in range(1, u + 1, 2):
+            if u % e == 0:
+                order_of.update((p, e) for p in irreducibles_of_order(e))
+        for p in factor_cyclic(u):
             by_poly.setdefault(p, []).append(two_part)
-    return Counter((p, tuple(sorted(type_parts, reverse=True)), degree(p))
+    return Counter((order_of[p], tuple(sorted(type_parts, reverse=True)), degree(p))
                    for p, type_parts in by_poly.items())
 
 
 def blocks_by_order(parts):
-    return Counter((c.irreducible, c.module_type, c.deg)
-                   for c in primary_components(CycleType(parts)))
+    """The same multiset from primary_components, each record weighted by
+    its number of irreducibles."""
+    return Counter({(c.order, c.module_type, c.deg): c.count
+                    for c in primary_components(CycleType(parts))})
 
 
 class TestBlocksFromOrdersAgainstFactoring:
@@ -167,8 +191,8 @@ class TestBlocksFromOrdersAgainstFactoring:
 
     def test_t_plus_1_first_then_degree_order_index(self):
         comps = primary_components(CycleType((45, 21, 8, 1)))
-        keys = [(c.deg, c.order, c.index) for c in comps]
-        assert comps[0].order == 1 and comps[0].irreducible == T_PLUS_1
+        keys = [(c.deg, c.order) for c in comps]
+        assert (comps[0].order, comps[0].count, comps[0].deg) == (1, 1, 1)
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 

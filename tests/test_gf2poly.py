@@ -1,3 +1,6 @@
+"""GF(2)[t]: the cyclotomic split of the fast path (cyclestruct) and the
+factoring of t^u - 1 that the oracle keeps as its reference."""
+
 from collections import Counter
 from math import gcd
 
@@ -5,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codecensus import gf2poly
-from codecensus.gf2poly import (
+from codecensus import cyclestruct, oracle
+from codecensus.cyclestruct import cyclotomic_split, mult_order_of_2
+from codecensus.oracle import (
     cyclotomic_cosets,
-    cyclotomic_split,
     degree,
     factor_cyclic,
     irreducibles_of_order,
-    mult_order_of_2,
     poly_divmod,
     poly_gcd,
     poly_mod,
@@ -105,23 +107,23 @@ class TestFactorCyclic:
                     assert q == p, f"{poly_str(p)} divisible by {poly_str(q)}"
 
     def test_deterministic(self):
-        import codecensus.gf2poly as gp
-
         first = factor_cyclic(93)
-        gp._factor_cache.clear()
+        oracle._factor_cache.clear()
         assert factor_cyclic(93) == first
 
 
 class TestIrreduciblesOfOrder:
     def test_cyclotomic_closed_form_up_to_201(self):
         # the irreducibles of order exactly e split the e-th cyclotomic
-        # polynomial: phi(e) / ord_e(2) factors, each of degree ord_e(2)
+        # polynomial: phi(e) / ord_e(2) factors, each of degree ord_e(2),
+        # which is the split the fast path uses
         for e in range(1, 202, 2):
             phi = sum(1 for a in range(1, e + 1) if gcd(a, e) == 1)
             k = mult_order_of_2(e)
             factors = irreducibles_of_order(e)
             assert len(factors) == phi // k
             assert all(degree(p) == k for p in factors)
+            assert (len(factors), degree(factors[0])) == cyclotomic_split(e)
             assert set(factors) <= set(factor_cyclic(e))
 
     def test_orders_partition_the_factors(self):
@@ -139,16 +141,9 @@ class TestCyclotomicSplit:
 
     def test_indivisible_phi_raises(self, monkeypatch):
         # phi(7) = 6 is not a multiple of a (wrong) order 4
-        monkeypatch.setattr(gf2poly, "mult_order_of_2", lambda m: 4)
+        monkeypatch.setattr(cyclestruct, "mult_order_of_2", lambda m: 4)
         with pytest.raises(ArithmeticError, match=r"phi\(7\)"):
             cyclotomic_split(7)
-
-    def test_wrong_split_of_factors_raises(self, monkeypatch):
-        real = gf2poly.cyclotomic_split
-        monkeypatch.setattr(gf2poly, "cyclotomic_split",
-                            lambda e: (1, 6) if e == 7 else real(e))
-        with pytest.raises(ArithmeticError, match="order 7"):
-            irreducibles_of_order(7)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):

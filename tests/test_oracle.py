@@ -1,8 +1,14 @@
+import ast
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from codecensus import oracle
 from codecensus.burnside import count_codes
 from codecensus.cyclestruct import CycleType, cycle_types_of, partitions_of
 from codecensus.oracle import (
@@ -226,3 +232,33 @@ class TestSlepianCount:
     def test_rejects_out_of_range(self, n, d):
         with pytest.raises(ValueError):
             slepian_code_count(n, d)
+
+
+class TestIndependence:
+    """The oracle is the reference the fast path is checked against, so the
+    two share no code, and importing the package and its CLI does not load
+    the oracle."""
+
+    def test_oracle_imports_nothing_from_the_package(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"relative import at line {node.lineno}"
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "codecensus" for name in names), \
+                f"package import at line {node.lineno}"
+
+    def test_package_and_cli_import_leaves_the_oracle_unloaded(self):
+        src = Path(oracle.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        script = ("import sys, codecensus, codecensus.cli; "
+                  "print('codecensus.oracle' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
