@@ -14,7 +14,7 @@ from math import comb, factorial
 
 import mpmath
 
-from .burnside import correction_report, count_codes, non_identity_sum, sums_by_t1_type
+from .burnside import correction_report, count_codes, non_identity_sum
 from .cyclestruct import CycleType, cycle_types_of, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
 from .submodcount import component_total, lattice_size
@@ -162,31 +162,24 @@ def classify_D(n: int) -> CheckResult:
     first-match in order D1..D4 (the raw D2/D4 ranges overlap at small n);
     only the cover-everything property is asserted.  n1 and r are read off
     the t+1 module type lambda_1 (|lambda_1| and its number of parts), so
-    the census sums grouped by lambda_1 carry the weights."""
+    the census row's t1_weights carry the weights."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sums = {k: 0 for k in ("D1", "D2", "D3", "D4")}
     overlap_weight = 0
-    for lam_1, poly in sums_by_t1_type(n).items():
+    for lam_1, weight in count_codes(n).t1_weights:
         n1, r = sum(lam_1), len(lam_1)
         if r == n:  # identity
             continue
-        weight = sum(poly)
-        in_d1, in_d2, in_d3, in_d4 = d_ranges(n, n1, r)
-        if in_d1:
-            sums["D1"] += weight
-        elif in_d2:
-            sums["D2"] += weight
-            if in_d4:
-                overlap_weight += weight
-        elif in_d3:
-            sums["D3"] += weight
-        elif in_d4:
-            sums["D4"] += weight
-        else:
+        in_d = d_ranges(n, n1, r)
+        if not any(in_d):
             return CheckResult("classify_D", (n, n), FAIL,
                                counterexample={"t1_type": ",".join(map(str, lam_1)),
                                                "n1": n1, "r": r})
+        first = in_d.index(True)
+        sums[f"D{first + 1}"] += weight
+        if first == 1 and in_d[3]:  # D2, also in the raw D4 range
+            overlap_weight += weight
     total = sum(sums.values())
     shares = {k: (float(v) / total if total else 0.0) for k, v in sums.items()}
     return CheckResult("classify_D", (n, n), REPORT,

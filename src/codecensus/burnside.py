@@ -46,18 +46,19 @@ odd u <= n down to 1:
 - Grouping.  The last stage (u = 1) completes the t+1 block, so its results
   are keyed by the t+1 module type lambda_1: for each lambda_1, the sum of
   class_size * lattice_dim_poly over the cycle types with that t+1 type.
-  count_codes adds them up; boundscheck.classify_D reads the block
-  dimension |lambda_1| and the cycle count len(lambda_1) from the keys.
   The t+1 types are grouped by their core, lambda_1 without its 1-parts
   (one 1-part per odd cycle).  Each core's block lattices come from one
   fixed-point walk (submodcount.fixed_point_walk, through t1_lattices),
   one chain DP and then one shift-and-add step per 1-part, and each is
   multiplied into its value as soon as it is made, so no lattice is kept.
+  Each finished value is yielded and dropped: count_codes, the one census
+  cache, keeps only the per-dimension totals and each type's weight (its
+  value's sum), from which boundscheck.classify_D reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
@@ -74,6 +75,8 @@ class CensusRow:
     b: int
     G: int                     # total number of subspaces of GF(2)^n
     by_dim: tuple[int, ...]    # b(n, d) for d = 0..n
+    # (lambda_1, sum of class_size * lattice_size over the cycle types of t+1 type lambda_1)
+    t1_weights: tuple[tuple[tuple[int, ...], int], ...] = field(repr=False)
 
     def correction(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         """n! * b / G - 1, the relative excess over the orbit-count floor."""
@@ -135,11 +138,11 @@ def _stage(n: int, u: int, states: dict) -> dict:
     return reached
 
 
-@lru_cache(maxsize=None)
-def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """For each t+1 module type lambda_1 of a permutation of n points, the
-    sum of class_size(ct) * lattice_dim_poly(ct) over the cycle types ct
-    with that t+1 type, by the odd-part DP of the module docstring."""
+def sums_by_t1_type(n: int):
+    """Yield (lambda_1, sum of class_size(ct) * lattice_dim_poly(ct) over the
+    cycle types ct with t+1 module type lambda_1) for each lambda_1 at n, by
+    the odd-part DP of the module docstring, as soon as its t+1 block lattice
+    is multiplied in; the end totals are checked after the last pair."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     nfact = factorial(n)
@@ -152,40 +155,41 @@ def sums_by_t1_type(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
                 value = convolve(value, order_lattice(lam_u, *split), stride=split[1])
             _add_into(merged, (used, pending), value)
         states = merged
-    result = {lam_1: value for (lam_1, _, _), value in _stage(n, 1, states).items()}
-    del states
-    cores: dict = {}
-    for lam_1 in result:
+    cores: dict = {}  # core -> {fixed-point count f: value of core + (1,) * f}
+    for (lam_1, _, _), value in _stage(n, 1, states).items():
         f = lam_1.count(1)
-        cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
-    for core, fs in cores.items():
-        for f, lattice in t1_lattices(core, sorted(fs)):
+        cores.setdefault(lam_1[:len(lam_1) - f], {})[f] = value
+    del states
+    end_totals = [0, 0]
+    for core, values in cores.items():
+        for f, lattice in t1_lattices(core, sorted(values)):
             lam_1 = core + (1,) * f
-            result[lam_1] = tuple(convolve(result[lam_1], lattice))
-    for lam_1, poly in result.items():
-        if len(poly) != n + 1:
-            raise ArithmeticError(
-                f"t+1 type {lam_1} at n={n}: dimension polynomial has length "
-                f"{len(poly)}, expected n + 1 = {n + 1}")
-    for d in (0, n):
-        total = sum(poly[d] for poly in result.values())
+            poly = tuple(convolve(values.pop(f), lattice))
+            if len(poly) != n + 1:
+                raise ArithmeticError(
+                    f"t+1 type {lam_1} at n={n}: dimension polynomial has length "
+                    f"{len(poly)}, expected n + 1 = {n + 1}")
+            end_totals[0] += poly[0]
+            end_totals[1] += poly[n]
+            yield lam_1, poly
+    for d, total in zip((0, n), end_totals):
         if total != nfact:
             raise ArithmeticError(
                 f"dimension-{d} orbit sum is {total} at n={n}, expected {n}!")
-    return result
 
 
 @lru_cache(maxsize=None)
 def count_codes(n: int) -> CensusRow:
     """Exact census at n: orbit count, total subspace count, per-dimension
-    orbit counts.  Each per-dimension orbit-counting sum must divide
-    exactly by n!; b is their total, so it divides too."""
+    orbit counts and t+1 type weights, summed pair by pair from sums_by_t1_type.
+    Each per-dimension sum must divide exactly by n!; b is their total."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dim_sum = [0] * (n + 1)
-    for poly in sums_by_t1_type(n).values():
-        for d, c in enumerate(poly):
-            dim_sum[d] += c
+    t1_weights = []
+    for lam_1, poly in sums_by_t1_type(n):
+        dim_sum = [a + b for a, b in zip(dim_sum, poly)]
+        t1_weights.append((lam_1, sum(poly)))
     nfact = factorial(n)
     by_dim = []
     for d, s in enumerate(dim_sum):
@@ -194,7 +198,8 @@ def count_codes(n: int) -> CensusRow:
             raise ArithmeticError(
                 f"dimension-{d} orbit sum not divisible by {n}! at n={n}")
         by_dim.append(bd)
-    return CensusRow(n=n, b=sum(by_dim), G=gauss_total(n, 2), by_dim=tuple(by_dim))
+    return CensusRow(n=n, b=sum(by_dim), G=gauss_total(n, 2), by_dim=tuple(by_dim),
+                     t1_weights=tuple(t1_weights))
 
 
 def count_codes_by_dim(n: int, d: int) -> int:

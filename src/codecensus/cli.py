@@ -9,7 +9,8 @@ byte-identical output.
 Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
 n < 1 and an output file that cannot be opened), 3 ceiling violation,
 4 internal error (any other exception, such as an ArithmeticError from a
-census self-check; one line on stderr).
+census self-check; one line on stderr), 141 the reader closed stdout early
+(128 + SIGPIPE, as a shell reports it; nothing on stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import decimal
 import json
+import os
 import sys
 
 import mpmath
@@ -32,6 +34,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CEILING = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 SCHEMA_VERSION = 1
 
@@ -243,7 +246,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter's final flush of what is left must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_BROKEN_PIPE
     except CeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING

@@ -155,11 +155,8 @@ def mult_order_of_2(m: int) -> int:
     """Least e >= 1 with 2^e = 1 mod m (m odd); 1 for m = 1."""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 1, got {m}")
-    if m == 1:
-        return 1
-    e = 1
-    acc = 2 % m
-    while acc != 1:
+    e, acc = 1, 2 % m
+    while acc > 1:  # acc = 2^e mod m, never 0 for odd m > 1
         acc = (acc * 2) % m
         e += 1
     return e

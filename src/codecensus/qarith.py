@@ -8,6 +8,7 @@ carried as mpmath floats at a configurable decimal precision.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import mpmath
 
@@ -20,14 +21,8 @@ _GUARD_DIGITS = 10
 def _validate_prime_power(q: int) -> None:
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    p = 2
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)  # least prime factor
     m = q
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
     while m % p == 0:
         m //= p
     if m != 1:

@@ -2,6 +2,7 @@ from math import log2
 
 import pytest
 
+from codecensus import boundscheck, burnside
 from codecensus.boundscheck import (
     FAIL,
     PASS,
@@ -15,6 +16,8 @@ from codecensus.boundscheck import (
     run_suite,
     theorem_constants_report,
 )
+from codecensus.burnside import count_codes
+from codecensus.cli import main
 from codecensus.cyclestruct import class_size, cycle_types_of, primary_components
 from codecensus.qarith import gauss_total
 from codecensus.submodcount import component_total, lattice_size
@@ -122,6 +125,23 @@ class TestClassifyD:
             for n1 in range(1, n + 1):
                 for r in range(1, n1 + 1):
                     assert d_ranges(n, n1, r) == float_d_ranges(n, n1, r), (n, n1, r)
+
+    def test_reads_the_census_row_without_rerunning_the_dp(self, capsys, monkeypatch):
+        n = 12
+        for m in range(1, n + 1):
+            count_codes(m)
+        before = classify_D(n)
+        assert main(["verify", "--suite", "dclass", "--max-n", str(n)]) == 0
+        out = capsys.readouterr().out
+
+        def rerun(n):
+            raise AssertionError("the orbit-sum DP ran again")
+
+        monkeypatch.setattr(burnside, "sums_by_t1_type", rerun)
+        monkeypatch.setattr(boundscheck, "sums_by_t1_type", rerun, raising=False)
+        assert classify_D(n) == before
+        assert main(["verify", "--suite", "dclass", "--max-n", str(n)]) == 0
+        assert capsys.readouterr().out == out
 
     def test_shares_sum_to_one(self):
         shares = classify_D(12).witnesses["shares"]

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from hashlib import sha256
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n
 
 def patch_identity_block(monkeypatch, change):
     """Make the DP's t+1 block lattice of the n = 4 identity wrong by
-    change(poly), bypassing the memo so that nothing wrong is cached."""
+    change(poly); sums_by_t1_type is uncached, so nothing wrong is kept."""
     real = burnside.t1_lattices
 
     def patched(core, fs):
@@ -31,7 +35,6 @@ def patch_identity_block(monkeypatch, change):
             yield f, change(poly) if core + (1,) * f == IDENTITY_T1_TYPE_N4 else poly
 
     monkeypatch.setattr(burnside, "t1_lattices", patched)
-    monkeypatch.setattr(burnside, "sums_by_t1_type", sums_by_t1_type.__wrapped__)
 
 
 class TestCountCodes:
@@ -86,6 +89,30 @@ class TestCountCodes:
         assert factorial(n) * row.b >= row.G  # orbit-count floor
 
 
+class TestRetention:
+    def test_census_keeps_no_polynomial(self):
+        # the block-lattice, core-heads and Gauss-binomial memos are cleared,
+        # so what is left is the count_codes row and anything else kept
+        script = (
+            "import gc, tracemalloc\n"
+            "from codecensus import burnside, qarith, submodcount\n"
+            "tracemalloc.start()\n"
+            "burnside.count_codes(40)\n"
+            "submodcount.component_lattice.cache_clear()\n"
+            "submodcount._core_heads.cache_clear()\n"
+            "qarith.gauss_binomial.cache_clear()\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = Path(burnside.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2 * 2**20
+
+
 class TestOddPartDP:
     @pytest.mark.parametrize("n", range(1, 25))
     def test_matches_per_type_sums_grouped_by_t1_type(self, n):
@@ -97,7 +124,8 @@ class TestOddPartDP:
             if lam_1 in expected:
                 poly = [a + b for a, b in zip(expected[lam_1], poly)]
             expected[lam_1] = poly
-        assert sums_by_t1_type(n) == {k: tuple(v) for k, v in expected.items()}
+        assert dict(sums_by_t1_type(n)) == {k: tuple(v) for k, v in expected.items()}
+        assert dict(count_codes(n).t1_weights) == {k: sum(v) for k, v in expected.items()}
 
     def test_binary_partitions_follow_the_recurrence(self):
         counts = [len(binary_partitions(s)) for s in range(2 * 64 + 2)]
@@ -118,7 +146,7 @@ class TestOddPartDP:
         real = burnside.z_product
         monkeypatch.setattr(burnside, "z_product", lambda lengths: 5 * real(lengths))
         with pytest.raises(ArithmeticError, match="stage u=3 at n=4"):
-            sums_by_t1_type.__wrapped__(4)
+            dict(sums_by_t1_type(4))
 
     @pytest.mark.parametrize("d", [0, 4])
     def test_wrong_end_total_raises(self, monkeypatch, d):
@@ -129,12 +157,12 @@ class TestOddPartDP:
 
         patch_identity_block(monkeypatch, bump)
         with pytest.raises(ArithmeticError, match=f"dimension-{d} orbit sum is 25"):
-            sums_by_t1_type.__wrapped__(4)
+            dict(sums_by_t1_type(4))
 
     def test_wrong_length_raises(self, monkeypatch):
         patch_identity_block(monkeypatch, lambda p: p[:-1])
         with pytest.raises(ArithmeticError, match="length 4"):
-            sums_by_t1_type.__wrapped__(4)
+            dict(sums_by_t1_type(4))
 
 
 class TestByDim:

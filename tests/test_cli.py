@@ -1,13 +1,24 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from codecensus import burnside, cli
-from codecensus.cli import EXIT_CEILING, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from codecensus.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CEILING,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 from codecensus.qarith import gauss_total
 
 
@@ -230,9 +241,25 @@ class TestInternalErrors:
                 yield f, poly
 
         monkeypatch.setattr(burnside, "t1_lattices", off_by_one)
-        monkeypatch.setattr(burnside, "sums_by_t1_type", burnside.sums_by_t1_type.__wrapped__)
         monkeypatch.setattr(burnside, "count_codes", burnside.count_codes.__wrapped__)
         code = main(["count", "--n", "4"])
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL
         assert err.startswith("error: ArithmeticError: dimension-2") and err.count("\n") == 1
+
+
+class TestBrokenPipe:
+    def test_reader_closing_stdout_exits_141_silently(self):
+        # G(2000, 2) has ~300,000 digits, more than a pipe buffer holds, so
+        # the write fails once the reader has gone
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "codecensus.cli", "gauss", "--n", "2000", "--q", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141
+        assert err == b""

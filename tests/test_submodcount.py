@@ -198,7 +198,7 @@ class TestFixedPointWalk:
 
     def test_every_census_t1_type_at_n48(self):
         cores = {}
-        for lam_1 in sums_by_t1_type(48):
+        for lam_1, _ in sums_by_t1_type(48):
             f = lam_1.count(1)
             cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
         assert sum(map(len, cores.values())) > len(cores) > 1
