@@ -48,9 +48,10 @@ odd u <= n down to 1:
   class_size * lattice_dim_poly over the cycle types with that t+1 type.
   The t+1 types are grouped by their core, lambda_1 without its 1-parts
   (one 1-part per odd cycle).  Each core's block lattices come from one
-  fixed-point walk (submodcount.fixed_point_walk, through t1_lattices),
-  one chain DP and then one shift-and-add step per 1-part, and each is
-  multiplied into its value as soon as it is made, so no lattice is kept.
+  fixed-point walk (submodcount.fixed_point_walk, through t1_lattices):
+  the column DP on the core, then one more shift-and-add step per 1-part.
+  Each lattice is multiplied into its value as soon as it is made, so no
+  lattice is kept.
   Each finished value is yielded and dropped: count_codes, the one census
   cache, keeps only the per-dimension totals and each type's weight (its
   value's sum), from which boundscheck.classify_D reads.

@@ -7,7 +7,6 @@ carried as mpmath floats at a configurable decimal precision.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 import mpmath
@@ -19,8 +18,12 @@ _GUARD_DIGITS = 10
 
 
 def _validate_prime_power(q: int) -> None:
+    """Raise ValueError unless 2 <= q < 2^32 is a prime power.  The bound
+    keeps the trial division below 2^16 steps."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if q >= 1 << 32:
+        raise ValueError(f"q must be below 2^32 = {1 << 32}, got {q}")
     p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)  # least prime factor
     m = q
     while m % p == 0:
@@ -47,7 +50,6 @@ def gauss_total(n: int, q: int) -> int:
     return cur if n else prev
 
 
-@lru_cache(maxsize=None)
 def gauss_binomial(n: int, d: int, q: int) -> int:
     """Number of d-dimensional subspaces of an n-dimensional space over GF(q).
 

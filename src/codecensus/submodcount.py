@@ -8,36 +8,50 @@ coordinates, by
     N(lam, mu; Q) = prod_i Q^(mu'_{i+1} (lam'_i - mu'_i))
                         * qbinom(lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}; Q).
 
-Each factor depends only on the neighbouring columns (mu'_i, mu'_{i+1}), so
-the counts of all submodules of a block, graded by size, are a
-transfer-matrix sum: component_lattice runs a chain DP over the columns of
-lam' instead of listing every type mu' <= lam'.  The type-by-type
-enumerator survives as the slow reference oracle.graded_submodule_counts,
-which the tests check the DP against.
+The factor of column i depends only on its length l = lam'_i and on the
+neighbouring parts t = mu'_i, m = mu'_{i+1}:
 
-The DP has two parts.  chain_heads runs it down to the first column and
-returns H[t], the summed counts of the types with mu'_1 = t by the size of
-their tail mu'_2, mu'_3, ...; fold_heads sums x^t * H[t] into the lattice.
-The first column, of length r = len(lam), enters only through its factor
-c_r(t, m) = [r - m, t - m]_Q * Q^(m (r - t)), where m = mu'_2.  The
-q-Pascal rule [N, j] = [N - 1, j - 1] + Q^j [N - 1, j] with N = r - m,
-j = t - m gives
+    c_l(t, m) = [l - m, t - m]_Q * Q^(m (l - t)),   m <= t <= l.
 
-    c_r(t, m) = c_{r-1}(t - 1, m) + Q^t * c_{r-1}(t, m),
+So the counts of all submodules of a block, graded by size, come from a DP
+over the columns of lam', last to first, instead of listing every type
+mu' <= lam'.  The type-by-type enumerator survives as the slow reference
+oracle.graded_submodule_counts, which the tests check the DP against.
 
-and the coefficient Q^t does not depend on m, so the rule passes through
-the sum over m.  Adding a 1-part to lam lengthens only the first column,
-so, aligned by tail size,
+After a column the DP holds its heads: H[t] sums, over the tails
+mu'_i = t, mu'_{i+1}, ... that fit under the columns so far, their type
+counts times x^(tail size - t).  Past the last column H = [1] (the empty
+tail); a column of length l maps the heads H of the next one to
 
-    H_{lam+(1)}[t] = H_lam[t - 1] + Q^t * H_lam[t].
+    H'[t] = sum_{m <= t} c_l(t, m) * R[m],   R[m] = x^m H[m],
 
-As modules: a submodule of M + k (k the residue field) either contains k,
-and is then a submodule of M plus k, or is the graph of one of the
-Q^(mu'_1) maps from a type-mu submodule of M to k.  fixed_point_walk uses
-this: it runs the chain DP once on the core of a type (its parts other
-than 1) and reaches core + (1,) * f by f shift-and-add steps, so the
-census's t+1 blocks, which differ mostly in their number of fixed points,
-share one chain DP per core.
+and the lattice is sum_t x^t H[t] at the first column.  Each polynomial
+in x is packed into one integer, a fixed number of bits per entry, so x^m
+and every power of Q = 2^d are shifts.  The q-Pascal rule
+[N, j] = [N - 1, j - 1] + Q^j [N - 1, j], with N = l - m, j = t - m, gives
+
+    c_l(t, m) = c_{l-1}(t - 1, m) + Q^t * c_{l-1}(t, m)   (m < l),
+
+and Q^t does not depend on m, so the rule passes through the sum over m.
+It misses only m = l, where c_l(l, l) = 1 and c_{l-1}(t, l) = 0.  So the
+partial sums G_k[t] = sum_m c_k(t, m) R[m], k = 0..l, obey
+
+    G_k[t] = G_{k-1}[t - 1] + Q^t * G_{k-1}[t] + [t = k] R[k]
+
+from G_{-1} = [] to H' = G_l: a column is l + 1 shift-and-add steps
+(fixed_point_step), with R[k] added at t = k after step k while R lasts.
+Adding a 1-part to lam lengthens only the first column, past the end of
+R, so
+
+    H_{lam+(1)}[t] = H_lam[t - 1] + Q^t * H_lam[t]
+
+is one more step.  As modules: a submodule of M + k (k the residue field)
+either contains k, and is then a submodule of M plus k, or is the graph of
+one of the Q^(mu'_1) maps from a type-mu submodule of M to k.
+fixed_point_walk runs the DP once on the core of a type (its parts other
+than 1) and reaches core + (1,) * f by f more steps, so the census's t+1
+blocks, which differ mostly in their number of fixed points, share one
+core; component_lattice is the walk to one f.
 
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
@@ -90,38 +104,6 @@ def _count_conj(lc: tuple[int, ...], mc: tuple[int, ...], Q: int) -> int:
     return result
 
 
-def chain_heads(lam: tuple[int, ...], Q: int, d: int) -> list[list[int]]:
-    """The head stage of the chain DP for a type-lam block: entry t lists,
-    for the submodule types mu with mu'_1 = t, the summed type counts by
-    the size of the tail mu'_2, mu'_3, ... (index = tail size).
-
-    The DP runs over the conjugate columns, last to first.  After column i
-    the state is m = mu'_i and polys[m] lists the summed type counts of all
-    tails mu'_i..mu'_k by their size, starting at size m (the smallest a
-    tail headed by m can have).  Stepping to column i-1 with part t >= m
-    multiplies by that column's factor of the type-counting formula and
-    adds t to the size, which in offset coordinates shifts by m.  The
-    heads with m <= t grow with t until they reach the next column's
-    length, so the accumulator length is a running maximum over them.
-    """
-    polys = [[1]]  # past the last column: mu'_{k+1} = 0, empty tail
-    for l_i in reversed(conjugate(lam)):
-        new = []
-        width = 0
-        for t in range(l_i + 1):
-            if t < len(polys):  # head m = t joins the m <= t heads
-                width = max(width, len(polys[t]) + t)
-            acc = [0] * width
-            for m in range(min(t, len(polys) - 1) + 1):
-                # Q^(m (l_i - t)) * qbinom(l_i - m, t - m; Q), with Q = 2^d
-                c = gauss_binomial(l_i - m, t - m, Q) << (d * m * (l_i - t))
-                for j, a in enumerate(polys[m], m):
-                    acc[j] += c * a
-            new.append(acc)
-        polys = new
-    return polys
-
-
 def _checked_ends(coeffs: list[int], lam: tuple[int, ...], Q: int) -> list[int]:
     """Every block has exactly one submodule of dimension 0 and one of full
     dimension; other end counts raise."""
@@ -132,66 +114,60 @@ def _checked_ends(coeffs: list[int], lam: tuple[int, ...], Q: int) -> list[int]:
     return coeffs
 
 
-def fold_heads(heads, lam: tuple[int, ...], Q: int, d: int) -> list[int]:
-    """The graded lattice sum_t x^(d t) * heads[t](x^d) of a type-lam block,
-    indexed by GF(2)-dimension, with its end counts checked."""
-    coeffs = [0] * (d * sum(lam) + 1)
-    for t, poly in enumerate(heads):
-        for j, a in enumerate(poly, t):
-            coeffs[d * j] += a
-    return _checked_ends(coeffs, lam, Q)
-
-
-@lru_cache(maxsize=None)
-def component_lattice(lam: tuple[int, ...], Q: int, d: int) -> tuple[int, ...]:
-    """Submodule counts of a type-lam block graded by GF(2)-dimension.
-
-    Entry k counts submodules whose type mu has d * |mu| = k; the block
-    itself has GF(2)-dimension d * |lam|.  Q must equal 2^d.  The chain DP
-    (chain_heads) folded by head (fold_heads).
-    """
-    if not lam:
-        raise ValueError("lam must be nonempty")
-    if Q != 1 << d:
-        raise ValueError(f"Q={Q} does not match residue degree d={d}")
-    return tuple(fold_heads(chain_heads(lam, Q, d), lam, Q, d))
-
-
 def fixed_point_step(rows: list[int], d: int) -> list[int]:
-    """The heads of lam + (1,) from the heads of lam, Q = 2^d:
-    H'[t] = H[t-1] + Q^t H[t] for t = 0..len(rows).  A row is a head packed
-    into one integer (or its entry sum): both sides are linear, and the
-    scaling by Q^t is a shift."""
-    return [below + (here << d * t)
-            for t, (below, here) in enumerate(zip((0, *rows), (*rows, 0)))]
+    """G'[t] = G[t-1] + Q^t G[t] for t = 0..len(rows), Q = 2^d: one step of
+    the column DP, and the heads of lam + (1,) from the heads of lam.  A
+    row is a polynomial packed into one integer (or its entry sum): both
+    sides are linear, and the scaling by Q^t is a shift."""
+    new = [0, *rows]
+    for t, here in enumerate(rows):
+        new[t] += here << d * t
+    return new
+
+
+def _packed_heads(lam: tuple[int, ...], d: int, slot: int) -> list[int]:
+    """The first-column heads of a type-lam block over Q = 2^d, by the
+    column DP of the module docstring: entry t packs the summed counts of
+    the types mu with mu'_1 = t by tail size, slot bits per entry, so with
+    slot = 0 it is their sum."""
+    rows = heads = [1]
+    for l in reversed(conjugate(lam)):
+        heads = []
+        for k in range(l + 1):
+            heads = fixed_point_step(heads, d)
+            if k < len(rows):
+                heads[k] += rows[k]  # c_k(k, k) = 1
+        rows = [h << slot * t for t, h in enumerate(heads)]
+    return heads
 
 
 @lru_cache(maxsize=None)
-def _core_heads(core: tuple[int, ...], Q: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, chain_heads(core, Q, d)))
+def _head_sums(core: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """_packed_heads at slot 0, cached: census after census walks the same
+    cores, while their packed heads change slot width with n and are used
+    once."""
+    return tuple(_packed_heads(core, d, 0))
 
 
 def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
     """Yield (f, lattice) for each f of the ascending sequence fs, where
     lattice is the list component_lattice(core + (1,) * f, Q, d) would
-    return: one chain DP on core (cached across calls), then one
-    fixed_point_step per added 1-part.
+    return: the column DP on core, then one fixed_point_step per added
+    1-part.
 
-    Each head row is packed into one integer, nbytes bytes per entry, so a
-    step costs a few big-integer shifts and adds per head instead of one
-    per entry.  Entries are nonnegative and at most the lattice total of
-    the largest type walked to, which the row sums give exactly by the same
-    step, so no entry overflows its slot.  Folding shifts row t by t slots
-    and unpacks the sum once; every lattice passes the end-count check."""
+    Each head is packed into one integer, nbytes bytes per entry.  Entries
+    are nonnegative and at most the lattice total of the largest type
+    walked to, which the entry sums (_head_sums) give exactly by the same
+    steps, so no entry overflows its slot.  Folding shifts head t by t
+    slots and unpacks the sum once; every lattice passes the end-count
+    check."""
     if Q != 1 << d:
         raise ValueError(f"Q={Q} does not match residue degree d={d}")
-    heads = _core_heads(core, Q, d)
-    sums = [sum(h) for h in heads]
+    sums = _head_sums(core, d)
     for _ in range(max(fs, default=0)):
         sums = fixed_point_step(sums, d)
     nbytes = (sum(sums).bit_length() + 7) // 8
-    rows = [int.from_bytes(b"".join(a.to_bytes(nbytes, "little") for a in h), "little")
-            for h in heads]
+    rows = _packed_heads(core, d, 8 * nbytes)
     ones = 0
     for f in fs:
         if f < ones or not core and f == 0:
@@ -207,6 +183,19 @@ def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
         coeffs[::d] = [int.from_bytes(raw[i:i + nbytes], "little")
                        for i in range(0, len(raw), nbytes)]
         yield f, _checked_ends(coeffs, lam, Q)
+
+
+@lru_cache(maxsize=None)
+def component_lattice(lam: tuple[int, ...], Q: int, d: int) -> tuple[int, ...]:
+    """Submodule counts of a type-lam block graded by GF(2)-dimension.
+
+    Entry k counts submodules whose type mu has d * |mu| = k; the block
+    itself has GF(2)-dimension d * |lam|.  Q must equal 2^d.  The fixed-point
+    walk of the core of lam (its parts other than 1) to lam.
+    """
+    f = lam.count(1)
+    [(_, lattice)] = fixed_point_walk(lam[:len(lam) - f], (f,), Q, d)
+    return tuple(lattice)
 
 
 def component_total(lam: tuple[int, ...], Q: int, d: int) -> int:

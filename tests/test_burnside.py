@@ -91,16 +91,15 @@ class TestCountCodes:
 
 class TestRetention:
     def test_census_keeps_no_polynomial(self):
-        # the block-lattice, core-heads and Gauss-binomial memos are cleared,
-        # so what is left is the count_codes row and anything else kept
+        # the block-lattice and head-sums memos are cleared, so what is
+        # left is the count_codes row and anything else kept
         script = (
             "import gc, tracemalloc\n"
-            "from codecensus import burnside, qarith, submodcount\n"
+            "from codecensus import burnside, submodcount\n"
             "tracemalloc.start()\n"
             "burnside.count_codes(40)\n"
             "submodcount.component_lattice.cache_clear()\n"
-            "submodcount._core_heads.cache_clear()\n"
-            "qarith.gauss_binomial.cache_clear()\n"
+            "submodcount._head_sums.cache_clear()\n"
             "gc.collect()\n"
             "print(tracemalloc.get_traced_memory()[0])\n"
         )

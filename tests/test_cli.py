@@ -71,6 +71,20 @@ class TestGauss:
         code, _ = run_cli(capsys, "gauss", "--n", "2", "--q", "6")
         assert code == EXIT_USAGE
 
+    def test_q_above_the_bound_exits_2_at_once(self):
+        # 2^61 - 1 is prime: trial division to its square root would run
+        # for minutes, so the bound must reject it before factoring
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "codecensus.cli", "gauss", "--n", "1",
+             "--q", str(2 ** 61 - 1)],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: q must be below 2^32")
+        assert proc.stdout == ""
+
 
 class TestLattice:
     def test_transposition_type(self, capsys):

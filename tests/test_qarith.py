@@ -29,6 +29,18 @@ class TestGaussTotal:
         for q in (2, 3, 4, 5, 8, 9, 27):
             assert gauss_total(1, q) == 2
 
+    def test_accepts_prime_powers_up_to_the_bound(self):
+        # the largest prime below 2^32, and the square of the largest
+        # prime below 2^16
+        for q in (4294967291, 65521 ** 2):
+            assert gauss_total(1, q) == 2
+            assert gauss_binomial(2, 1, q) == q + 1
+
+    def test_rejects_q_from_2_to_the_32(self):
+        for q in (1 << 32, 2 ** 61 - 1):
+            with pytest.raises(ValueError, match=r"below 2\^32"):
+                gauss_total(1, q)
+
     @pytest.mark.parametrize("q", [2, 4])
     def test_recurrence_consistency(self, q):
         for n in range(1, 200):

@@ -119,15 +119,18 @@ class TestComponentLattice:
             component_lattice((1,), 4, 1)
 
     def test_wrong_end_counts_raise(self, monkeypatch):
-        real = submodcount.gauss_binomial
-        monkeypatch.setattr(submodcount, "gauss_binomial",
-                            lambda n, k, q: 2 * real(n, k, q))
+        # every transfer factor doubled: the step is the only arithmetic.
+        # The head sums are made afresh, and the doubled ones are not cached.
+        real = submodcount.fixed_point_step
+        monkeypatch.setattr(submodcount, "fixed_point_step",
+                            lambda rows, d: [2 * r for r in real(rows, d)])
+        monkeypatch.setattr(submodcount, "_head_sums", submodcount._head_sums.__wrapped__)
         with pytest.raises(ArithmeticError, match=r"\(2, 1\)"):
             component_lattice.__wrapped__((2, 1), 2, 1)
 
 
 class TestChainDPAgainstReferences:
-    """The chain DP against independent second opinions: the type-by-type
+    """The column DP against independent second opinions: the type-by-type
     enumerator, brute-force submodule enumeration, and the closed form for
     two-part types."""
 
@@ -176,7 +179,8 @@ def cores_up_to(size):
 
 class TestFixedPointWalk:
     """The fixed-point recurrence H'[t] = H[t-1] + Q^t H[t] against the
-    chain DP run on the whole type and the type-by-type enumerator."""
+    type-by-type enumerator, and a walk of many fixed-point counts against
+    one walk per type."""
 
     @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
     def test_every_small_core_and_fixed_point_count(self, Q, d):
@@ -186,15 +190,23 @@ class TestFixedPointWalk:
             assert [f for f, _ in walked] == list(fs)
             for f, lattice in walked:
                 lam = core + (1,) * f
-                assert tuple(lattice) == component_lattice.__wrapped__(lam, Q, d), lam
-                if sum(lam) <= 14:
-                    assert tuple(lattice) == graded_submodule_counts(lam, Q, d), lam
+                assert tuple(lattice) == graded_submodule_counts(lam, Q, d), lam
 
     def test_sparse_fixed_point_counts(self):
         walked = dict(fixed_point_walk((3, 2), [0, 0, 5, 9], 2, 1))
         for f in (0, 5, 9):
-            assert tuple(walked[f]) == component_lattice.__wrapped__(
-                (3, 2) + (1,) * f, 2, 1)
+            lam = (3, 2) + (1,) * f
+            assert tuple(walked[f]) == graded_submodule_counts(lam, 2, 1), lam
+
+    def test_every_census_t1_type_at_n30_against_enumeration(self):
+        cores = {}
+        for lam_1, _ in sums_by_t1_type(30):
+            f = lam_1.count(1)
+            cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
+        for core, fs in cores.items():
+            for f, lattice in fixed_point_walk(core, sorted(fs), 2, 1):
+                lam_1 = core + (1,) * f
+                assert tuple(lattice) == graded_submodule_counts(lam_1, 2, 1), lam_1
 
     def test_every_census_t1_type_at_n48(self):
         cores = {}
@@ -225,7 +237,10 @@ class TestFixedPointWalk:
             return new
 
         monkeypatch.setattr(submodcount, "fixed_point_step", corrupt)
-        with pytest.raises(ArithmeticError, match=r"end counts 2, 1"):
+        # the corrupted step also runs in the columns of the core; the head
+        # sums it makes are not cached
+        monkeypatch.setattr(submodcount, "_head_sums", submodcount._head_sums.__wrapped__)
+        with pytest.raises(ArithmeticError, match=r"end counts 10, 2"):
             list(fixed_point_walk((3, 2), [1], 2, 1))
 
     def test_corrupt_step_raises_without_asserts(self):
@@ -246,7 +261,7 @@ class TestFixedPointWalk:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1
         assert "ArithmeticError: block lattice of type (3, 2, 1)" in proc.stderr
-        assert "end counts 2, 1" in proc.stderr
+        assert "end counts 10, 2" in proc.stderr
 
 
 class TestLatticeSize:
