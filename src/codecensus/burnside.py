@@ -37,12 +37,18 @@ odd u <= n down to 1:
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type, and
   that divides m! for a partial type of size m, which divides n!.  So every
-  term of the sum stays an integer and the division leaves no remainder;
-  one that does raises.  Every cycle type has
-  one invariant subspace of dimension 0 and one of dimension n, and the
-  class sizes sum to n!, so the dimension-0 and dimension-n totals must
-  both equal n!; count_codes also requires every per-dimension total to
-  divide by n!.
+  term of the sum stays an integer and the division leaves no remainder.
+  The choices of size s at stage u, each binary partition mu of s with its
+  z-product, come from one table per (s, u) (choice_table), built once
+  per process with the z-products multiplied up inside the partition
+  recursion.  Each state's value is checked once, against the lcm of the
+  z-products of all its choices, since it divides by every one of them
+  exactly when it divides by their lcm; a value that fails raises, naming
+  the first choice in stage order whose z-product it does not divide by.
+  Every cycle type has one invariant subspace of dimension 0 and one of
+  dimension n, and the class sizes sum to n!, so the dimension-0 and
+  dimension-n totals must both equal n!; count_codes also requires every
+  per-dimension total to divide by n!.
 - Grouping.  The last stage (u = 1) completes the t+1 block, so its results
   are keyed by the t+1 module type lambda_1: for each lambda_1, the sum of
   class_size * lattice_dim_poly over the cycle types with that t+1 type.
@@ -61,11 +67,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from itertools import repeat
+from math import comb, factorial, lcm
+from operator import add, floordiv
 
 import mpmath
 
-from .cyclestruct import cyclotomic_split, odd_divisors, z_product
+from .cyclestruct import cyclotomic_split, odd_divisors
 from .qarith import DEFAULT_PRECISION, gauss_total
 from .submodcount import convolve, fixed_point_walk, order_lattice
 
@@ -86,25 +94,40 @@ class CensusRow:
             return mpmath.mpf(num) / mpmath.mpf(self.G)
 
 
-def binary_partitions(s: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All multisets of powers of two summing to s, with no part above cap
-    (default: no bound), as nonincreasing tuples."""
+def _weighted_binary_partitions(s: int, u: int, cap: int | None = None):
+    """(mu, z) for each multiset mu of powers of two summing to s with no
+    part above cap (default: no bound), as nonincreasing tuples, where z is
+    the z-product of the cycles p * u for p in mu: each part p of
+    multiplicity m adds the factor (p * u)^m * m!, so
+    z = u^len(mu) * prod p^m * m!."""
     if cap is None:
         cap = 1 << max(s.bit_length() - 1, 0)
     if cap == 1:
-        return [(1,) * s]
-    return [(cap,) * m + rest
+        return [((1,) * s, u ** s * factorial(s))]
+    return [((cap,) * m + rest, (cap * u) ** m * factorial(m) * z)
             for m in range(s // cap + 1)
-            for rest in binary_partitions(s - m * cap, cap >> 1)]
+            for rest, z in _weighted_binary_partitions(s - m * cap, u, cap >> 1)]
+
+
+def binary_partitions(s: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """All multisets of powers of two summing to s, with no part above cap
+    (default: no bound), as nonincreasing tuples."""
+    return [mu for mu, _ in _weighted_binary_partitions(s, 1, cap)]
+
+
+@lru_cache(maxsize=None)
+def choice_table(s: int, u: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """The stage-u choices of size s: the pairs (mu, z) for the binary
+    partitions mu of s, in binary_partitions order, where z is the
+    z-product of the cycles p * u for p in mu; returned with the lcm of
+    those z."""
+    pairs = tuple(_weighted_binary_partitions(s, u))
+    return lcm(*(z for _, z in pairs)), pairs
 
 
 def _add_into(acc: dict, key, poly) -> None:
     have = acc.get(key)
-    if have is None:
-        acc[key] = poly
-    else:
-        for i, c in enumerate(poly):
-            have[i] += c
+    acc[key] = poly if have is None else list(map(add, have, poly))
 
 
 def t1_lattices(core: tuple[int, ...], fs):
@@ -116,27 +139,40 @@ def t1_lattices(core: tuple[int, ...], fs):
 
 def _stage(n: int, u: int, states: dict) -> dict:
     """Apply the stage-u choices to every state; returns the summed values
-    keyed by (completed type lambda_u, size used, pending types)."""
+    keyed by (completed type lambda_u, size used, pending types).  A state
+    with r left chooses partitions of r at u = 1 and of every s <= r // u
+    otherwise, read from the choice tables.  Its value is checked once,
+    against the lcm of those choices' z-products, then divided by each."""
     divisors = odd_divisors(u)
-    choices = [[(mu, z_product([p * u for p in mu])) for mu in binary_partitions(s)]
-               for s in range(n // u + 1)]
     reached: dict = {}
     for (used, pending), value in states.items():
         sizes = [n - used] if u == 1 else range((n - used) // u + 1)
-        for s in sizes:
-            for mu, z in choices[s]:
-                if any(c % z for c in value):
-                    raise ArithmeticError(
-                        f"stage u={u} at n={n}: value not divisible by the "
-                        f"z-product {z} of cycles {[p * u for p in mu]}")
+        tables = [choice_table(s, u) for s in sizes]
+        zlcm = lcm(*(t[0] for t in tables))
+        if any(c % zlcm for c in value):
+            _raise_indivisible(n, u, value, tables)
+        for s, (_, pairs) in zip(sizes, tables):
+            used_s = used + s * u
+            for mu, z in pairs:
                 types = dict(pending)
                 if mu:
                     for e in divisors:
                         types[e] = tuple(sorted(types.get(e, ()) + mu, reverse=True))
                 lam_u = types.pop(u, ())
-                key = (lam_u, used + s * u, tuple(sorted(types.items())))
-                _add_into(reached, key, [c // z for c in value])
+                key = (lam_u, used_s, tuple(sorted(types.items())))
+                _add_into(reached, key, list(map(floordiv, value, repeat(z))))
     return reached
+
+
+def _raise_indivisible(n: int, u: int, value, tables) -> None:
+    """Raise for the first choice, in stage order, whose z-product does not
+    divide value."""
+    for _, pairs in tables:
+        for mu, z in pairs:
+            if any(c % z for c in value):
+                raise ArithmeticError(
+                    f"stage u={u} at n={n}: value not divisible by the "
+                    f"z-product {z} of cycles {[p * u for p in mu]}")
 
 
 def sums_by_t1_type(n: int):
@@ -189,7 +225,7 @@ def count_codes(n: int) -> CensusRow:
     dim_sum = [0] * (n + 1)
     t1_weights = []
     for lam_1, poly in sums_by_t1_type(n):
-        dim_sum = [a + b for a, b in zip(dim_sum, poly)]
+        dim_sum = list(map(add, dim_sum, poly))
         t1_weights.append((lam_1, sum(poly)))
     nfact = factorial(n)
     by_dim = []

@@ -7,10 +7,13 @@ with an explicit precision field.  Identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
-n < 1 and an output file that cannot be opened), 3 ceiling violation,
-4 internal error (any other exception, such as an ArithmeticError from a
-census self-check; one line on stderr), 141 the reader closed stdout early
-(128 + SIGPIPE, as a shell reports it; nothing on stderr).
+n < 1 and an output file that cannot be opened), 3 ceiling violation (an
+oracle size beyond brute force, or, without --no-ceiling, a count --n or
+table --max-n above CENSUS_CEILING or a verify --max-n above
+VERIFY_CEILING; one line on stderr), 4 internal error (any other
+exception, such as an ArithmeticError from a census self-check; one line
+on stderr), 141 the reader closed stdout early (128 + SIGPIPE, as a shell
+reports it; nothing on stderr).
 """
 
 from __future__ import annotations
@@ -41,6 +44,25 @@ SCHEMA_VERSION = 1
 
 class CeilingError(Exception):
     pass
+
+
+# The largest count --n and table --max-n, and the largest verify --max-n,
+# run without --no-ceiling.  Cold runs, one process each, on a 2-vCPU VM
+# (Python 3.11, raw wall time and peak RSS):
+#   count_codes(n): n = 60 6.2 s 59 MB, 70 20 s 136 MB, 80 57 s 314 MB;
+#     about 3x the time and 2.2x the memory per +10 in n, so n = 100
+#     would take ~8 min and ~1.6 GB;
+#   verify --suite all: max-n 800 12 s, 1000 25 s, 1200 46 s, 30 MB each
+#     (check_lemma1 sweeps G(n, 2) and u_n over every n <= max-n).
+CENSUS_CEILING = 80
+VERIFY_CEILING = 1000
+
+
+def _check_ceiling(args, flag: str, n: int, limit: int) -> None:
+    if n > limit and not args.no_ceiling:
+        raise CeilingError(f"{flag} is limited to {limit} (the run time grows "
+                           f"steeply above it); got {n}, pass --no-ceiling to "
+                           f"run it anyway")
 
 
 def _mpf_str(value, precision: int) -> str:
@@ -87,6 +109,7 @@ def _census_record(row: burnside.CensusRow, by_dim: bool,
 
 
 def cmd_count(args) -> int:
+    _check_ceiling(args, "count --n", args.n, CENSUS_CEILING)
     row = burnside.count_codes(args.n)
     _emit(_census_record(row, args.by_dim))
     return EXIT_OK
@@ -95,6 +118,7 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"max-n must be >= 1, got {args.max_n}")
+    _check_ceiling(args, "table --max-n", args.max_n, CENSUS_CEILING)
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as exc:
@@ -140,6 +164,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_ceiling(args, "verify --max-n", args.max_n, VERIFY_CEILING)
     results = boundscheck.run_suite(args.suite, args.max_n)
     failed = any(r.status == boundscheck.FAIL for r in results)
     if args.json:
@@ -199,13 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "accompanying verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ceiling = argparse.ArgumentParser(add_help=False)
+    ceiling.add_argument("--no-ceiling", action="store_true",
+                         help="run above the ceiling on n")
 
-    p = sub.add_parser("count", help="census row at one n")
+    p = sub.add_parser("count", parents=[ceiling], help="census row at one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--by-dim", action="store_true")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", help="census table for n = 1..N")
+    p = sub.add_parser("table", parents=[ceiling], help="census table for n = 1..N")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH")
@@ -221,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, metavar="L1,L2,...")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", parents=[ceiling], help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=("all", "lemma1", "lemma23", "bound4", "dims",
                             "dclass"))

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from hashlib import sha256
-from math import comb, factorial
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ from codecensus.burnside import (
     sums_by_t1_type,
     transposition_class_sum,
 )
-from codecensus.cyclestruct import class_size, cycle_types_of, primary_components
+from codecensus.cyclestruct import class_size, cycle_types_of, primary_components, z_product
 from codecensus.qarith import gauss_total
 from codecensus.submodcount import lattice_dim_poly
 
@@ -142,10 +142,59 @@ class TestOddPartDP:
                 assert all(p & (p - 1) == 0 for p in mu)
 
     def test_indivisible_stage_raises(self, monkeypatch):
-        real = burnside.z_product
-        monkeypatch.setattr(burnside, "z_product", lambda lengths: 5 * real(lengths))
+        real = burnside.choice_table
+
+        def times_five(s, u):  # every stage-u z-product, and so their lcm, times 5
+            zlcm, pairs = real(s, u)
+            return 5 * zlcm, tuple((mu, 5 * z) for mu, z in pairs)
+
+        monkeypatch.setattr(burnside, "choice_table", times_five)
         with pytest.raises(ArithmeticError, match="stage u=3 at n=4"):
             dict(sums_by_t1_type(4))
+
+    # At n = 6 the stage-3 choices of the empty state are (), (1,), (1, 1)
+    # and (2,), with z-products 1, 3, 18 and 6: the value 3 divides by the
+    # first two only, and 18 is the first it does not divide by.
+    PARTLY_DIVISIBLE_MESSAGE = ("stage u=3 at n=6: value not divisible by the "
+                                "z-product 18 of cycles [3, 3]")
+
+    def test_partly_divisible_state_names_first_indivisible_z(self):
+        with pytest.raises(ArithmeticError) as exc:
+            burnside._stage(6, 3, {(0, ()): [3]})
+        assert str(exc.value) == self.PARTLY_DIVISIBLE_MESSAGE
+
+    def test_partly_divisible_state_raises_under_optimize(self):
+        script = (
+            "from codecensus import burnside\n"
+            "try:\n"
+            "    burnside._stage(6, 3, {(0, ()): [3]})\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(burnside.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.PARTLY_DIVISIBLE_MESSAGE + "\n"
+
+    @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
+    def test_choice_table_matches_z_product(self, u):
+        for s in range(65):
+            zlcm, pairs = burnside.choice_table(s, u)
+            assert list(pairs) == [(mu, z_product([p * u for p in mu]))
+                                   for mu in binary_partitions(s)]
+            assert zlcm == lcm(*(z for _, z in pairs))
+
+    def test_t1_type_order_n30(self):
+        # sha256 of the lambda_1 sequence, "1,1;1,1,1,1;...", as the
+        # census yielded it before its stages read the choice tables;
+        # CensusRow equality compares t1_weights, kept in this order
+        keys = [lam_1 for lam_1, _ in sums_by_t1_type(30)]
+        assert len(keys) == 730
+        assert sha256(";".join(",".join(map(str, k)) for k in keys).encode()).hexdigest() == \
+            "61108c5df5ce1e1c8836684c2fc8a32c84febc69a65b8bc96403055584418bf2"
 
     @pytest.mark.parametrize("d", [0, 4])
     def test_wrong_end_total_raises(self, monkeypatch, d):

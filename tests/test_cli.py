@@ -203,6 +203,40 @@ class TestLimits:
         assert code == EXIT_CEILING
 
 
+class TestCeiling:
+    """Each guarded flag on both sides of a lowered limit; the real limits
+    would take minutes to cross."""
+
+    @pytest.mark.parametrize("argv, limit_name, flag", [
+        (["count", "--n", "{n}"], "CENSUS_CEILING", "count --n"),
+        (["table", "--max-n", "{n}"], "CENSUS_CEILING", "table --max-n"),
+        (["verify", "--suite", "lemma1", "--max-n", "{n}"], "VERIFY_CEILING",
+         "verify --max-n"),
+    ])
+    def test_refused_above_the_limit_unless_allowed(self, capsys, monkeypatch,
+                                                    argv, limit_name, flag):
+        monkeypatch.setattr(cli, limit_name, 11)
+        at, above = ([a.format(n=n) for a in argv] for n in (11, 12))
+        code = main(above)
+        captured = capsys.readouterr()
+        assert code == EXIT_CEILING == 3
+        assert captured.err == (f"error: {flag} is limited to 11 (the run time grows "
+                                "steeply above it); got 12, pass --no-ceiling to run "
+                                "it anyway\n")
+        assert captured.out == ""
+        assert main(at) == EXIT_OK
+        at_out = capsys.readouterr().out
+        assert main(above + ["--no-ceiling"]) == EXIT_OK
+        above_out = capsys.readouterr().out
+        assert at_out and above_out and at_out != above_out
+
+    def test_refused_table_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "CENSUS_CEILING", 2)
+        path = tmp_path / "table.csv"
+        assert main(["table", "--max-n", "3", "--out", str(path)]) == EXIT_CEILING
+        assert not path.exists()
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
