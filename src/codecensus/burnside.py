@@ -27,12 +27,22 @@ odd u <= n down to 1:
   value, a polynomial in the dimension, is the sum over the choices that
   reach it of n!/z_partial times the product of the completed block
   lattices, where z_partial = prod l^m * m! over the cycles chosen so far.
-  Transitions that reach the same completed type and state are summed
-  before that block's polynomial is multiplied in, so each block
-  polynomial is convolved once per merged state, not once per cycle type.
-  The product of one order's blocks and the strided convolution that
-  multiplies it in are submodcount.order_lattice and submodcount.convolve,
-  the same kernel that lattice_dim_poly uses.
+  A finite module's submodule lattice is self-dual (L. M. Butler, Subgroup
+  lattices and symmetric functions, Mem. AMS 539, 1994), so every block
+  lattice is a palindrome, and so is every product and same-degree sum of
+  them: a state keeps only its value's lower half, entries 0..D // 2.  The
+  degree D is read off the key, as the size used less phi(e) * |lambda_e|
+  for each open order e (phi(e) = count * degree, cyclotomic_split), so
+  every value reaching a key has the same length and the state holds no
+  other field.  Transitions that reach the same completed type and state
+  are summed before that block's polynomial is multiplied in, so each
+  block polynomial is convolved once per merged state, not once per cycle
+  type.  The product of one order's blocks and the strided convolution
+  that multiplies it in are submodcount.order_lattice and
+  submodcount.convolve, the same kernel that lattice_dim_poly uses: the
+  value is mirrored to full length and only the lower half of the
+  product is made (convolve's size), at the odd orders and again at the
+  t+1 block, whose lower half is mirrored to the yielded length n + 1.
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type, and
@@ -47,8 +57,17 @@ odd u <= n down to 1:
   the first choice in stage order whose z-product it does not divide by.
   Every cycle type has one invariant subspace of dimension 0 and one of
   dimension n, and the class sizes sum to n!, so the dimension-0 and
-  dimension-n totals must both equal n!; count_codes also requires every
-  per-dimension total to divide by n!.
+  dimension-n totals must both equal n!.  A permutation with c cycles
+  fixes 2^c - 1 nonzero vectors, the invariant lines, and
+  sum_sigma 2^c(sigma) = (n + 1)!, so the dimension-1 total must equal
+  n * n!.  These read the yielded polynomials, except that the
+  dimension-n total is summed from the exact top coefficient of each t+1
+  product, the product of its factors' top entries, and each product's
+  length is checked from its factors' lengths, so neither reads the
+  mirrored half: a t+1 block with a wrong or missing top entry still
+  fails.  Whether each block lattice is a palindrome is checked where it
+  is made (submodcount).  count_codes also requires every per-dimension
+  total to divide by n!.
 - Grouping.  The last stage (u = 1) completes the t+1 block, so its results
   are keyed by the t+1 module type lambda_1: for each lambda_1, the sum of
   class_size * lattice_dim_poly over the cycle types with that t+1 type.
@@ -142,7 +161,8 @@ def _stage(n: int, u: int, states: dict) -> dict:
     keyed by (completed type lambda_u, size used, pending types).  A state
     with r left chooses partitions of r at u = 1 and of every s <= r // u
     otherwise, read from the choice tables.  Its value is checked once,
-    against the lcm of those choices' z-products, then divided by each."""
+    against the lcm of those choices' z-products, then divided by each.
+    At u = 1 only lambda_1 is pending, so its key is built directly."""
     divisors = odd_divisors(u)
     reached: dict = {}
     for (used, pending), value in states.items():
@@ -151,6 +171,12 @@ def _stage(n: int, u: int, states: dict) -> dict:
         zlcm = lcm(*(t[0] for t in tables))
         if any(c % zlcm for c in value):
             _raise_indivisible(n, u, value, tables)
+        if u == 1:
+            lam_1 = pending[0][1] if pending else ()
+            for mu, z in tables[0][1]:
+                key = (tuple(sorted(lam_1 + mu, reverse=True)), n, ())
+                _add_into(reached, key, list(map(floordiv, value, repeat(z))))
+            continue
         for s, (_, pairs) in zip(sizes, tables):
             used_s = used + s * u
             for mu, z in pairs:
@@ -175,21 +201,34 @@ def _raise_indivisible(n: int, u: int, value, tables) -> None:
                     f"z-product {z} of cycles {[p * u for p in mu]}")
 
 
+def _mirror(half: list[int], degree: int) -> list[int]:
+    """The palindrome of the given degree whose lower half (entries
+    0..degree // 2) is half."""
+    return half + half[:degree + 1 - len(half)][::-1]
+
+
 def sums_by_t1_type(n: int):
     """Yield (lambda_1, sum of class_size(ct) * lattice_dim_poly(ct) over the
     cycle types ct with t+1 module type lambda_1) for each lambda_1 at n, by
     the odd-part DP of the module docstring, as soon as its t+1 block lattice
-    is multiplied in; the end totals are checked after the last pair."""
+    is multiplied in; the end and dimension-1 totals are checked after the
+    last pair."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     nfact = factorial(n)
+    splits = {e: cyclotomic_split(e) for e in range(1, n + 1, 2)}
+    # phi(e) = count * degree, the GF(2)-dimension each part of lambda_e adds
+    phi = {e: count * deg for e, (count, deg) in splits.items()}
     states: dict = {(0, ()): [nfact]}
     for u in range(n - 1 + n % 2, 1, -2):
-        split = cyclotomic_split(u)
+        split = splits[u]
         merged: dict = {}
         for (lam_u, used, pending), value in _stage(n, u, states).items():
             if lam_u:
-                value = convolve(value, order_lattice(lam_u, *split), stride=split[1])
+                degree = used - sum(phi[e] * sum(lam) for e, lam in pending)
+                value = convolve(_mirror(value, degree - phi[u] * sum(lam_u)),
+                                 order_lattice(lam_u, *split), stride=split[1],
+                                 size=degree // 2 + 1)
             _add_into(merged, (used, pending), value)
         states = merged
     cores: dict = {}  # core -> {fixed-point count f: value of core + (1,) * f}
@@ -197,22 +236,25 @@ def sums_by_t1_type(n: int):
         f = lam_1.count(1)
         cores.setdefault(lam_1[:len(lam_1) - f], {})[f] = value
     del states
-    end_totals = [0, 0]
+    totals = [0, 0, 0]  # dimensions 0, 1 and n
     for core, values in cores.items():
         for f, lattice in t1_lattices(core, sorted(values)):
             lam_1 = core + (1,) * f
-            poly = tuple(convolve(values.pop(f), lattice))
-            if len(poly) != n + 1:
+            value = _mirror(values.pop(f), n - sum(core) - f)
+            if len(value) + len(lattice) - 1 != n + 1:
                 raise ArithmeticError(
                     f"t+1 type {lam_1} at n={n}: dimension polynomial has length "
-                    f"{len(poly)}, expected n + 1 = {n + 1}")
-            end_totals[0] += poly[0]
-            end_totals[1] += poly[n]
+                    f"{len(value) + len(lattice) - 1}, expected n + 1 = {n + 1}")
+            poly = tuple(_mirror(convolve(value, lattice, size=n // 2 + 1), n))
+            totals[0] += poly[0]
+            totals[1] += poly[1]
+            totals[2] += value[-1] * lattice[-1]
             yield lam_1, poly
-    for d, total in zip((0, n), end_totals):
-        if total != nfact:
+    checks = ((0, nfact, f"{n}!"), (1, n * nfact, f"{n} * {n}!"), (n, nfact, f"{n}!"))
+    for (d, expected, name), total in zip(checks, totals):
+        if total != expected:
             raise ArithmeticError(
-                f"dimension-{d} orbit sum is {total} at n={n}, expected {n}!")
+                f"dimension-{d} orbit sum is {total} at n={n}, expected {name}")
 
 
 @lru_cache(maxsize=None)

@@ -63,7 +63,13 @@ raises the block's nonzero coefficients, a short dense polynomial in
 s = t^d, to the number of blocks, and lattice_dim_poly convolves that
 product into the running polynomial once with the stride-aware kernel
 convolve, with stride d.  The census DP (burnside)
-multiplies its blocks with the same two functions.
+multiplies its blocks with the same two functions, but keeps only the
+lower halves of its polynomials, so it asks convolve for the first size
+coefficients of each product; without size (lattice_dim_poly) the whole
+product is made, the full-length reference.  A finite module's submodule
+lattice is self-dual, so every block lattice must read the same from
+either end: each one the walk makes is checked for its end counts and
+then for that symmetry (_checked_ends), which the census's halves rely on.
 """
 
 from __future__ import annotations
@@ -106,11 +112,15 @@ def _count_conj(lc: tuple[int, ...], mc: tuple[int, ...], Q: int) -> int:
 
 def _checked_ends(coeffs: list[int], lam: tuple[int, ...], Q: int) -> list[int]:
     """Every block has exactly one submodule of dimension 0 and one of full
-    dimension; other end counts raise."""
+    dimension, and its lattice is self-dual, so its counts read the same
+    from either end; other end counts, then any other asymmetry, raise."""
     if coeffs[0] != 1 or coeffs[-1] != 1:
         raise ArithmeticError(
             f"block lattice of type {lam} over Q={Q} has end counts "
             f"{coeffs[0]}, {coeffs[-1]} (expected 1, 1)")
+    if coeffs != coeffs[::-1]:
+        raise ArithmeticError(
+            f"block lattice of type {lam} over Q={Q} is not a palindrome")
     return coeffs
 
 
@@ -160,7 +170,7 @@ def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
     walked to, which the entry sums (_head_sums) give exactly by the same
     steps, so no entry overflows its slot.  Folding shifts head t by t
     slots and unpacks the sum once; every lattice passes the end-count
-    check."""
+    and palindrome check."""
     if Q != 1 << d:
         raise ValueError(f"Q={Q} does not match residue degree d={d}")
     sums = _head_sums(core, d)
@@ -202,14 +212,16 @@ def component_total(lam: tuple[int, ...], Q: int, d: int) -> int:
     return sum(component_lattice(lam, Q, d))
 
 
-def convolve(a, b, stride: int = 1) -> list[int]:
+def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
     """Coefficients of a(t) * b(t^stride): entry j of b is the coefficient
     of t^(stride * j), so the zeros between the strided entries are never
-    visited.  The shorter factor is walked outside, skipping its zero
-    entries: the census multiplies short state polynomials with many zeros
-    by longer blocks, a lattice query a long running polynomial by short
-    per-order products."""
-    out = [0] * (len(a) + stride * (len(b) - 1))
+    visited.  With size, only the first size coefficients are made (the
+    census keeps the lower halves of palindromes).  The shorter factor is
+    walked outside, skipping its zero entries: the census multiplies short
+    state polynomials with many zeros by longer blocks, a lattice query a
+    long running polynomial by short per-order products."""
+    full = len(a) + stride * (len(b) - 1)
+    out = [0] * (full if size is None else min(size, full))
     if len(a) <= len(b):
         for i, x in enumerate(a):
             if x:
@@ -218,7 +230,7 @@ def convolve(a, b, stride: int = 1) -> list[int]:
     else:
         for j, y in enumerate(b):
             if y:
-                for k, x in enumerate(a, stride * j):
+                for k, x in zip(range(stride * j, len(out)), a):
                     out[k] += x * y
     return out
 

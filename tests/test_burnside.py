@@ -207,6 +207,18 @@ class TestOddPartDP:
         with pytest.raises(ArithmeticError, match=f"dimension-{d} orbit sum is 25"):
             dict(sums_by_t1_type(4))
 
+    def test_wrong_dimension_one_total_raises(self, monkeypatch):
+        # every permutation fixes 2^c - 1 nonzero vectors, c its cycle
+        # count, so the dimension-1 total is (n + 1)! - n! = n * n!
+        def bump(poly):
+            poly = list(poly)
+            poly[1] += 1
+            return poly
+
+        patch_identity_block(monkeypatch, bump)
+        with pytest.raises(ArithmeticError, match="dimension-1 orbit sum is 97"):
+            dict(sums_by_t1_type(4))
+
     def test_wrong_length_raises(self, monkeypatch):
         patch_identity_block(monkeypatch, lambda p: p[:-1])
         with pytest.raises(ArithmeticError, match="length 4"):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from hashlib import sha256
 from math import factorial
 from pathlib import Path
 
@@ -167,6 +168,26 @@ class TestVerify:
         _, second = run_cli(capsys, "verify", "--suite", "lemma23",
                             "--max-n", "6", "--json")
         assert first == second
+
+
+class TestOutputContract:
+    """The stdout bytes of two census-heavy commands, pinned by sha256: the
+    census may change how it computes, never what it prints."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("count", "--n", "40", "--by-dim"),
+         "3ada9de0d458212b53334030820a47df14b3008ac7884b9e1ad89cb02c7716c1"),
+        (("verify", "--suite", "all", "--max-n", "30", "--json"),
+         "904e1d9b35e8e72aeef567547ba673746522e52adb8dace417e72c21ec9c0331"),
+    ], ids=["count", "verify"])
+    def test_stdout_digest(self, argv, digest):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "codecensus.cli", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert sha256(proc.stdout).hexdigest() == digest
 
 
 class TestOracle:

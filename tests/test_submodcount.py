@@ -128,6 +128,15 @@ class TestComponentLattice:
         with pytest.raises(ArithmeticError, match=r"\(2, 1\)"):
             component_lattice.__wrapped__((2, 1), 2, 1)
 
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
+    def test_every_lattice_is_a_palindrome(self, Q, d):
+        # a finite module's submodule lattice is self-dual; the census
+        # carries only the lower halves of its polynomials on that basis
+        for size in range(1, 13):
+            for lam in partitions_of(size):
+                coeffs = component_lattice(lam, Q, d)
+                assert coeffs == coeffs[::-1], (lam, Q)
+
 
 class TestChainDPAgainstReferences:
     """The column DP against independent second opinions: the type-by-type
@@ -263,6 +272,45 @@ class TestFixedPointWalk:
         assert "ArithmeticError: block lattice of type (3, 2, 1)" in proc.stderr
         assert "end counts 10, 2" in proc.stderr
 
+    # (1, 1, 1) is walked from the empty core in three steps; adding 1 to
+    # head 1 of every step past the first leaves both end heads alone, so
+    # the lattice [1, 10, 8, 1] keeps its end counts and loses its symmetry.
+    SKEWED_MESSAGE = "block lattice of type (1, 1, 1) over Q=2 is not a palindrome"
+
+    def test_asymmetric_step_raises(self, monkeypatch):
+        real = submodcount.fixed_point_step
+
+        def skewed(rows, d):
+            new = real(rows, d)
+            if len(new) > 2:
+                new[1] += 1
+            return new
+
+        monkeypatch.setattr(submodcount, "fixed_point_step", skewed)
+        with pytest.raises(ArithmeticError) as exc:
+            list(fixed_point_walk((), [3], 2, 1))
+        assert str(exc.value) == self.SKEWED_MESSAGE
+
+    def test_asymmetric_step_raises_without_asserts(self):
+        script = (
+            "from codecensus import submodcount as s\n"
+            "real = s.fixed_point_step\n"
+            "def skewed(rows, d):\n"
+            "    new = real(rows, d)\n"
+            "    if len(new) > 2:\n"
+            "        new[1] += 1\n"
+            "    return new\n"
+            "s.fixed_point_step = skewed\n"
+            "list(s.fixed_point_walk((), [3], 2, 1))\n"
+        )
+        src = Path(submodcount.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert f"ArithmeticError: {self.SKEWED_MESSAGE}" in proc.stderr
+
 
 class TestLatticeSize:
     def test_identity_counts_all_subspaces(self):
@@ -391,8 +439,9 @@ class TestPerOrderProduct:
     @settings(derandomize=True, max_examples=200)
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
            st.lists(st.integers(-50, 50), min_size=1, max_size=8),
-           st.integers(1, 6))
-    def test_convolve_is_schoolbook_with_spread_b(self, a, b, stride):
+           st.integers(1, 6), st.integers(0, 60))
+    def test_convolve_is_schoolbook_with_spread_b(self, a, b, stride, size):
         spread = [0] * (stride * (len(b) - 1) + 1)
         spread[::stride] = b
         assert convolve(a, b, stride) == schoolbook(a, spread)
+        assert convolve(a, b, stride, size) == schoolbook(a, spread)[:size]
