@@ -53,6 +53,16 @@ than 1) and reaches core + (1,) * f by f more steps, so the census's t+1
 blocks, which differ mostly in their number of fixed points, share one
 core; component_lattice is the walk to one f.
 
+The walk fixes the slot width of its packed heads before the DP, from a
+bound on the lattice total.  At x = 1 a column of length l takes the
+total sum_m H[m] of the heads to sum_m H[m] * sum_t c_l(t, m), and
+sum_t c_l(t, m) = S_{l-m}(Q^m), where S_N(x) = sum_k [N, k]_Q x^k is the
+Rogers-Szego polynomial.  The q-Pascal rule [N+1, k] = [N, k-1] +
+Q^k [N, k] gives S_{N+1}(x) = x S_N(x) + S_N(Q x) > S_N(Q x), so
+S_{l-m}(Q^m) falls as m grows, and a column multiplies the total by at
+most S_l(1) = G(l, Q), the number of subspaces of GF(Q)^l.  So the
+lattice total of lam is at most prod_i G(lam'_i, Q) (_total_bound).
+
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
 Both are taken per odd order e, one primary_components record each,
@@ -81,10 +91,13 @@ from .qarith import gauss_binomial
 
 
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate partition (column lengths of the Young diagram)."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
+    """Conjugate partition (column lengths of the Young diagram), in one
+    scan from the last part: the columns past part j + 1, up to part j,
+    have length j."""
+    cols: list[int] = []
+    for j in range(len(parts), 0, -1):
+        cols += [j] * (parts[j - 1] - len(cols))
+    return tuple(cols)
 
 
 def count_submodules_by_type(lam: tuple[int, ...], mu: tuple[int, ...], Q: int) -> int:
@@ -127,21 +140,21 @@ def _checked_ends(coeffs: list[int], lam: tuple[int, ...], Q: int) -> list[int]:
 def fixed_point_step(rows: list[int], d: int) -> list[int]:
     """G'[t] = G[t-1] + Q^t G[t] for t = 0..len(rows), Q = 2^d: one step of
     the column DP, and the heads of lam + (1,) from the heads of lam.  A
-    row is a polynomial packed into one integer (or its entry sum): both
-    sides are linear, and the scaling by Q^t is a shift."""
+    row is a polynomial packed into one integer: the step is linear, and
+    the scaling by Q^t is a shift."""
     new = [0, *rows]
     for t, here in enumerate(rows):
         new[t] += here << d * t
     return new
 
 
-def _packed_heads(lam: tuple[int, ...], d: int, slot: int) -> list[int]:
-    """The first-column heads of a type-lam block over Q = 2^d, by the
-    column DP of the module docstring: entry t packs the summed counts of
-    the types mu with mu'_1 = t by tail size, slot bits per entry, so with
-    slot = 0 it is their sum."""
+def _packed_heads(cols: tuple[int, ...], d: int, slot: int) -> list[int]:
+    """The first-column heads of the block with conjugate type cols over
+    Q = 2^d, by the column DP of the module docstring: entry t packs the
+    summed counts of the types mu with mu'_1 = t by tail size, slot bits
+    per entry."""
     rows = heads = [1]
-    for l in reversed(conjugate(lam)):
+    for l in reversed(cols):
         heads = []
         for k in range(l + 1):
             heads = fixed_point_step(heads, d)
@@ -152,11 +165,23 @@ def _packed_heads(lam: tuple[int, ...], d: int, slot: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _head_sums(core: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """_packed_heads at slot 0, cached: census after census walks the same
-    cores, while their packed heads change slot width with n and are used
-    once."""
-    return tuple(_packed_heads(core, d, 0))
+def _column_gain(l: int, d: int) -> int:
+    """The most a column of length l multiplies the lattice total by:
+    max over m of S_{l-m}(Q^m), which is S_l(1) = G(l, Q), Q = 2^d, by
+    S_{N+1}(1) = 2 S_N(1) + (Q^N - 1) S_{N-1}(1) (Goldman-Rota)."""
+    prev, gain = 0, 1
+    for N in range(l):
+        prev, gain = gain, 2 * gain + (prev << d * N) - prev
+    return gain
+
+
+def _total_bound(cols: tuple[int, ...], d: int) -> int:
+    """An upper bound on the lattice total of the block with conjugate
+    type cols over Q = 2^d: the product of its columns' gains."""
+    bound = 1
+    for l in cols:
+        bound *= _column_gain(l, d)
+    return bound
 
 
 def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
@@ -167,17 +192,19 @@ def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
 
     Each head is packed into one integer, nbytes bytes per entry.  Entries
     are nonnegative and at most the lattice total of the largest type
-    walked to, which the entry sums (_head_sums) give exactly by the same
-    steps, so no entry overflows its slot.  Folding shifts head t by t
-    slots and unpacks the sum once; every lattice passes the end-count
-    and palindrome check."""
+    walked to, whose conjugate is that of core with the first column
+    max(fs) longer; _total_bound of those columns is at least that total,
+    so no entry overflows its slot.  Folding shifts head t by t slots and
+    unpacks the sum once; a fold that needs more than size + 1 slots
+    raises, and every lattice passes the end-count and palindrome
+    check."""
     if Q != 1 << d:
         raise ValueError(f"Q={Q} does not match residue degree d={d}")
-    sums = _head_sums(core, d)
-    for _ in range(max(fs, default=0)):
-        sums = fixed_point_step(sums, d)
-    nbytes = (sum(sums).bit_length() + 7) // 8
-    rows = _packed_heads(core, d, 8 * nbytes)
+    cols = conjugate(core)
+    top = max(fs, default=0)
+    bound = _total_bound((cols[0] + top, *cols[1:]) if cols else (top,), d)
+    nbytes = (bound.bit_length() + 7) // 8
+    rows = _packed_heads(cols, d, 8 * nbytes)
     ones = 0
     for f in fs:
         if f < ones or not core and f == 0:
@@ -187,8 +214,12 @@ def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
             rows = fixed_point_step(rows, d)
         lam = core + (1,) * f
         size = sum(lam)
-        raw = sum(row << 8 * nbytes * t for t, row in enumerate(rows)).to_bytes(
-            nbytes * (size + 1), "little")
+        folded = sum(row << 8 * nbytes * t for t, row in enumerate(rows))
+        if folded.bit_length() > 8 * nbytes * (size + 1):
+            raise ArithmeticError(
+                f"block lattice of type {lam} over Q={Q} does not fit "
+                f"{size + 1} slots of {8 * nbytes} bits")
+        raw = folded.to_bytes(nbytes * (size + 1), "little")
         coeffs = [0] * (d * size + 1)
         coeffs[::d] = [int.from_bytes(raw[i:i + nbytes], "little")
                        for i in range(0, len(raw), nbytes)]

@@ -91,7 +91,7 @@ class TestCountCodes:
 
 class TestRetention:
     def test_census_keeps_no_polynomial(self):
-        # the block-lattice and head-sums memos are cleared, so what is
+        # the block-lattice and column-gain memos are cleared, so what is
         # left is the count_codes row and anything else kept
         script = (
             "import gc, tracemalloc\n"
@@ -99,7 +99,7 @@ class TestRetention:
             "tracemalloc.start()\n"
             "burnside.count_codes(40)\n"
             "submodcount.component_lattice.cache_clear()\n"
-            "submodcount._head_sums.cache_clear()\n"
+            "submodcount._column_gain.cache_clear()\n"
             "gc.collect()\n"
             "print(tracemalloc.get_traced_memory()[0])\n"
         )

@@ -16,6 +16,7 @@ from codecensus.cyclestruct import (
     partitions_of,
     primary_components,
 )
+from codecensus.oracle import _conjugate as oracle_conjugate
 from codecensus.oracle import (
     apply_perm,
     enum_subspaces,
@@ -47,6 +48,11 @@ class TestConjugate:
             for lam in partitions_of(n):
                 assert conjugate(conjugate(lam)) == lam
                 assert sum(conjugate(lam)) == n
+
+    def test_matches_the_oracle_copy(self):
+        for n in range(1, 21):
+            for lam in partitions_of(n):
+                assert conjugate(lam) == oracle_conjugate(lam), lam
 
 
 class TestCountSubmodulesByType:
@@ -120,11 +126,11 @@ class TestComponentLattice:
 
     def test_wrong_end_counts_raise(self, monkeypatch):
         # every transfer factor doubled: the step is the only arithmetic.
-        # The head sums are made afresh, and the doubled ones are not cached.
+        # The slot width comes from the column bound, which the step does
+        # not touch; the doubled lattice [8, 24, 16, 4] still fits it.
         real = submodcount.fixed_point_step
         monkeypatch.setattr(submodcount, "fixed_point_step",
                             lambda rows, d: [2 * r for r in real(rows, d)])
-        monkeypatch.setattr(submodcount, "_head_sums", submodcount._head_sums.__wrapped__)
         with pytest.raises(ArithmeticError, match=r"\(2, 1\)"):
             component_lattice.__wrapped__((2, 1), 2, 1)
 
@@ -177,6 +183,15 @@ class TestChainDPAgainstReferences:
                 expected = sum(Q ** min(i, j)
                                for i in range(a + 1) for j in range(b + 1))
                 assert component_total((a, b), Q, d) == expected, (a, b, Q)
+
+
+def run_without_asserts(script):
+    """Run script under python -O with the package on its path."""
+    src = Path(submodcount.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def cores_up_to(size):
@@ -246,9 +261,9 @@ class TestFixedPointWalk:
             return new
 
         monkeypatch.setattr(submodcount, "fixed_point_step", corrupt)
-        # the corrupted step also runs in the columns of the core; the head
-        # sums it makes are not cached
-        monkeypatch.setattr(submodcount, "_head_sums", submodcount._head_sums.__wrapped__)
+        # the corrupted step also runs in the columns of the core; the
+        # lattice [10, 53, 102, 101, 53, 16, 2] still fits the slots that
+        # the column bound sizes
         with pytest.raises(ArithmeticError, match=r"end counts 10, 2"):
             list(fixed_point_walk((3, 2), [1], 2, 1))
 
@@ -263,11 +278,7 @@ class TestFixedPointWalk:
             "s.fixed_point_step = corrupt\n"
             "list(s.fixed_point_walk((3, 2), [1], 2, 1))\n"
         )
-        src = Path(submodcount.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_without_asserts(script)
         assert proc.returncode == 1
         assert "ArithmeticError: block lattice of type (3, 2, 1)" in proc.stderr
         assert "end counts 10, 2" in proc.stderr
@@ -303,13 +314,96 @@ class TestFixedPointWalk:
             "s.fixed_point_step = skewed\n"
             "list(s.fixed_point_walk((), [3], 2, 1))\n"
         )
-        src = Path(submodcount.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_without_asserts(script)
         assert proc.returncode == 1
         assert f"ArithmeticError: {self.SKEWED_MESSAGE}" in proc.stderr
+
+    # with every column gain patched to 1 the walk packs (1,) * 16 into
+    # 8-bit slots, and its folded lattice needs more than 17 of them
+    UNFIT_MESSAGE = (f"block lattice of type {(1,) * 16} over Q=2 "
+                     f"does not fit 17 slots of 8 bits")
+
+    def test_unfit_fold_raises(self, monkeypatch):
+        monkeypatch.setattr(submodcount, "_column_gain", lambda l, d: 1)
+        with pytest.raises(ArithmeticError) as exc:
+            list(fixed_point_walk((), [16], 2, 1))
+        assert str(exc.value) == self.UNFIT_MESSAGE
+
+    def test_unfit_fold_raises_without_asserts(self):
+        script = (
+            "from codecensus import submodcount as s\n"
+            "s._column_gain = lambda l, d: 1\n"
+            "list(s.fixed_point_walk((), [16], 2, 1))\n"
+        )
+        proc = run_without_asserts(script)
+        assert proc.returncode == 1
+        assert f"ArithmeticError: {self.UNFIT_MESSAGE}" in proc.stderr
+
+    def test_one_column_dp_per_walk(self, monkeypatch):
+        calls = []
+        real = submodcount._packed_heads
+
+        def counted(cols, d, slot):
+            calls.append(cols)
+            return real(cols, d, slot)
+
+        monkeypatch.setattr(submodcount, "_packed_heads", counted)
+        walked = list(fixed_point_walk((3, 2), [0, 2, 5], 2, 1))
+        assert [f for f, _ in walked] == [0, 2, 5]
+        assert calls == [(2, 2, 1)]
+
+
+def rogers_szego(N, x, Q):
+    """S_N(x) = sum_k [N, k]_Q x^k, by the recurrence
+    S_{k+1} = (1 + x) S_k + (Q^k - 1) x S_{k-1}."""
+    prev, cur = 0, 1
+    for k in range(N):
+        prev, cur = cur, (1 + x) * cur + (Q ** k - 1) * x * prev
+    return cur
+
+
+class TestColumnBound:
+    """The walk's slot width comes from prod_i G(lam'_i, Q), a bound on the
+    lattice total: a column of length l multiplies the total by at most
+    max over m of sum_t c_l(t, m) = S_{l-m}(Q^m), which is S_l(1)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gain_is_the_largest_column_sum(self, d):
+        Q = 1 << d
+        for l in range(25):
+            sums = [rogers_szego(l - m, Q ** m, Q) for m in range(l + 1)]
+            for m, total in enumerate(sums):
+                assert total == sum(gauss_binomial(l - m, t - m, Q) * Q ** (m * (l - t))
+                                    for t in range(m, l + 1)), (l, m)
+            assert sums == sorted(sums, reverse=True)
+            assert submodcount._column_gain(l, d) == max(sums) == gauss_total(l, Q)
+
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3)])
+    def test_bounds_every_lattice_total_up_to_12(self, Q, d):
+        for size in range(1, 13):
+            for lam in partitions_of(size):
+                assert submodcount._total_bound(conjugate(lam), d) >= \
+                    sum(graded_submodule_counts(lam, Q, d)), (lam, Q)
+
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3)])
+    def test_exact_for_semisimple_blocks(self, Q, d):
+        for f in range(21):
+            assert submodcount._total_bound(conjugate((1,) * f), d) == gauss_total(f, Q)
+
+    def test_slot_bytes_at_n36_near_exact(self):
+        # the walk sizes its slots for the largest type of each core; the
+        # exact width is that of the type's lattice total
+        tops = {}
+        for lam_1, _ in sums_by_t1_type(36):
+            f = lam_1.count(1)
+            core = lam_1[:len(lam_1) - f]
+            tops[core] = max(tops.get(core, 0), f)
+        bound_bytes = exact_bytes = 0
+        for core, top in tops.items():
+            lam = core + (1,) * top
+            bound_bytes += (submodcount._total_bound(conjugate(lam), 1).bit_length() + 7) // 8
+            exact_bytes += (component_total(lam, 2, 1).bit_length() + 7) // 8
+        assert bound_bytes <= 1.10 * exact_bytes, (bound_bytes, exact_bytes)
 
 
 class TestLatticeSize:
