@@ -91,7 +91,7 @@ def check_lemma1(n_max: int) -> CheckResult:
 def _t_plus_1_data(ct: CycleType):
     comp = primary_components(ct)[0]
     lam = comp.module_type
-    return component_total(lam, 2, 1), comp.dim, comp.max_exponent
+    return component_total(lam, 1), comp.dim, comp.max_exponent
 
 
 def check_lemma2_3(n: int) -> CheckResult:

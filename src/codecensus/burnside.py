@@ -128,10 +128,9 @@ def _weighted_binary_partitions(s: int, u: int, cap: int | None = None):
             for rest, z in _weighted_binary_partitions(s - m * cap, u, cap >> 1)]
 
 
-def binary_partitions(s: int, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All multisets of powers of two summing to s, with no part above cap
-    (default: no bound), as nonincreasing tuples."""
-    return [mu for mu, _ in _weighted_binary_partitions(s, 1, cap)]
+def binary_partitions(s: int) -> list[tuple[int, ...]]:
+    """All multisets of powers of two summing to s, as nonincreasing tuples."""
+    return [mu for mu, _ in _weighted_binary_partitions(s, 1)]
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +151,8 @@ def _add_into(acc: dict, key, poly) -> None:
 def t1_lattices(core: tuple[int, ...], fs):
     """The t+1 block lattices of the types core + (1,) * f, for the
     ascending fixed-point counts fs, as (f, lattice) pairs in order.  t+1
-    is the one irreducible of order 1, of degree 1, so Q = 2."""
-    return fixed_point_walk(core, fs, 2, 1)
+    is the one irreducible of order 1, of degree 1."""
+    return fixed_point_walk(core, fs, 1)
 
 
 def _stage(n: int, u: int, states: dict) -> dict:

@@ -49,9 +49,9 @@ class CeilingError(Exception):
 # The largest count --n and table --max-n, and the largest verify --max-n,
 # run without --no-ceiling.  Cold runs, one process each, on a 2-vCPU VM
 # (Python 3.11, raw wall time and peak RSS):
-#   count_codes(n): n = 60 6.2 s 59 MB, 70 20 s 136 MB, 80 57 s 314 MB;
-#     about 3x the time and 2.2x the memory per +10 in n, so n = 100
-#     would take ~8 min and ~1.6 GB;
+#   count_codes(n): n = 60 5.1 s 45 MB, 70 13 s 91 MB, 80 39 s 194 MB;
+#     about 3x the time and 2x the memory per +10 in n, so n = 100
+#     would take ~6 min and ~0.9 GB;
 #   verify --suite all: max-n 800 12 s, 1000 25 s, 1200 46 s, 30 MB each
 #     (check_lemma1 sweeps G(n, 2) and u_n over every n <= max-n).
 CENSUS_CEILING = 80
@@ -93,15 +93,14 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _census_record(row: burnside.CensusRow, by_dim: bool,
-                   precision: int = DEFAULT_PRECISION) -> dict:
+def _census_record(row: burnside.CensusRow, by_dim: bool) -> dict:
     rec = {
         "schema": SCHEMA_VERSION,
         "n": row.n,
         "b": str(row.b),
         "G": str(row.G),
-        "correction": _mpf_str(row.correction(precision), 15),
-        "precision": precision,
+        "correction": _mpf_str(row.correction(), 15),
+        "precision": DEFAULT_PRECISION,
     }
     if by_dim:
         rec["by_dim"] = [str(v) for v in row.by_dim]
@@ -164,6 +163,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"max-n must be >= 1, got {args.max_n}")
     _check_ceiling(args, "verify --max-n", args.max_n, VERIFY_CEILING)
     results = boundscheck.run_suite(args.suite, args.max_n)
     failed = any(r.status == boundscheck.FAIL for r in results)

@@ -65,10 +65,6 @@ class PrimaryComponent:
     module_type: tuple[int, ...]  # partition, parts are powers of two
 
     @property
-    def residue_size(self) -> int:
-        return 1 << self.deg
-
-    @property
     def dim(self) -> int:
         """GF(2)-dimension of the order's blocks together:
         count * deg * |module_type|."""

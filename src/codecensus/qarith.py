@@ -33,15 +33,19 @@ def _validate_prime_power(q: int) -> None:
 
 
 def gauss_total(n: int, q: int) -> int:
-    """Number of subspaces of an n-dimensional space over the q-element field.
-
-    Computed by the recurrence G(k+1) = 2 G(k) + (q^k - 1) G(k-1) with
-    G(0) = 1, G(1) = 2, iterated upward.  When q is a power of two the
-    product q^k * G(k-1) is a shift.
-    """
+    """Number of subspaces of an n-dimensional space over the q-element field."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _validate_prime_power(q)
+    return _gauss_total(n, q)
+
+
+def _gauss_total(n: int, q: int) -> int:
+    """gauss_total without the input check, so q may pass its 2^32 bound
+    (submodcount's column gains reach q = 2^36), by the Goldman-Rota
+    recurrence G(k+1) = 2 G(k) + (q^k - 1) G(k-1) with G(0) = 1, G(1) = 2,
+    iterated upward.  When q is a power of two the product q^k * G(k-1) is
+    a shift."""
     shift = q.bit_length() - 1 if q & (q - 1) == 0 else 0
     prev, cur = 1, 2  # G(k-1), G(k) at k = 1
     for k in range(1, n):

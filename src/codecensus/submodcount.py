@@ -1,7 +1,7 @@
 """Exact submodule counting for the invariant-subspace lattice.
 
 A primary block is a finite module over a local ring with residue field of
-size Q, described by a partition (its module type).  The number of
+size Q = 2^d, described by a partition (its module type).  The number of
 submodules of type mu inside a module of type lam is given, in conjugate
 coordinates, by
 
@@ -67,18 +67,19 @@ The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
 Both are taken per odd order e, one primary_components record each,
 rather than per block: the phi(e)/ord_e(2) irreducibles of order e share
-one module type and the degree d = ord_e(2), and a degree-d block has
-submodules only in dimensions that are multiples of d.  So order_lattice
-raises the block's nonzero coefficients, a short dense polynomial in
-s = t^d, to the number of blocks, and lattice_dim_poly convolves that
-product into the running polynomial once with the stride-aware kernel
-convolve, with stride d.  The census DP (burnside)
-multiplies its blocks with the same two functions, but keeps only the
-lower halves of its polynomials, so it asks convolve for the first size
-coefficients of each product; without size (lattice_dim_poly) the whole
-product is made, the full-length reference.  A finite module's submodule
-lattice is self-dual, so every block lattice must read the same from
-either end: each one the walk makes is checked for its end counts and
+one module type and the degree d = ord_e(2).  Below the dimension grading
+every block is graded by submodule size, with d its only field parameter
+(component_lattice, order_lattice), and a submodule of size j has
+GF(2)-dimension d * j, so d is applied once: order_lattice raises the
+block lattice to the number of blocks, and lattice_dim_poly convolves
+that product into the running polynomial with the stride-aware kernel
+convolve, with stride d.  The census DP (burnside) multiplies its blocks
+with the same two functions, but keeps only the lower halves of its
+polynomials, so it asks convolve for the first size coefficients of each
+product; without size (lattice_dim_poly) the whole product is made, the
+full-length reference.  A finite module's submodule lattice is self-dual,
+so every block lattice must read the same from either end, by size as by
+dimension: each one the walk makes is checked for its end counts and
 then for that symmetry (_checked_ends), which the census's halves rely on.
 """
 
@@ -87,7 +88,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclestruct import CycleType, primary_components
-from .qarith import gauss_binomial
+from .qarith import _gauss_total, gauss_binomial
 
 
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -167,12 +168,8 @@ def _packed_heads(cols: tuple[int, ...], d: int, slot: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _column_gain(l: int, d: int) -> int:
     """The most a column of length l multiplies the lattice total by:
-    max over m of S_{l-m}(Q^m), which is S_l(1) = G(l, Q), Q = 2^d, by
-    S_{N+1}(1) = 2 S_N(1) + (Q^N - 1) S_{N-1}(1) (Goldman-Rota)."""
-    prev, gain = 0, 1
-    for N in range(l):
-        prev, gain = gain, 2 * gain + (prev << d * N) - prev
-    return gain
+    max over m of S_{l-m}(Q^m), which is S_l(1) = G(l, Q), Q = 2^d."""
+    return _gauss_total(l, 1 << d)
 
 
 def _total_bound(cols: tuple[int, ...], d: int) -> int:
@@ -184,11 +181,11 @@ def _total_bound(cols: tuple[int, ...], d: int) -> int:
     return bound
 
 
-def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
+def fixed_point_walk(core: tuple[int, ...], fs, d: int):
     """Yield (f, lattice) for each f of the ascending sequence fs, where
-    lattice is the list component_lattice(core + (1,) * f, Q, d) would
-    return: the column DP on core, then one fixed_point_step per added
-    1-part.
+    lattice is the list component_lattice(core + (1,) * f, d) would
+    return: the column DP on core over Q = 2^d, then one fixed_point_step
+    per added 1-part.
 
     Each head is packed into one integer, nbytes bytes per entry.  Entries
     are nonnegative and at most the lattice total of the largest type
@@ -198,8 +195,7 @@ def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
     unpacks the sum once; a fold that needs more than size + 1 slots
     raises, and every lattice passes the end-count and palindrome
     check."""
-    if Q != 1 << d:
-        raise ValueError(f"Q={Q} does not match residue degree d={d}")
+    Q = 1 << d
     cols = conjugate(core)
     top = max(fs, default=0)
     bound = _total_bound((cols[0] + top, *cols[1:]) if cols else (top,), d)
@@ -220,27 +216,27 @@ def fixed_point_walk(core: tuple[int, ...], fs, Q: int, d: int):
                 f"block lattice of type {lam} over Q={Q} does not fit "
                 f"{size + 1} slots of {8 * nbytes} bits")
         raw = folded.to_bytes(nbytes * (size + 1), "little")
-        coeffs = [0] * (d * size + 1)
-        coeffs[::d] = [int.from_bytes(raw[i:i + nbytes], "little")
-                       for i in range(0, len(raw), nbytes)]
+        coeffs = [int.from_bytes(raw[i:i + nbytes], "little")
+                  for i in range(0, len(raw), nbytes)]
         yield f, _checked_ends(coeffs, lam, Q)
 
 
 @lru_cache(maxsize=None)
-def component_lattice(lam: tuple[int, ...], Q: int, d: int) -> tuple[int, ...]:
-    """Submodule counts of a type-lam block graded by GF(2)-dimension.
+def component_lattice(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Submodule counts of a type-lam block over the residue field of
+    2^d elements, graded by submodule size.
 
-    Entry k counts submodules whose type mu has d * |mu| = k; the block
-    itself has GF(2)-dimension d * |lam|.  Q must equal 2^d.  The fixed-point
-    walk of the core of lam (its parts other than 1) to lam.
+    Entry j counts submodules whose type mu has |mu| = j, so GF(2)-dimension
+    d * j; the last entry is j = |lam|.  The fixed-point walk of the core of
+    lam (its parts other than 1) to lam.
     """
     f = lam.count(1)
-    [(_, lattice)] = fixed_point_walk(lam[:len(lam) - f], (f,), Q, d)
+    [(_, lattice)] = fixed_point_walk(lam[:len(lam) - f], (f,), d)
     return tuple(lattice)
 
 
-def component_total(lam: tuple[int, ...], Q: int, d: int) -> int:
-    return sum(component_lattice(lam, Q, d))
+def component_total(lam: tuple[int, ...], d: int) -> int:
+    return sum(component_lattice(lam, d))
 
 
 def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
@@ -266,14 +262,13 @@ def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
     return out
 
 
-def order_lattice(lam: tuple[int, ...], count: int, d: int) -> list[int]:
-    """Graded submodule counts of count >= 1 blocks of type lam over
-    irreducibles of degree d, multiplied together, in s = t^d coordinates:
-    entry j counts submodules of GF(2)-dimension d * j.  For the
-    irreducibles of one odd order e, count = phi(e)/ord_e(2), d = ord_e(2),
-    and all share lam."""
-    block = list(component_lattice(lam, 1 << d, d)[::d])
-    poly = block
+def order_lattice(lam: tuple[int, ...], count: int, d: int):
+    """Submodule counts of count >= 1 blocks of type lam over irreducibles
+    of degree d, multiplied together, graded by size: entry j counts
+    submodules of GF(2)-dimension d * j.  For the irreducibles of one odd
+    order e, count = phi(e)/ord_e(2), d = ord_e(2), and all share lam.  For
+    count = 1 this is the cached tuple of component_lattice itself."""
+    block = poly = component_lattice(lam, d)
     for _ in range(count - 1):
         poly = convolve(poly, block)
     return poly
@@ -285,7 +280,7 @@ def lattice_size(ct: CycleType) -> int:
     order."""
     result = 1
     for c in primary_components(ct):
-        result *= component_total(c.module_type, c.residue_size, c.deg) ** c.count
+        result *= component_total(c.module_type, c.deg) ** c.count
     return result
 
 
@@ -293,7 +288,7 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     """Invariant-subspace counts graded by dimension (index = dimension).
 
     Product over the odd orders of the cycle type of each order's block
-    product (order_lattice, in s = t^d coordinates), each convolved into
+    product (order_lattice, graded by submodule size), each convolved into
     the running polynomial once with stride d; entries sum to
     lattice_size(ct) and the length is n + 1.
     """

@@ -124,7 +124,7 @@ def test_07_lemmas_2_3_exact():
     for n in range(1, 13):
         for ct in cycle_types_of(n):
             comp1 = primary_components(ct)[0]
-            L1 = component_total(comp1.module_type, 2, 1)
+            L1 = component_total(comp1.module_type, 1)
             n1, mu1, r = comp1.dim, comp1.max_exponent, ct.r
             L = lattice_size(ct)
             if L1 > gauss_total(r, 2) * gauss_total(n1 - r, 2):

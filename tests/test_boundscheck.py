@@ -70,7 +70,7 @@ class TestLemma23:
         # type (3,2,1): t+1 block has type (2,1,1); its 27 submodules sit
         # under the product bound G(3,2)*G(1,2) = 16*2 = 32 (27 confirmed by
         # brute-force enumeration, see test_submodcount)
-        assert component_total((2, 1, 1), 2, 1) == 27
+        assert component_total((2, 1, 1), 1) == 27
         assert gauss_total(3, 2) * gauss_total(1, 2) == 32
         assert check_lemma2_3(6).status == PASS
 

@@ -279,6 +279,9 @@ class TestNonPositiveN:
         ["verify", "--suite", "all", "--max-n", "0"],
         ["oracle", "--n", "0"],
         ["gauss", "--n", "-1", "--q", "2"],
+        ["verify", "--suite", "lemma1", "--max-n", "-5"],
+        ["verify", "--suite", "lemma23", "--max-n", "0"],
+        ["verify", "--suite", "dclass", "--max-n", "0"],
     ])
     def test_is_usage_error(self, capsys, argv):
         code = main(argv)

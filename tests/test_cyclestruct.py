@@ -93,7 +93,7 @@ class TestPrimaryComponents:
         # t+1, then t^2 + t + 1, the one irreducible of order 3
         assert [(c.order, c.count, c.deg) for c in comps] == [(1, 1, 1), (3, 1, 2)]
         assert comps[0].module_type == (1,)
-        assert comps[1].module_type == (1,) and comps[1].residue_size == 4
+        assert comps[1].module_type == (1,) and comps[1].deg == 2
         assert [c.dim for c in comps] == [1, 2]
 
     def test_dimensions_and_bounds(self):

@@ -103,26 +103,23 @@ class TestValidationGate:
 class TestComponentLattice:
     def test_semisimple_block_reproduces_gaussian_binomials(self):
         for m in range(1, 13):
-            coeffs = component_lattice((1,) * m, 2, 1)
+            coeffs = component_lattice((1,) * m, 1)
             assert coeffs == tuple(
                 gauss_binomial(m, k, 2) for k in range(m + 1)
             )
 
     def test_chain_module(self):
-        assert component_lattice((4,), 2, 1) == (1, 1, 1, 1, 1)
+        assert component_lattice((4,), 1) == (1, 1, 1, 1, 1)
 
     def test_jordan_2_1_dims(self):
-        assert component_lattice((2, 1), 2, 1) == (1, 3, 3, 1)
-        assert component_total((2, 1), 2, 1) == 8
+        assert component_lattice((2, 1), 1) == (1, 3, 3, 1)
+        assert component_total((2, 1), 1) == 8
 
     def test_quadratic_residue_field(self):
-        # one semisimple part over GF(4): dims step by 2
-        assert component_lattice((1,), 4, 2) == (1, 0, 1)
-        assert component_lattice((1, 1), 4, 2) == (1, 0, 5, 0, 1)
-
-    def test_rejects_mismatched_field(self):
-        with pytest.raises(ValueError):
-            component_lattice((1,), 4, 1)
+        # semisimple parts over GF(4), graded by size: the five lines of
+        # GF(4)^2 are its submodules of size 1 (GF(2)-dimension 2)
+        assert component_lattice((1,), 2) == (1, 1)
+        assert component_lattice((1, 1), 2) == (1, 5, 1)
 
     def test_wrong_end_counts_raise(self, monkeypatch):
         # every transfer factor doubled: the step is the only arithmetic.
@@ -132,7 +129,7 @@ class TestComponentLattice:
         monkeypatch.setattr(submodcount, "fixed_point_step",
                             lambda rows, d: [2 * r for r in real(rows, d)])
         with pytest.raises(ArithmeticError, match=r"\(2, 1\)"):
-            component_lattice.__wrapped__((2, 1), 2, 1)
+            component_lattice.__wrapped__((2, 1), 1)
 
     @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
     def test_every_lattice_is_a_palindrome(self, Q, d):
@@ -140,8 +137,16 @@ class TestComponentLattice:
         # carries only the lower halves of its polynomials on that basis
         for size in range(1, 13):
             for lam in partitions_of(size):
-                coeffs = component_lattice(lam, Q, d)
+                coeffs = component_lattice(lam, d)
                 assert coeffs == coeffs[::-1], (lam, Q)
+
+
+def oracle_by_size(lam, d):
+    """The oracle's lattice, graded by GF(2)-dimension, read at the
+    multiples of d (by size); its entries off that stride must be zero."""
+    by_dim = graded_submodule_counts(lam, 1 << d, d)
+    assert not any(c for k, c in enumerate(by_dim) if k % d), (lam, d)
+    return by_dim[::d]
 
 
 class TestChainDPAgainstReferences:
@@ -153,36 +158,35 @@ class TestChainDPAgainstReferences:
     def test_every_type_up_to_14(self, Q, d):
         for size in range(1, 15):
             for lam in partitions_of(size):
-                assert component_lattice(lam, Q, d) == \
-                    graded_submodule_counts(lam, Q, d), (lam, Q)
+                assert component_lattice(lam, d) == oracle_by_size(lam, d), (lam, Q)
 
     def test_every_census_block_up_to_n24(self):
         blocks = {
-            (c.module_type, c.residue_size, c.deg)
+            (c.module_type, c.deg)
             for n in range(1, 25)
             for ct in cycle_types_of(n)
             for c in primary_components(ct)
         }
         for key in blocks:
-            assert component_lattice(*key) == graded_submodule_counts(*key), key
+            assert component_lattice(*key) == oracle_by_size(*key), key
 
     @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
     def test_brute_force_binned_by_size(self, Q, d):
         for size in range(1, 7):
             for lam in partitions_of(size):
-                expected = [0] * (d * size + 1)
+                expected = [0] * (size + 1)
                 for mu, count in nilpotent_submodule_census(lam, Q).items():
-                    expected[d * sum(mu)] += count
-                assert component_lattice(lam, Q, d) == tuple(expected), (lam, Q)
+                    expected[sum(mu)] += count
+                assert component_lattice(lam, d) == tuple(expected), (lam, Q)
 
-    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3)])
+    @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3), (1 << 36, 36)])
     def test_two_part_closed_form(self, Q, d):
         # subgroups of Z_{p^a} x Z_{p^b}: sum over i <= a, j <= b of Q^min(i,j)
         for a in range(1, 33):
             for b in range(1, a + 1):
                 expected = sum(Q ** min(i, j)
                                for i in range(a + 1) for j in range(b + 1))
-                assert component_total((a, b), Q, d) == expected, (a, b, Q)
+                assert component_total((a, b), d) == expected, (a, b, Q)
 
 
 def run_without_asserts(script):
@@ -210,14 +214,14 @@ class TestFixedPointWalk:
     def test_every_small_core_and_fixed_point_count(self, Q, d):
         for core in cores_up_to(10):
             fs = range(0 if core else 1, 13)
-            walked = list(fixed_point_walk(core, fs, Q, d))
+            walked = list(fixed_point_walk(core, fs, d))
             assert [f for f, _ in walked] == list(fs)
             for f, lattice in walked:
                 lam = core + (1,) * f
-                assert tuple(lattice) == graded_submodule_counts(lam, Q, d), lam
+                assert tuple(lattice) == oracle_by_size(lam, d), (lam, Q)
 
     def test_sparse_fixed_point_counts(self):
-        walked = dict(fixed_point_walk((3, 2), [0, 0, 5, 9], 2, 1))
+        walked = dict(fixed_point_walk((3, 2), [0, 0, 5, 9], 1))
         for f in (0, 5, 9):
             lam = (3, 2) + (1,) * f
             assert tuple(walked[f]) == graded_submodule_counts(lam, 2, 1), lam
@@ -228,7 +232,7 @@ class TestFixedPointWalk:
             f = lam_1.count(1)
             cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
         for core, fs in cores.items():
-            for f, lattice in fixed_point_walk(core, sorted(fs), 2, 1):
+            for f, lattice in fixed_point_walk(core, sorted(fs), 1):
                 lam_1 = core + (1,) * f
                 assert tuple(lattice) == graded_submodule_counts(lam_1, 2, 1), lam_1
 
@@ -239,18 +243,14 @@ class TestFixedPointWalk:
             cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
         assert sum(map(len, cores.values())) > len(cores) > 1
         for core, fs in cores.items():
-            for f, lattice in fixed_point_walk(core, sorted(fs), 2, 1):
+            for f, lattice in fixed_point_walk(core, sorted(fs), 1):
                 lam_1 = core + (1,) * f
-                assert tuple(lattice) == component_lattice.__wrapped__(lam_1, 2, 1), lam_1
+                assert tuple(lattice) == component_lattice.__wrapped__(lam_1, 1), lam_1
 
     @pytest.mark.parametrize("core,fs", [((), [0]), ((2,), [3, 1])])
     def test_rejects_empty_type_and_descending_counts(self, core, fs):
         with pytest.raises(ValueError):
-            list(fixed_point_walk(core, fs, 2, 1))
-
-    def test_rejects_mismatched_field(self):
-        with pytest.raises(ValueError):
-            list(fixed_point_walk((2,), [1], 4, 1))
+            list(fixed_point_walk(core, fs, 1))
 
     def test_corrupt_step_raises(self, monkeypatch):
         real = submodcount.fixed_point_step
@@ -265,7 +265,7 @@ class TestFixedPointWalk:
         # lattice [10, 53, 102, 101, 53, 16, 2] still fits the slots that
         # the column bound sizes
         with pytest.raises(ArithmeticError, match=r"end counts 10, 2"):
-            list(fixed_point_walk((3, 2), [1], 2, 1))
+            list(fixed_point_walk((3, 2), [1], 1))
 
     def test_corrupt_step_raises_without_asserts(self):
         script = (
@@ -276,7 +276,7 @@ class TestFixedPointWalk:
             "    new[0] += 1\n"
             "    return new\n"
             "s.fixed_point_step = corrupt\n"
-            "list(s.fixed_point_walk((3, 2), [1], 2, 1))\n"
+            "list(s.fixed_point_walk((3, 2), [1], 1))\n"
         )
         proc = run_without_asserts(script)
         assert proc.returncode == 1
@@ -299,7 +299,7 @@ class TestFixedPointWalk:
 
         monkeypatch.setattr(submodcount, "fixed_point_step", skewed)
         with pytest.raises(ArithmeticError) as exc:
-            list(fixed_point_walk((), [3], 2, 1))
+            list(fixed_point_walk((), [3], 1))
         assert str(exc.value) == self.SKEWED_MESSAGE
 
     def test_asymmetric_step_raises_without_asserts(self):
@@ -312,7 +312,7 @@ class TestFixedPointWalk:
             "        new[1] += 1\n"
             "    return new\n"
             "s.fixed_point_step = skewed\n"
-            "list(s.fixed_point_walk((), [3], 2, 1))\n"
+            "list(s.fixed_point_walk((), [3], 1))\n"
         )
         proc = run_without_asserts(script)
         assert proc.returncode == 1
@@ -326,14 +326,14 @@ class TestFixedPointWalk:
     def test_unfit_fold_raises(self, monkeypatch):
         monkeypatch.setattr(submodcount, "_column_gain", lambda l, d: 1)
         with pytest.raises(ArithmeticError) as exc:
-            list(fixed_point_walk((), [16], 2, 1))
+            list(fixed_point_walk((), [16], 1))
         assert str(exc.value) == self.UNFIT_MESSAGE
 
     def test_unfit_fold_raises_without_asserts(self):
         script = (
             "from codecensus import submodcount as s\n"
             "s._column_gain = lambda l, d: 1\n"
-            "list(s.fixed_point_walk((), [16], 2, 1))\n"
+            "list(s.fixed_point_walk((), [16], 1))\n"
         )
         proc = run_without_asserts(script)
         assert proc.returncode == 1
@@ -348,7 +348,7 @@ class TestFixedPointWalk:
             return real(cols, d, slot)
 
         monkeypatch.setattr(submodcount, "_packed_heads", counted)
-        walked = list(fixed_point_walk((3, 2), [0, 2, 5], 2, 1))
+        walked = list(fixed_point_walk((3, 2), [0, 2, 5], 1))
         assert [f for f, _ in walked] == [0, 2, 5]
         assert calls == [(2, 2, 1)]
 
@@ -402,7 +402,7 @@ class TestColumnBound:
         for core, top in tops.items():
             lam = core + (1,) * top
             bound_bytes += (submodcount._total_bound(conjugate(lam), 1).bit_length() + 7) // 8
-            exact_bytes += (component_total(lam, 2, 1).bit_length() + 7) // 8
+            exact_bytes += (component_total(lam, 1).bit_length() + 7) // 8
         assert bound_bytes <= 1.10 * exact_bytes, (bound_bytes, exact_bytes)
 
 
@@ -436,6 +436,16 @@ class TestLatticeDimPoly:
     def test_s3_cycle(self):
         assert lattice_dim_poly(CycleType((3,))) == (1, 1, 1, 1)
 
+    def test_37_cycle_has_a_degree_36_block(self):
+        # t^37 - 1 = (t + 1) times one irreducible of degree ord_37(2) = 36,
+        # whose block has submodules only of dimension 0 and 36
+        ct = CycleType((37,))
+        poly = lattice_dim_poly(ct)
+        assert len(poly) == 38
+        assert [k for k, c in enumerate(poly) if c] == [0, 1, 36, 37]
+        assert set(poly) == {0, 1}
+        assert lattice_size(ct) == 4
+
     def test_sums_and_ends(self):
         for n in range(1, 13):
             for ct in cycle_types_of(n):
@@ -467,11 +477,14 @@ def schoolbook(a, b):
 
 
 def per_block_dim_poly(ct):
-    """One plain convolution per primary block, in GF(2)-dimension
-    coordinates: the reference for the per-order strided product."""
+    """One plain convolution per primary block, each spread by its degree
+    into GF(2)-dimension coordinates: the reference for the per-order
+    strided product."""
     poly = [1]
     for comp in primary_components(ct):
-        block = component_lattice(comp.module_type, comp.residue_size, comp.deg)
+        by_size = component_lattice(comp.module_type, comp.deg)
+        block = [0] * (comp.deg * (len(by_size) - 1) + 1)
+        block[::comp.deg] = by_size
         for _ in range(comp.count):
             poly = schoolbook(poly, block)
     return tuple(poly)
