@@ -181,7 +181,9 @@ def classify_D(n: int) -> CheckResult:
         if first == 1 and in_d[3]:  # D2, also in the raw D4 range
             overlap_weight += weight
     total = sum(sums.values())
-    shares = {k: (float(v) / total if total else 0.0) for k, v in sums.items()}
+    with mpmath.workprec(53):  # float(v) / total, without the float's 2^1024 range
+        shares = {k: float(mpmath.mpf(v) / mpmath.mpf(total)) if total else 0.0
+                  for k, v in sums.items()}
     return CheckResult("classify_D", (n, n), REPORT,
                        {"sums": sums, "shares": shares,
                         "d2_d4_overlap_weight": overlap_weight,

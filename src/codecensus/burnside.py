@@ -23,63 +23,68 @@ odd u <= n down to 1:
   the cycles of length 2^a * u, and add mu to the pending module type of
   every odd e dividing u.  Later stages only reach orders dividing smaller
   u, so the block of the irreducibles of order exactly u is then complete.
-- State.  (size used, pending module types of the orders still open).  Its
-  value, a polynomial in the dimension, is the sum over the choices that
-  reach it of n!/z_partial times the product of the completed block
-  lattices, where z_partial = prod l^m * m! over the cycles chosen so far.
-  A finite module's submodule lattice is self-dual (L. M. Butler, Subgroup
-  lattices and symmetric functions, Mem. AMS 539, 1994), so every block
-  lattice is a palindrome, and so is every product and same-degree sum of
-  them: a state keeps only its value's lower half, entries 0..D // 2.  The
-  degree D is read off the key, as the size used less phi(e) * |lambda_e|
-  for each open order e (phi(e) = count * degree, cyclotomic_split), so
-  every value reaching a key has the same length and the state holds no
-  other field.  Transitions that reach the same completed type and state
-  are summed before that block's polynomial is multiplied in, so each
-  block polynomial is convolved once per merged state, not once per cycle
-  type.  The product of one order's blocks and the strided convolution
-  that multiplies it in are submodcount.order_lattice and
-  submodcount.convolve, the same kernel that lattice_dim_poly uses: the
-  value is mirrored to full length and only the lower half of the
-  product is made (convolve's size), at the odd orders and again at the
-  t+1 block, whose lower half is mirrored to the yielded length n + 1.
+- State.  Three integers (used, degree, pending).  A module type is fixed
+  by its multiplicity at each exponent a, so pending packs the types of
+  all open orders into one integer: the multiplicity of 2^a in lambda_e is
+  the W-bit field at SLOT * (e // 2) + W * a, and n < 2^W bounds it and a,
+  so no field carries into the next.  A choice's step is mu packed into
+  the slot of every odd e dividing u (choice_table), and a transition adds
+  it, types = pending + step.  u is the highest open order, so lambda_u is
+  types shifted down by the slot of u and the new pending is the rest (at
+  u = 1 the slot is 0).  Types are decoded (parts) only for a block lattice.
+  The value, a polynomial in the dimension, is the sum over the choices
+  reaching the state of n!/z_partial times the product of the completed
+  block lattices, where z_partial = prod l^m * m! over the cycles chosen.
+- Degree.  A finite module's submodule lattice is self-dual (L. M. Butler,
+  Subgroup lattices and symmetric functions, Mem. AMS 539, 1994), so every
+  block lattice is a palindrome, and so is every product and same-degree
+  sum of them: a state keeps only the lower half, entries 0..D // 2, of
+  its value of degree D = used - sum over the open e of phi(e) *
+  |lambda_e| (phi(e) = count * degree, cyclotomic_split).  D is carried: a
+  transition leaves it unchanged, since s cycles of length u add s * u to
+  used and s to |lambda_e| for each e dividing u, whose phi(e) sum to u;
+  completing order u adds phi(u) * |lambda_u|.
+- Merging.  Transitions that reach the same completed type and state are
+  summed before that block's polynomial is multiplied in, so it is
+  convolved once per merged state, not once per cycle type.  The product
+  of one order's blocks and the strided convolution that multiplies it in
+  are submodcount.order_lattice and convolve, as in lattice_dim_poly: the
+  value is mirrored to full length and only the lower half of the product
+  is made (convolve's size), at the odd orders and again at the t+1 block,
+  whose lower half is mirrored to the yielded length n + 1.
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
-  the z-products multiply to the z-product of the partial cycle type, and
-  that divides m! for a partial type of size m, which divides n!.  So every
-  term of the sum stays an integer and the division leaves no remainder.
-  The choices of size s at stage u, each binary partition mu of s with its
-  z-product, come from one table per (s, u) (choice_table), built once
-  per process with the z-products multiplied up inside the partition
-  recursion.  Each state's value is checked once, against the lcm of the
-  z-products of all its choices, since it divides by every one of them
-  exactly when it divides by their lcm; a value that fails raises, naming
-  the first choice in stage order whose z-product it does not divide by.
-  Every cycle type has one invariant subspace of dimension 0 and one of
-  dimension n, and the class sizes sum to n!, so the dimension-0 and
-  dimension-n totals must both equal n!.  A permutation with c cycles
-  fixes 2^c - 1 nonzero vectors, the invariant lines, and
+  the z-products multiply to the z-product of the partial cycle type,
+  which divides m! for a partial type of size m, and so n!: the division
+  leaves no remainder.  The choices of size s at stage u, each binary
+  partition mu of s with its step and z-product, come from one table per
+  (s, u) (choice_table), built once per process.  Each state's value is
+  checked once, against the lcm of its choices' z-products; a value that
+  fails raises, naming the first choice in stage order whose z-product it
+  does not divide by.  Every cycle type has one invariant subspace of
+  dimension 0 and one of dimension n, and the class sizes sum to n!, so
+  the dimension-0 and dimension-n totals must both equal n!.  A
+  permutation with c cycles fixes 2^c - 1 nonzero vectors, and
   sum_sigma 2^c(sigma) = (n + 1)!, so the dimension-1 total must equal
-  n * n!.  These read the yielded polynomials, except that the
-  dimension-n total is summed from the exact top coefficient of each t+1
-  product, the product of its factors' top entries, and each product's
-  length is checked from its factors' lengths, so neither reads the
-  mirrored half: a t+1 block with a wrong or missing top entry still
-  fails.  Whether each block lattice is a palindrome is checked where it
-  is made (submodcount).  count_codes also requires every per-dimension
-  total to divide by n!.
+  n * n!.  The dimension-n total is summed from the exact top coefficient
+  of each t+1 product, the product of its factors' top entries, and each
+  product's length is checked from its factors' lengths, so neither reads
+  the mirrored half: a t+1 block with a wrong or missing top entry still
+  fails.  Each block lattice is checked to be a palindrome where it is
+  made (submodcount); count_codes requires every per-dimension total to
+  divide by n!.
 - Grouping.  The last stage (u = 1) completes the t+1 block, so its results
   are keyed by the t+1 module type lambda_1: for each lambda_1, the sum of
   class_size * lattice_dim_poly over the cycle types with that t+1 type.
-  The t+1 types are grouped by their core, lambda_1 without its 1-parts
-  (one 1-part per odd cycle).  Each core's block lattices come from one
-  fixed-point walk (submodcount.fixed_point_walk, through t1_lattices):
-  the column DP on the core, then one more shift-and-add step per 1-part.
-  Each lattice is multiplied into its value as soon as it is made, so no
-  lattice is kept.
-  Each finished value is yielded and dropped: count_codes, the one census
-  cache, keeps only the per-dimension totals and each type's weight (its
-  value's sum), from which boundscheck.classify_D reads.
+  They are grouped by their core, lambda_1 without its 1-parts: the count
+  f of 1-parts is the lowest field of lambda_1, and the core the fields
+  above it.  Each core's block lattices come from one fixed-point walk
+  (submodcount.fixed_point_walk): the column DP on the core, then one
+  shift-and-add step per 1-part, each lattice multiplied into its value as
+  soon as it is made.  Each finished value is yielded and dropped:
+  count_codes, the one census cache, keeps only the per-dimension totals
+  and each type's weight (its value's sum), which boundscheck.classify_D
+  reads.
 """
 
 from __future__ import annotations
@@ -97,6 +102,12 @@ from .qarith import DEFAULT_PRECISION, gauss_total
 from .submodcount import convolve, fixed_point_walk, order_lattice
 
 
+# packed module types: W-bit fields, a SLOT of 16 of them per odd order (State above)
+W = 16
+SLOT = 16 * W
+FIELD = (1 << W) - 1
+
+
 @dataclass(frozen=True)
 class CensusRow:
     n: int
@@ -106,40 +117,48 @@ class CensusRow:
     # (lambda_1, sum of class_size * lattice_size over the cycle types of t+1 type lambda_1)
     t1_weights: tuple[tuple[tuple[int, ...], int], ...] = field(repr=False)
 
-    def correction(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
+    def correction(self) -> mpmath.mpf:
         """n! * b / G - 1, the relative excess over the orbit-count floor."""
-        with mpmath.workdps(precision):
-            num = factorial(self.n) * self.b - self.G
-            return mpmath.mpf(num) / mpmath.mpf(self.G)
+        with mpmath.workdps(DEFAULT_PRECISION):
+            return mpmath.mpf(factorial(self.n) * self.b - self.G) / mpmath.mpf(self.G)
 
 
-def _weighted_binary_partitions(s: int, u: int, cap: int | None = None):
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n >= 1 << W:
+        raise ValueError(f"n must be below 2^{W} = {1 << W}, got {n}")
+
+
+def _weighted_binary_partitions(s: int, u: int, a: int | None = None):
     """(mu, z) for each multiset mu of powers of two summing to s with no
-    part above cap (default: no bound), as nonincreasing tuples, where z is
-    the z-product of the cycles p * u for p in mu: each part p of
-    multiplicity m adds the factor (p * u)^m * m!, so
-    z = u^len(mu) * prod p^m * m!."""
-    if cap is None:
-        cap = 1 << max(s.bit_length() - 1, 0)
-    if cap == 1:
-        return [((1,) * s, u ** s * factorial(s))]
-    return [((cap,) * m + rest, (cap * u) ** m * factorial(m) * z)
-            for m in range(s // cap + 1)
-            for rest, z in _weighted_binary_partitions(s - m * cap, u, cap >> 1)]
+    part above 2^a (default: no bound), packed as one order's type, by the
+    largest part's multiplicity ascending; z is the z-product of the cycles
+    p * u for p in mu, a factor (p * u)^m * m! per part p of multiplicity m."""
+    if a is None:
+        a = max(s.bit_length() - 1, 0)
+    if a == 0:
+        return [(s, u ** s * factorial(s))]
+    p = 1 << a
+    return [((m << W * a) + rest, (p * u) ** m * factorial(m) * z)
+            for m in range(s // p + 1)
+            for rest, z in _weighted_binary_partitions(s - m * p, u, a - 1)]
 
 
-def binary_partitions(s: int) -> list[tuple[int, ...]]:
-    """All multisets of powers of two summing to s, as nonincreasing tuples."""
-    return [mu for mu, _ in _weighted_binary_partitions(s, 1)]
+def parts(packed: int) -> tuple[int, ...]:
+    """The partition of one order's packed type, nonincreasing."""
+    return tuple(1 << a for a in range((packed.bit_length() - 1) // W, -1, -1)
+                 for _ in range((packed >> W * a) & FIELD))
 
 
 @lru_cache(maxsize=None)
-def choice_table(s: int, u: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """The stage-u choices of size s: the pairs (mu, z) for the binary
-    partitions mu of s, in binary_partitions order, where z is the
-    z-product of the cycles p * u for p in mu; returned with the lcm of
-    those z."""
-    pairs = tuple(_weighted_binary_partitions(s, u))
+def choice_table(s: int, u: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The stage-u choices of size s, with the lcm of their z: the pairs
+    (step, z) for the binary partitions mu of s, in _weighted_binary_partitions
+    order, where step is mu packed into the slot of every odd divisor of u
+    and z is the z-product of the cycles p * u for p in mu."""
+    spread = sum(1 << SLOT * (e // 2) for e in odd_divisors(u))
+    pairs = tuple((mu * spread, z) for mu, z in _weighted_binary_partitions(s, u))
     return lcm(*(z for _, z in pairs)), pairs
 
 
@@ -148,53 +167,39 @@ def _add_into(acc: dict, key, poly) -> None:
     acc[key] = poly if have is None else list(map(add, have, poly))
 
 
-def t1_lattices(core: tuple[int, ...], fs):
-    """The t+1 block lattices of the types core + (1,) * f, for the
-    ascending fixed-point counts fs, as (f, lattice) pairs in order.  t+1
-    is the one irreducible of order 1, of degree 1."""
-    return fixed_point_walk(core, fs, 1)
-
-
 def _stage(n: int, u: int, states: dict) -> dict:
-    """Apply the stage-u choices to every state; returns the summed values
-    keyed by (completed type lambda_u, size used, pending types).  A state
-    with r left chooses partitions of r at u = 1 and of every s <= r // u
-    otherwise, read from the choice tables.  Its value is checked once,
-    against the lcm of those choices' z-products, then divided by each.
-    At u = 1 only lambda_1 is pending, so its key is built directly."""
-    divisors = odd_divisors(u)
+    """Apply the stage-u choices to every state (used, degree, pending);
+    returns the summed values keyed by (packed lambda_u, used, degree,
+    pending), each key made by one addition, one shift and one mask.  A
+    state with r left chooses partitions of r at u = 1 and of every
+    s <= r // u otherwise, read from the choice tables.  Its value is
+    checked once, against the lcm of those choices' z-products, then
+    divided by each."""
+    shift = SLOT * (u // 2)
+    below = (1 << shift) - 1
     reached: dict = {}
-    for (used, pending), value in states.items():
+    for (used, degree, pending), value in states.items():
         sizes = [n - used] if u == 1 else range((n - used) // u + 1)
         tables = [choice_table(s, u) for s in sizes]
         zlcm = lcm(*(t[0] for t in tables))
         if any(c % zlcm for c in value):
             _raise_indivisible(n, u, value, tables)
-        if u == 1:
-            lam_1 = pending[0][1] if pending else ()
-            for mu, z in tables[0][1]:
-                key = (tuple(sorted(lam_1 + mu, reverse=True)), n, ())
-                _add_into(reached, key, list(map(floordiv, value, repeat(z))))
-            continue
         for s, (_, pairs) in zip(sizes, tables):
             used_s = used + s * u
-            for mu, z in pairs:
-                types = dict(pending)
-                if mu:
-                    for e in divisors:
-                        types[e] = tuple(sorted(types.get(e, ()) + mu, reverse=True))
-                lam_u = types.pop(u, ())
-                key = (lam_u, used_s, tuple(sorted(types.items())))
+            for step, z in pairs:
+                types = pending + step
+                key = (types >> shift, used_s, degree, types & below)
                 _add_into(reached, key, list(map(floordiv, value, repeat(z))))
     return reached
 
 
 def _raise_indivisible(n: int, u: int, value, tables) -> None:
     """Raise for the first choice, in stage order, whose z-product does not
-    divide value."""
+    divide value; its mu is the step's order-1 slot."""
     for _, pairs in tables:
-        for mu, z in pairs:
+        for step, z in pairs:
             if any(c % z for c in value):
+                mu = parts(step & ((1 << SLOT) - 1))
                 raise ArithmeticError(
                     f"stage u={u} at n={n}: value not divisible by the "
                     f"z-product {z} of cycles {[p * u for p in mu]}")
@@ -212,34 +217,31 @@ def sums_by_t1_type(n: int):
     the odd-part DP of the module docstring, as soon as its t+1 block lattice
     is multiplied in; the end and dimension-1 totals are checked after the
     last pair."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     nfact = factorial(n)
-    splits = {e: cyclotomic_split(e) for e in range(1, n + 1, 2)}
-    # phi(e) = count * degree, the GF(2)-dimension each part of lambda_e adds
-    phi = {e: count * deg for e, (count, deg) in splits.items()}
-    states: dict = {(0, ()): [nfact]}
+    states: dict = {(0, 0, 0): [nfact]}
     for u in range(n - 1 + n % 2, 1, -2):
-        split = splits[u]
+        count, deg = cyclotomic_split(u)
         merged: dict = {}
-        for (lam_u, used, pending), value in _stage(n, u, states).items():
+        for (lam_u, used, degree, pending), value in _stage(n, u, states).items():
             if lam_u:
-                degree = used - sum(phi[e] * sum(lam) for e, lam in pending)
-                value = convolve(_mirror(value, degree - phi[u] * sum(lam_u)),
-                                 order_lattice(lam_u, *split), stride=split[1],
+                lam = parts(lam_u)
+                value = _mirror(value, degree)
+                degree += count * deg * sum(lam)
+                value = convolve(value, order_lattice(lam, count, deg), stride=deg,
                                  size=degree // 2 + 1)
-            _add_into(merged, (used, pending), value)
+            _add_into(merged, (used, degree, pending), value)
         states = merged
-    cores: dict = {}  # core -> {fixed-point count f: value of core + (1,) * f}
-    for (lam_1, _, _), value in _stage(n, 1, states).items():
-        f = lam_1.count(1)
-        cores.setdefault(lam_1[:len(lam_1) - f], {})[f] = value
+    cores: dict = {}  # packed core -> {fixed-point count f: (value, degree)}
+    for (lam_1, _, degree, _), value in _stage(n, 1, states).items():
+        cores.setdefault(lam_1 >> W, {})[lam_1 & FIELD] = value, degree
     del states
     totals = [0, 0, 0]  # dimensions 0, 1 and n
-    for core, values in cores.items():
-        for f, lattice in t1_lattices(core, sorted(values)):
+    for packed, values in cores.items():
+        core = parts(packed << W)
+        for f, lattice in fixed_point_walk(core, sorted(values), 1):
             lam_1 = core + (1,) * f
-            value = _mirror(values.pop(f), n - sum(core) - f)
+            value = _mirror(*values.pop(f))
             if len(value) + len(lattice) - 1 != n + 1:
                 raise ArithmeticError(
                     f"t+1 type {lam_1} at n={n}: dimension polynomial has length "
@@ -261,8 +263,7 @@ def count_codes(n: int) -> CensusRow:
     """Exact census at n: orbit count, total subspace count, per-dimension
     orbit counts and t+1 type weights, summed pair by pair from sums_by_t1_type.
     Each per-dimension sum must divide exactly by n!; b is their total."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     dim_sum = [0] * (n + 1)
     t1_weights = []
     for lam_1, poly in sums_by_t1_type(n):
@@ -297,7 +298,7 @@ def transposition_class_sum(n: int) -> int:
     return comb(n, 2) * (2 * gauss_total(n - 1, 2) - gauss_total(n - 2, 2))
 
 
-def correction_report(n: int, precision: int = DEFAULT_PRECISION) -> dict:
+def correction_report(n: int) -> dict:
     """Diagnostics for the rate of convergence of b(n) to G(n,2)/n!.
 
     R:   n! * b(n) / G(n,2) - 1
@@ -308,11 +309,9 @@ def correction_report(n: int, precision: int = DEFAULT_PRECISION) -> dict:
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    row = count_codes(n)
+    R = count_codes(n).correction()
     excess = non_identity_sum(n)          # = n! * b - G, exact
-    dominant = transposition_class_sum(n)
-    with mpmath.workdps(precision):
-        R = mpmath.mpf(excess) / mpmath.mpf(row.G)
-        rho = mpmath.mpf(excess) / mpmath.mpf(dominant)
+    with mpmath.workdps(DEFAULT_PRECISION):
+        rho = mpmath.mpf(excess) / mpmath.mpf(transposition_class_sum(n))
         e = mpmath.log(R, 2) + mpmath.mpf(n) / 2 - 2 * mpmath.log(n, 2)
-        return {"n": n, "R": +R, "rho": +rho, "e": +e}
+        return {"n": n, "R": R, "rho": +rho, "e": +e}

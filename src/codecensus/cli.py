@@ -7,13 +7,13 @@ with an explicit precision field.  Identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
-n < 1 and an output file that cannot be opened), 3 ceiling violation (an
-oracle size beyond brute force, or, without --no-ceiling, a count --n or
-table --max-n above CENSUS_CEILING or a verify --max-n above
-VERIFY_CEILING; one line on stderr), 4 internal error (any other
-exception, such as an ArithmeticError from a census self-check; one line
-on stderr), 141 the reader closed stdout early (128 + SIGPIPE, as a shell
-reports it; nothing on stderr).
+n < 1, a census n >= 2^16 and an output file that cannot be opened), 3
+ceiling violation (an oracle size beyond brute force, or, without
+--no-ceiling, a count --n or table --max-n above CENSUS_CEILING or a
+verify --max-n above VERIFY_CEILING; one line on stderr), 4 internal
+error (any other exception, such as an ArithmeticError from a census
+self-check; one line on stderr), 141 the reader closed stdout early (128
++ SIGPIPE, as a shell reports it; nothing on stderr).
 """
 
 from __future__ import annotations

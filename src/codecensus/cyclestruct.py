@@ -135,12 +135,6 @@ def class_size(ct: CycleType) -> int:
     return factorial(ct.n) // z_product(ct.parts)
 
 
-def _split_two_power(length: int) -> tuple[int, int]:
-    # length = 2^a * u with u odd; returns (2^a, u)
-    two_part = length & -length
-    return two_part, length // two_part
-
-
 def odd_divisors(u: int) -> list[int]:
     """The divisors of odd u, ascending."""
     small = [e for e in range(1, isqrt(u) + 1, 2) if u % e == 0]
@@ -194,8 +188,8 @@ def primary_components(ct: CycleType) -> tuple[PrimaryComponent, ...]:
     """
     by_order: dict[int, list[int]] = {}
     for length in ct.parts:
-        two_part, u = _split_two_power(length)
-        for e in odd_divisors(u):
+        two_part = length & -length  # 2^a, where length = 2^a * u with u odd
+        for e in odd_divisors(length // two_part):
             by_order.setdefault(e, []).append(two_part)
     comps = [PrimaryComponent(e, *cyclotomic_split(e),
                               tuple(sorted(type_parts, reverse=True)))

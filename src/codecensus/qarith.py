@@ -82,7 +82,7 @@ def scaled_u(n: int, q: int, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         return +u
 
 
-def lemma1_tail_product(terms: int, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
+def lemma1_tail_product(terms: int) -> mpmath.mpf:
     """1.7 times the partial product of (2^(5/4-k/2) + 1 - 2^(1-k)), k >= 2.
 
     Monotone increasing in `terms`; the infinite product is finite and the
@@ -90,7 +90,7 @@ def lemma1_tail_product(terms: int, precision: int = DEFAULT_PRECISION) -> mpmat
     """
     if terms < 10:
         raise ValueError(f"terms must be >= 10, got {terms}")
-    with mpmath.workdps(precision + _GUARD_DIGITS):
+    with mpmath.workdps(DEFAULT_PRECISION + _GUARD_DIGITS):
         acc = mpmath.mpf("1.7")
         for k in range(2, terms + 2):
             acc *= mpmath.mpf(2) ** (mpmath.mpf(5) / 4 - mpmath.mpf(k) / 2) \

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import log2
 
 import pytest
@@ -146,6 +147,32 @@ class TestClassifyD:
     def test_shares_sum_to_one(self):
         shares = classify_D(12).witnesses["shares"]
         assert abs(sum(shares.values()) - 1) < 1e-12
+
+    def test_shares_are_the_float_quotients(self):
+        # the shares of the pinned verify output, as float(v) / total made them
+        for n in range(2, 41):
+            sums = classify_D(n).witnesses["sums"]
+            total = sum(sums.values())
+            assert classify_D(n).witnesses["shares"] == \
+                {k: float(v) / total for k, v in sums.items()}
+
+    def test_shares_of_weights_past_the_float_range(self, monkeypatch):
+        # class weights near 2^2000, as a census near n = 70 gives, where
+        # float(weight) overflows; one t+1 type in each of D1, D2 and D4
+        weights = (((1,) * 70, 1 << 2100),                        # identity, skipped
+                   ((1,) * 10, 3 << 2000),                        # D1: n1 = 10
+                   ((32, 16, 8, 4), 5 << 1999),                   # D2: n1 = 60, r = 4
+                   ((2,) * 6 + (1,) * 54, (7 << 1998) + 1))       # D4: n1 = 66, r = 60
+        row = burnside.CensusRow(n=70, b=0, G=0, by_dim=(), t1_weights=weights)
+        monkeypatch.setattr(boundscheck, "count_codes", lambda n: row)
+        r = classify_D(70)
+        sums = r.witnesses["sums"]
+        assert sums == {"D1": 3 << 2000, "D2": 5 << 1999, "D3": 0, "D4": (7 << 1998) + 1}
+        total = sum(sums.values())
+        for k, share in r.witnesses["shares"].items():
+            exact = Fraction(sums[k], total)
+            assert abs(Fraction(share) - exact) <= exact * Fraction(1, 1 << 51)
+        assert r.witnesses["shares"]["D3"] == 0.0
 
 
 class TestDimensionBounds:

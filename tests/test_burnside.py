@@ -9,15 +9,23 @@ import pytest
 
 from codecensus import burnside
 from codecensus.burnside import (
-    binary_partitions,
+    SLOT,
     correction_report,
     count_codes,
     count_codes_by_dim,
     non_identity_sum,
+    parts,
     sums_by_t1_type,
     transposition_class_sum,
 )
-from codecensus.cyclestruct import class_size, cycle_types_of, primary_components, z_product
+from codecensus.cyclestruct import (
+    class_size,
+    cycle_types_of,
+    cyclotomic_split,
+    odd_divisors,
+    primary_components,
+    z_product,
+)
 from codecensus.qarith import gauss_total
 from codecensus.submodcount import lattice_dim_poly
 
@@ -28,13 +36,31 @@ IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n
 def patch_identity_block(monkeypatch, change):
     """Make the DP's t+1 block lattice of the n = 4 identity wrong by
     change(poly); sums_by_t1_type is uncached, so nothing wrong is kept."""
-    real = burnside.t1_lattices
+    real = burnside.fixed_point_walk
 
-    def patched(core, fs):
-        for f, poly in real(core, fs):
+    def patched(core, fs, d):
+        for f, poly in real(core, fs, d):
             yield f, change(poly) if core + (1,) * f == IDENTITY_T1_TYPE_N4 else poly
 
-    monkeypatch.setattr(burnside, "t1_lattices", patched)
+    monkeypatch.setattr(burnside, "fixed_point_walk", patched)
+
+
+def binary_partitions(s):
+    """The binary partitions of s as nonincreasing tuples, built from the
+    largest part down: the multiplicity of the largest power of two <= s
+    ascending, and for each the binary partitions of the rest, recursively,
+    with parts at most half as large."""
+    def rec(s, cap):
+        if cap == 1:
+            return [(1,) * s]
+        return [(cap,) * m + rest for m in range(s // cap + 1)
+                for rest in rec(s - m * cap, cap >> 1)]
+    return rec(s, 1 << max(s.bit_length() - 1, 0))
+
+
+def slot(packed, e):
+    """The packed type of order e in a packed state or step."""
+    return (packed >> SLOT * (e // 2)) & ((1 << SLOT) - 1)
 
 
 class TestCountCodes:
@@ -79,6 +105,14 @@ class TestCountCodes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             count_codes(0)
+
+    def test_rejects_n_past_the_packed_fields(self):
+        # a multiplicity of n needs 16 bits; refused before any stage runs
+        for run in (count_codes.__wrapped__, lambda n: next(sums_by_t1_type(n))):
+            with pytest.raises(ValueError, match="n must be below 2\\^16 = 65536, got 65536"):
+                run(1 << 16)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            next(sums_by_t1_type(0))
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_row_invariants(self, n):
@@ -127,7 +161,7 @@ class TestOddPartDP:
         assert dict(count_codes(n).t1_weights) == {k: sum(v) for k, v in expected.items()}
 
     def test_binary_partitions_follow_the_recurrence(self):
-        counts = [len(binary_partitions(s)) for s in range(2 * 64 + 2)]
+        counts = [len(burnside._weighted_binary_partitions(s, 1)) for s in range(2 * 64 + 2)]
         assert counts[:2] == [1, 1]
         for m in range(1, 65):
             assert counts[2 * m + 1] == counts[2 * m]
@@ -135,9 +169,9 @@ class TestOddPartDP:
 
     def test_binary_partitions_are_distinct_two_power_multisets(self):
         for s in range(41):
-            parts = binary_partitions(s)
-            assert len(set(parts)) == len(parts)
-            for mu in parts:
+            mus = [parts(mu) for mu, _ in burnside._weighted_binary_partitions(s, 1)]
+            assert len(set(mus)) == len(mus)
+            for mu in mus:
                 assert sum(mu) == s and list(mu) == sorted(mu, reverse=True)
                 assert all(p & (p - 1) == 0 for p in mu)
 
@@ -146,7 +180,7 @@ class TestOddPartDP:
 
         def times_five(s, u):  # every stage-u z-product, and so their lcm, times 5
             zlcm, pairs = real(s, u)
-            return 5 * zlcm, tuple((mu, 5 * z) for mu, z in pairs)
+            return 5 * zlcm, tuple((step, 5 * z) for step, z in pairs)
 
         monkeypatch.setattr(burnside, "choice_table", times_five)
         with pytest.raises(ArithmeticError, match="stage u=3 at n=4"):
@@ -160,14 +194,14 @@ class TestOddPartDP:
 
     def test_partly_divisible_state_names_first_indivisible_z(self):
         with pytest.raises(ArithmeticError) as exc:
-            burnside._stage(6, 3, {(0, ()): [3]})
+            burnside._stage(6, 3, {(0, 0, 0): [3]})
         assert str(exc.value) == self.PARTLY_DIVISIBLE_MESSAGE
 
     def test_partly_divisible_state_raises_under_optimize(self):
         script = (
             "from codecensus import burnside\n"
             "try:\n"
-            "    burnside._stage(6, 3, {(0, ()): [3]})\n"
+            "    burnside._stage(6, 3, {(0, 0, 0): [3]})\n"
             "except ArithmeticError as exc:\n"
             "    print(exc)\n"
         )
@@ -183,9 +217,49 @@ class TestOddPartDP:
     def test_choice_table_matches_z_product(self, u):
         for s in range(65):
             zlcm, pairs = burnside.choice_table(s, u)
-            assert list(pairs) == [(mu, z_product([p * u for p in mu]))
-                                   for mu in binary_partitions(s)]
+            mus = [parts(slot(step, 1)) for step, _ in pairs]
+            assert mus == binary_partitions(s)
+            assert [z for _, z in pairs] == [z_product([p * u for p in mu]) for mu in mus]
             assert zlcm == lcm(*(z for _, z in pairs))
+
+    @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
+    def test_step_fills_the_slots_of_the_divisors_of_u(self, u):
+        # every odd divisor of u gets mu, and no other order is touched
+        for s in range(65):
+            for step, _ in burnside.choice_table(s, u)[1]:
+                mu = slot(step, 1)
+                assert step == sum(mu << SLOT * (e // 2) for e in odd_divisors(u))
+                assert [e for e in range(1, u + 1, 2) if slot(step, e)] == \
+                    (odd_divisors(u) if s else [])
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_carried_degree_matches_the_open_types(self, n):
+        # the stages driven as sums_by_t1_type drives them: each key's
+        # degree is the size used less phi(e) * |lambda_e| over the orders
+        # e still open, decoded from its packed types
+        def check(used, degree, pending, open_orders):
+            for e in range(1, n + 1, 2):
+                if e not in open_orders:
+                    assert not slot(pending, e)
+            open_size = sum(count * deg * sum(parts(slot(pending, e)))
+                            for e in open_orders
+                            for count, deg in [cyclotomic_split(e)])
+            assert degree == used - open_size
+
+        states = {(0, 0, 0): [factorial(n)]}
+        for u in range(n - 1 + n % 2, -1, -2):
+            reached = burnside._stage(n, u, states)
+            for lam_u, used, degree, pending in reached:
+                check(used, degree, pending + (lam_u << SLOT * (u // 2)), range(1, u + 1, 2))
+            if u == 1:
+                assert all(used == n and not rest for _, used, _, rest in reached)
+                break
+            count, deg = cyclotomic_split(u)
+            states = {}
+            for (lam_u, used, degree, pending), value in reached.items():
+                done = degree + count * deg * sum(parts(lam_u))
+                check(used, done, pending, range(1, u, 2))
+                states[used, done, pending] = [0] * (done // 2 + 1)
 
     def test_t1_type_order_n30(self):
         # sha256 of the lambda_1 sequence, "1,1;1,1,1,1;...", as the

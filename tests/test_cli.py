@@ -270,6 +270,13 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == EXIT_USAGE
 
+    def test_n_past_the_census_fields(self, capsys):
+        # the census packs multiplicities up to n into 16-bit fields
+        assert main(["count", "--n", "65536", "--no-ceiling"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: n must be below 2^16 = 65536, got 65536\n"
+        assert captured.out == ""
+
 
 class TestNonPositiveN:
     @pytest.mark.parametrize("argv", [
@@ -304,15 +311,15 @@ class TestInternalErrors:
         assert captured.out == ""
 
     def test_census_self_check_exits_4(self, capsys, monkeypatch):
-        real = burnside.t1_lattices
+        real = burnside.fixed_point_walk
 
-        def off_by_one(core, fs):
-            for f, poly in real(core, fs):
+        def off_by_one(core, fs, d):
+            for f, poly in real(core, fs, d):
                 if core + (1,) * f == (1, 1, 1, 1):
                     poly = poly[:2] + [poly[2] + 1] + poly[3:]
                 yield f, poly
 
-        monkeypatch.setattr(burnside, "t1_lattices", off_by_one)
+        monkeypatch.setattr(burnside, "fixed_point_walk", off_by_one)
         monkeypatch.setattr(burnside, "count_codes", burnside.count_codes.__wrapped__)
         code = main(["count", "--n", "4"])
         err = capsys.readouterr().err
