@@ -5,7 +5,7 @@ asymptotics."""
 from .burnside import CensusRow, correction_report, count_codes, count_codes_by_dim
 from .cyclestruct import CycleType, class_size, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
-from .submodcount import count_submodules_by_type, lattice_dim_poly, lattice_size
+from .submodcount import lattice_dim_poly, lattice_size
 
 __all__ = [
     "CensusRow",
@@ -14,7 +14,6 @@ __all__ = [
     "correction_report",
     "count_codes",
     "count_codes_by_dim",
-    "count_submodules_by_type",
     "gauss_binomial",
     "gauss_total",
     "lattice_dim_poly",

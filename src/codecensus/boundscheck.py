@@ -54,8 +54,7 @@ def check_lemma1(n_max: int) -> CheckResult:
     constant and the even/odd limit values."""
     if n_max < 10:
         raise ValueError(f"n_max must be >= 10, got {n_max}")
-    max_u = None
-    max_u_at = 0
+    us = []  # u_n for n = 0..n_max, each computed once
     for n in range(n_max + 1):
         g4 = gauss_total(n, 2) ** 4
         two = 1 << (n * n)
@@ -65,24 +64,22 @@ def check_lemma1(n_max: int) -> CheckResult:
         if g4 > 23 ** 4 * two:  # u_n > 23
             return CheckResult("lemma1", (0, n_max), FAIL,
                                counterexample={"n": n, "side": "upper"})
-        u = scaled_u(n, 2)
-        if max_u is None or u > max_u:
-            max_u, max_u_at = u, n
+        us.append(scaled_u(n, 2))
+    max_u = max(us)
     tail = lemma1_tail_product(1000)
     if not tail < 23:
         return CheckResult("lemma1", (0, n_max), FAIL,
                            counterexample={"tail_product": tail})
     witnesses = {
         "max_u": max_u,
-        "max_u_at": max_u_at,
+        "max_u_at": us.index(max_u),
         "tail_product_1000": tail,
         "note": LOG_BASE_NOTE,
     }
     if n_max >= 201:
-        witnesses["u_200"] = scaled_u(200, 2)
-        witnesses["u_201"] = scaled_u(201, 2)
         for n, limit in ((200, "7.371969"), (201, "7.371949")):
-            if not abs(scaled_u(n, 2) - mpmath.mpf(limit)) < mpmath.mpf("1e-5"):
+            witnesses[f"u_{n}"] = us[n]
+            if not abs(us[n] - mpmath.mpf(limit)) < mpmath.mpf("1e-5"):
                 return CheckResult("lemma1", (0, n_max), FAIL,
                                    counterexample={"n": n, "limit": limit})
     return CheckResult("lemma1", (0, n_max), PASS, witnesses)

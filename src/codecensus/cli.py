@@ -8,9 +8,10 @@ byte-identical output.
 
 Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
 n < 1, a census n >= 2^16 and an output file that cannot be opened), 3
-ceiling violation (an oracle size beyond brute force, or, without
---no-ceiling, a count --n or table --max-n above CENSUS_CEILING or a
-verify --max-n above VERIFY_CEILING; one line on stderr), 4 internal
+ceiling violation (an oracle size beyond brute force, a limits
+--precision below 30, or, without --no-ceiling, a count --n or table
+--max-n above CENSUS_CEILING or a verify --max-n above VERIFY_CEILING;
+one line on stderr), 4 internal
 error (any other exception, such as an ArithmeticError from a census
 self-check; one line on stderr), 141 the reader closed stdout early (128
 + SIGPIPE, as a shell reports it; nothing on stderr).
@@ -30,7 +31,7 @@ import mpmath
 from . import boundscheck, burnside, qarith
 from .cyclestruct import CycleType
 from .qarith import DEFAULT_PRECISION
-from .submodcount import lattice_dim_poly, lattice_size
+from .submodcount import lattice_dim_poly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -156,7 +157,7 @@ def cmd_lattice(args) -> int:
         "schema": SCHEMA_VERSION,
         "type": str(ct),
         "n": ct.n,
-        "lattice_size": _decimal_str(lattice_size(ct)),
+        "lattice_size": _decimal_str(sum(poly)),
         "dim_poly": [_decimal_str(c) for c in poly],
     })
     return EXIT_OK

@@ -626,9 +626,10 @@ def _nilpotent_census(lam, Q):
 
 
 # ---------------------------------------------------------------------------
-# slow reference for the graded block lattice: one term of the type-counting
-# formula per submodule type, with its own partition loop and Gaussian
-# binomials (nothing shared with submodcount or qarith)
+# the type-counting formula for the submodules of a primary block, and the
+# slow reference for the graded block lattice that sums it over every
+# submodule type, with its own partition loop and Gaussian binomials
+# (nothing shared with submodcount or qarith)
 
 
 def _conjugate(parts):
@@ -663,29 +664,37 @@ def _sub_conjugates(lc):
     return out
 
 
+def count_submodules_by_type(lam, mu, Q):
+    """Number of type-mu submodules of a type-lam module over a local ring
+    with residue field of size Q, in conjugate coordinates
+
+        prod_i Q^(mu'_{i+1} (lam'_i - mu'_i))
+               * [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_Q,
+
+    and 0 when mu' does not fit under lam' (some mu'_i > lam'_i).  The
+    validation gate checks it against nilpotent_submodule_census."""
+    lc, mc = _conjugate(tuple(lam)), _conjugate(tuple(mu))
+    if len(mc) > len(lc) or any(t > l for t, l in zip(mc, lc)):
+        return 0
+    mc += (0,) * (len(lc) + 1 - len(mc))
+    count = 1
+    for l, t, m in zip(lc, mc, mc[1:]):
+        count *= Q ** (m * (l - t)) * _gaussian_binomial(l - m, t - m, Q)
+    return count
+
+
 def graded_submodule_counts(lam, Q, d):
     """Submodule counts of a type-lam block over a residue field of size
     Q = 2^d, graded by GF(2)-dimension d * |mu|, by listing every
-    submodule type mu' <= lam' and evaluating
-
-        prod_i Q^(mu'_{i+1} (lam'_i - mu'_i))
-               * [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_Q
-
-    for each one."""
+    submodule type mu' <= lam' and summing count_submodules_by_type for
+    each one."""
     if not lam:
         raise ValueError("lam must be nonempty")
     if Q != 2 ** d:
         raise ValueError(f"Q={Q} does not match residue degree d={d}")
-    lc = _conjugate(tuple(lam))
     coeffs = [0] * (d * sum(lam) + 1)
-    for mc in _sub_conjugates(lc):
-        count = 1
-        for i, l_i in enumerate(lc):
-            m_i = mc[i] if i < len(mc) else 0
-            m_next = mc[i + 1] if i + 1 < len(mc) else 0
-            count *= Q ** (m_next * (l_i - m_i))
-            count *= _gaussian_binomial(l_i - m_next, m_i - m_next, Q)
-        coeffs[d * sum(mc)] += count
+    for mc in _sub_conjugates(_conjugate(tuple(lam))):
+        coeffs[d * sum(mc)] += count_submodules_by_type(lam, _conjugate(mc), Q)
     return tuple(coeffs)
 
 

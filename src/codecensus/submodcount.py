@@ -15,8 +15,10 @@ neighbouring parts t = mu'_i, m = mu'_{i+1}:
 
 So the counts of all submodules of a block, graded by size, come from a DP
 over the columns of lam', last to first, instead of listing every type
-mu' <= lam'.  The type-by-type enumerator survives as the slow reference
-oracle.graded_submodule_counts, which the tests check the DP against.
+mu' <= lam'.  Nothing here evaluates N(lam, mu; Q) itself: its one copy
+is oracle.count_submodules_by_type, which the validation gate checks
+against brute-force enumeration, and oracle.graded_submodule_counts sums
+it type by type into the slow reference the tests check the DP against.
 
 After a column the DP holds its heads: H[t] sums, over the tails
 mu'_i = t, mu'_{i+1}, ... that fit under the columns so far, their type
@@ -88,7 +90,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclestruct import CycleType, primary_components
-from .qarith import _gauss_total, gauss_binomial
+from .qarith import _gauss_total
 
 
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,29 +101,6 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     for j in range(len(parts), 0, -1):
         cols += [j] * (parts[j - 1] - len(cols))
     return tuple(cols)
-
-
-def count_submodules_by_type(lam: tuple[int, ...], mu: tuple[int, ...], Q: int) -> int:
-    """Number of type-mu submodules of a type-lam module, residue field size Q.
-
-    Returns 0 when mu does not embed (some mu'_i > lam'_i).
-    """
-    return _count_conj(conjugate(lam), conjugate(mu), Q)
-
-
-def _count_conj(lc: tuple[int, ...], mc: tuple[int, ...], Q: int) -> int:
-    if len(mc) > len(lc):
-        return 0
-    result = 1
-    for i in range(len(lc)):
-        m_i = mc[i] if i < len(mc) else 0
-        m_next = mc[i + 1] if i + 1 < len(mc) else 0
-        l_i = lc[i]
-        if m_i > l_i:
-            return 0
-        result *= Q ** (m_next * (l_i - m_i))
-        result *= gauss_binomial(l_i - m_next, m_i - m_next, Q)
-    return result
 
 
 def _checked_ends(coeffs: list[int], lam: tuple[int, ...], Q: int) -> list[int]:

@@ -20,6 +20,7 @@ from codecensus.cyclestruct import (
 )
 from codecensus.oracle import (
     classify,
+    count_submodules_by_type,
     invariant_count,
     nilpotent_submodule_census,
     perm_from_cycle_type,
@@ -32,7 +33,6 @@ from codecensus.qarith import (
 )
 from codecensus.submodcount import (
     component_total,
-    count_submodules_by_type,
     lattice_size,
 )
 from codecensus.cyclestruct import partitions_of

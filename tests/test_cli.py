@@ -171,15 +171,20 @@ class TestVerify:
 
 
 class TestOutputContract:
-    """The stdout bytes of two census-heavy commands, pinned by sha256: the
-    census may change how it computes, never what it prints."""
+    """The stdout bytes of two census-heavy commands, a lattice query and
+    the lemma-1 suite past its limit checks at n = 200, 201, pinned by
+    sha256: the code may change how it computes, never what it prints."""
 
     @pytest.mark.parametrize("argv,digest", [
         (("count", "--n", "40", "--by-dim"),
          "3ada9de0d458212b53334030820a47df14b3008ac7884b9e1ad89cb02c7716c1"),
         (("verify", "--suite", "all", "--max-n", "30", "--json"),
          "904e1d9b35e8e72aeef567547ba673746522e52adb8dace417e72c21ec9c0331"),
-    ], ids=["count", "verify"])
+        (("lattice", "--type", "12,6,5,3,2,1,1"),
+         "a58654462400df5a48cda80ae33c763e280fad171c74a62564ff11a563fa6e78"),
+        (("verify", "--suite", "lemma1", "--max-n", "201", "--json"),
+         "f2fc8960d32689b1bd088950266fca5b88e23c29462c972ef06afbcd9816d941"),
+    ], ids=["count", "verify", "lattice", "verify-lemma1"])
     def test_stdout_digest(self, argv, digest):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -19,6 +19,7 @@ from codecensus.cyclestruct import (
 from codecensus.oracle import _conjugate as oracle_conjugate
 from codecensus.oracle import (
     apply_perm,
+    count_submodules_by_type,
     enum_subspaces,
     graded_submodule_counts,
     nilpotent_submodule_census,
@@ -30,7 +31,6 @@ from codecensus.submodcount import (
     component_total,
     conjugate,
     convolve,
-    count_submodules_by_type,
     fixed_point_walk,
     lattice_dim_poly,
     lattice_size,
@@ -64,6 +64,8 @@ class TestCountSubmodulesByType:
 
     def test_lines_in_the_plane(self):
         assert count_submodules_by_type((1, 1), (1,), 2) == 3
+        # Q = 2^36, the residue field of the census's order-37 blocks
+        assert count_submodules_by_type((1, 1), (1,), 1 << 36) == (1 << 36) + 1
 
     def test_jordan_2_1(self):
         assert count_submodules_by_type((2, 1), (2,), 2) == 2
@@ -169,6 +171,14 @@ class TestChainDPAgainstReferences:
         }
         for key in blocks:
             assert component_lattice(*key) == oracle_by_size(*key), key
+
+    @pytest.mark.parametrize("d", [18, 20, 36])
+    def test_large_residue_degrees(self, d):
+        # the degrees of the irreducibles of orders 19, 25 and 37, past the
+        # blocks of the census at n <= 24
+        for size in range(1, 7):
+            for lam in partitions_of(size):
+                assert component_lattice(lam, d) == oracle_by_size(lam, d), (lam, d)
 
     @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2)])
     def test_brute_force_binned_by_size(self, Q, d):
