@@ -14,7 +14,7 @@ from math import comb, factorial
 
 import mpmath
 
-from .burnside import correction_report, count_codes, non_identity_sum
+from .burnside import census_rows, correction_report, count_codes, non_identity_sum
 from .cyclestruct import CycleType, cycle_types_of, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
 from .submodcount import component_total, lattice_size
@@ -242,8 +242,15 @@ def theorem_constants_report(n_values=(20, 30, 40)) -> CheckResult:
                         "note": LOG_BASE_NOTE})
 
 
+# the largest census row each suite reads (min(max_n, this) at a smaller max-n)
+CENSUS_ROWS_READ = {"all": 40, "dims": 40, "dclass": 40, "bound4": 20}
+
+
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
-    """Run one named suite (or all); deterministic result order."""
+    """Run one named suite (or all); deterministic result order.  Every
+    census row the suite reads comes from one pass, made first."""
+    if suite in CENSUS_ROWS_READ:
+        census_rows(min(max_n, CENSUS_ROWS_READ[suite]))
     results: list[CheckResult] = []
     if suite in ("all", "lemma1"):
         results.append(check_lemma1(max(max_n, 10)))

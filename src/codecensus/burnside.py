@@ -17,7 +17,8 @@ ord_e(2) (cyclestruct.cyclotomic_split), so no polynomial is factored.
 
 Rather than visit the p(n) cycle types one by one, sums_by_t1_type runs a
 dynamic program over the odd parts u of the cycle lengths, from the largest
-odd u <= n down to 1:
+odd u <= N down to 1, once for all the rows m <= N it is asked for (Rows
+below; a single row n is the pass with N = n):
 
 - Transition.  At stage u, choose mu, the multiset of 2-power parts 2^a of
   the cycles of length 2^a * u, and add mu to the pending module type of
@@ -26,14 +27,14 @@ odd u <= n down to 1:
 - State.  Three integers (used, degree, pending).  A module type is fixed
   by its multiplicity at each exponent a, so pending packs the types of
   all open orders into one integer: the multiplicity of 2^a in lambda_e is
-  the W-bit field at SLOT * (e // 2) + W * a, and n < 2^W bounds it and a,
+  the W-bit field at SLOT * (e // 2) + W * a, and N < 2^W bounds it and a,
   so no field carries into the next.  A choice's step is mu packed into
   the slot of every odd e dividing u (choice_table), and a transition adds
   it, types = pending + step.  u is the highest open order, so lambda_u is
   types shifted down by the slot of u and the new pending is the rest (at
   u = 1 the slot is 0).  Types are decoded (parts) only for a block lattice.
   The value, a polynomial in the dimension, is the sum over the choices
-  reaching the state of n!/z_partial times the product of the completed
+  reaching the state of N!/z_partial times the product of the completed
   block lattices, where z_partial = prod l^m * m! over the cycles chosen.
 - Degree.  A finite module's submodule lattice is self-dual (L. M. Butler,
   Subgroup lattices and symmetric functions, Mem. AMS 539, 1994), so every
@@ -51,49 +52,72 @@ odd u <= n down to 1:
   are submodcount.order_lattice and convolve, as in lattice_dim_poly: the
   value is mirrored to full length and only the lower half of the product
   is made (convolve's size), at the odd orders and again at the t+1 block,
-  whose lower half is mirrored to the yielded length n + 1.
+  whose lower half is mirrored to the yielded length m + 1.
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type,
-  which divides m! for a partial type of size m, and so n!: the division
+  which divides c! for a partial type of size c, and so N!: the division
   leaves no remainder.  The choices of size s at stage u, each binary
   partition mu of s with its step and z-product, come from one table per
   (s, u) (choice_table), built once per process.  Each state's value is
-  checked once, against the lcm of its choices' z-products; a value that
-  fails raises, naming the first choice in stage order whose z-product it
+  checked once, against the lcm of its choices' divisors; a value that
+  fails raises, naming the first choice in stage order whose divisor it
   does not divide by.  Every cycle type has one invariant subspace of
-  dimension 0 and one of dimension n, and the class sizes sum to n!, so
-  the dimension-0 and dimension-n totals must both equal n!.  A
+  dimension 0 and one of dimension m, and the class sizes sum to m!, so
+  the dimension-0 and dimension-m totals of row m must both equal m!.  A
   permutation with c cycles fixes 2^c - 1 nonzero vectors, and
-  sum_sigma 2^c(sigma) = (n + 1)!, so the dimension-1 total must equal
-  n * n!.  The dimension-n total is summed from the exact top coefficient
+  sum_sigma 2^c(sigma) = (m + 1)!, so the dimension-1 total must equal
+  m * m!.  The dimension-m total is summed from the exact top coefficient
   of each t+1 product, the product of its factors' top entries, and each
   product's length is checked from its factors' lengths, so neither reads
   the mirrored half: a t+1 block with a wrong or missing top entry still
   fails.  Each block lattice is checked to be a palindrome where it is
-  made (submodcount); count_codes requires every per-dimension total to
-  divide by n!.
-- Grouping.  The last stage (u = 1) completes the t+1 block, so its results
-  are keyed by the t+1 module type lambda_1: for each lambda_1, the sum of
-  class_size * lattice_dim_poly over the cycle types with that t+1 type.
-  They are grouped by their core, lambda_1 without its 1-parts: the count
-  f of 1-parts is the lowest field of lambda_1, and the core the fields
-  above it.  Each core's block lattices come from one fixed-point walk
-  (submodcount.fixed_point_walk): the column DP on the core, then one
-  shift-and-add step per 1-part, each lattice multiplied into its value as
-  soon as it is made.  Each finished value is yielded and dropped:
-  count_codes, the one census cache, keeps only the per-dimension totals
+  made (submodcount); census requires every per-dimension total of row m
+  to divide by m!.
+- Fixed points.  The last stage (u = 1) completes the t+1 block.  It
+  chooses only nu, the cycles of length 2, 4, 8, ... (_stage_one), never
+  the fixed points, so its results hold every row at once: they are keyed
+  by (core, c, f_p), where c = used + |nu| is the number of points that
+  move, the core is lambda_1 without its 1-parts (the fields of
+  pending + nu above the lowest) and f_p is the count of 1-parts from the
+  odd cycles u >= 3 (the lowest field of pending).  Each value is divided
+  by z(nu) * N!/c!, which leaves c!/z times the block lattices, z the
+  z-product of the fixed-point-free partial type on c points: the
+  division is exact, as z divides c!.  z(nu) divides |nu|! and so
+  c!/used!, so a state's divisors have the lcm N!/used! (that of the
+  empty nu): the state is checked against it and divided by it once, and
+  each choice multiplies by c!/(used! * z(nu)).  The stage runs core by
+  core, each core pulling its choices from the states whose pending types
+  it contains, so it holds the values of one core at a time.
+- Rows.  A permutation of m points that moves c of them is a choice of
+  the c points and a fixed-point-free permutation of them, so its class
+  size is C(m, c) times the class size of its fixed-point-free part on c
+  points: row m reads entry (core, c, f_p), for every c <= m, at the t+1
+  type core + (1,) * f, f = f_p + m - c, with weight C(m, c), and its
+  degree m - |core| - f is the entry's carried degree.  Each core's block
+  lattices come from one fixed-point walk (submodcount.fixed_point_walk),
+  up to the largest f any row needs: the column DP on the core, then one
+  shift-and-add step per 1-part.  At each f, each row that reads it sums
+  its weighted entries and multiplies the lattice in once; the result is
+  yielded and dropped.  census, which count_codes and census_rows keep in
+  the one census cache, keeps only the per-dimension totals of each row
   and each type's weight (its value's sum), which boundscheck.classify_D
-  reads.
+  reads.  A row lists its t+1 types as a pass at that row alone finds
+  them: the states of the pass at N with used <= m come in the order the
+  pass at m makes them, and the packed nu of one state ascend in the
+  order its binary partitions are listed, so the cores of row m are
+  ordered by their first (state, nu) with c <= m (the rank yielded), and
+  the types of one core by f.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm
-from operator import add, floordiv
+from operator import add, floordiv, itemgetter, mul
 
 import mpmath
 
@@ -168,18 +192,17 @@ def _add_into(acc: dict, key, poly) -> None:
 
 
 def _stage(n: int, u: int, states: dict) -> dict:
-    """Apply the stage-u choices to every state (used, degree, pending);
-    returns the summed values keyed by (packed lambda_u, used, degree,
-    pending), each key made by one addition, one shift and one mask.  A
-    state with r left chooses partitions of r at u = 1 and of every
-    s <= r // u otherwise, read from the choice tables.  Its value is
-    checked once, against the lcm of those choices' z-products, then
-    divided by each."""
+    """Apply the stage-u choices (u >= 3) to every state (used, degree,
+    pending); returns the summed values keyed by (packed lambda_u, used,
+    degree, pending), each key made by one addition, one shift and one
+    mask.  A state with r left chooses partitions of every s <= r // u,
+    read from the choice tables.  Its value is checked once, against the
+    lcm of those choices' z-products, then divided by each."""
     shift = SLOT * (u // 2)
     below = (1 << shift) - 1
     reached: dict = {}
     for (used, degree, pending), value in states.items():
-        sizes = [n - used] if u == 1 else range((n - used) // u + 1)
+        sizes = range((n - used) // u + 1)
         tables = [choice_table(s, u) for s in sizes]
         zlcm = lcm(*(t[0] for t in tables))
         if any(c % zlcm for c in value):
@@ -205,25 +228,94 @@ def _raise_indivisible(n: int, u: int, value, tables) -> None:
                     f"z-product {z} of cycles {[p * u for p in mu]}")
 
 
+def _stage_one(top: int, states: dict):
+    """The u = 1 stage at top, without fixed points: each state (used,
+    degree, pending) chooses nu, the cycles of length 2, 4, 8, ..., of
+    every size 2k <= top - used, so c = used + 2k points move, and reaches
+    the core (pending + nu) >> W, its t+1 type without the 1-field.
+
+    Yields (packed core, stamps, groups) core by core: stamps[c] is the
+    first (state index, nu) that reaches the core with c, and groups[g] is
+    (degree, {c: value}) for the entries (c, f_p) with c - f_p = g, f_p
+    the 1-field of pending, which row m reads at the same f = m - g.  A
+    value is the state's divided by z(nu) * top!/c!, so it is the class
+    size of the fixed-point-free partial type on c points times its block
+    lattices.  z(nu) divides |nu|! and so c!/used!, so the lcm of those
+    divisors is top!/used!, that of the empty nu: each state's value is
+    checked against it and divided by it once, before the first core, and
+    each transition multiplies by c!/(used! * z(nu)).  A core pulls its
+    transitions from the states whose pending part above the 1-field it
+    contains, so the values of one core at a time are held.  states is
+    emptied as it is read."""
+    spans = [[0] * used + list(accumulate(range(used + 1, top + 1), mul, initial=1))
+             for used in range(top + 1)]  # spans[used][c] = c!/used!
+    by_part: dict = {}  # pending without its 1-field -> {used: [(index, degree, f_p, value)]}
+    for index, key in enumerate(list(states)):
+        used, degree, pending = key
+        value = states.pop(key)
+        ratio = spans[used][top]
+        if any(x % ratio for x in value):
+            raise ArithmeticError(
+                f"stage u=1 at n={top}: value not divisible by {top}!/{used}! = {ratio}")
+        by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
+            (index, degree, pending & FIELD, list(map(floordiv, value, repeat(ratio)))))
+    # packed nu -> (z(nu), |nu|), by size: nu of size 2k is a binary partition of k doubled
+    moves = {mu << W: (z, 2 * k) for k in range(top // 2 + 1)
+             for mu, z in _weighted_binary_partitions(k, 2)}
+    pulls: dict = {}  # packed core -> the parts it pulls from
+    for part, by_used in by_part.items():
+        room = top - min(by_used)
+        for nu, (_, size) in moves.items():  # by size, ascending
+            if size > room:
+                break
+            pulls.setdefault((part + nu) >> W, []).append(part)
+    for core in list(pulls):
+        stamps: dict = {}
+        groups: dict = {}
+        for part in pulls.pop(core):
+            nu = (core << W) - part
+            z, size = moves[nu]
+            for used, sources in by_part[part].items():
+                c = used + size
+                if c > top:
+                    continue
+                stamp = stamps.get(c)
+                if stamp is None or sources[0][0] < stamp[0]:
+                    stamps[c] = sources[0][0], nu
+                weight = spans[used][c] // z
+                for _, degree, f_p, value in sources:
+                    group = groups.get(c - f_p)
+                    if group is None:
+                        group = groups[c - f_p] = degree, {}
+                    halves = group[1]
+                    half = map(mul, value, repeat(weight))
+                    have = halves.get(c)
+                    halves[c] = tuple(half if have is None else map(add, have, half))
+        yield core, stamps, groups
+
+
 def _mirror(half: list[int], degree: int) -> list[int]:
     """The palindrome of the given degree whose lower half (entries
     0..degree // 2) is half."""
     return half + half[:degree + 1 - len(half)][::-1]
 
 
-def sums_by_t1_type(n: int):
-    """Yield (lambda_1, sum of class_size(ct) * lattice_dim_poly(ct) over the
-    cycle types ct with t+1 module type lambda_1) for each lambda_1 at n, by
-    the odd-part DP of the module docstring, as soon as its t+1 block lattice
-    is multiplied in; the end and dimension-1 totals are checked after the
-    last pair."""
-    _check_n(n)
-    nfact = factorial(n)
-    states: dict = {(0, 0, 0): [nfact]}
-    for u in range(n - 1 + n % 2, 1, -2):
+def sums_by_t1_type(rows):
+    """Yield (m, lambda_1, poly, rank) for each row m of rows and each t+1
+    type lambda_1 at m, poly the sum of class_size(ct) * lattice_dim_poly(ct)
+    over the cycle types ct of S_m with t+1 module type lambda_1, by one
+    pass of the odd-part DP of the module docstring at max(rows).  rank
+    orders the t+1 types of a row (Rows in the module docstring); the end
+    and dimension-1 totals of every row are checked after the last tuple."""
+    rows = sorted(set(rows))
+    for m in rows:
+        _check_n(m)
+    top = rows[-1]
+    states: dict = {(0, 0, 0): [factorial(top)]}
+    for u in range(top - 1 + top % 2, 1, -2):
         count, deg = cyclotomic_split(u)
         merged: dict = {}
-        for (lam_u, used, degree, pending), value in _stage(n, u, states).items():
+        for (lam_u, used, degree, pending), value in _stage(top, u, states).items():
             if lam_u:
                 lam = parts(lam_u)
                 value = _mirror(value, degree)
@@ -232,53 +324,90 @@ def sums_by_t1_type(n: int):
                                  size=degree // 2 + 1)
             _add_into(merged, (used, degree, pending), value)
         states = merged
-    cores: dict = {}  # packed core -> {fixed-point count f: (value, degree)}
-    for (lam_1, _, degree, _), value in _stage(n, 1, states).items():
-        cores.setdefault(lam_1 >> W, {})[lam_1 & FIELD] = value, degree
-    del states
-    totals = [0, 0, 0]  # dimensions 0, 1 and n
-    for packed, values in cores.items():
+    totals = {m: [0, 0, 0] for m in rows}  # dimensions 0, 1 and m
+    for packed, stamps, groups in _stage_one(top, states):
+        cs = sorted(stamps)
+        firsts = list(accumulate((stamps[c] for c in cs), min))
+        reads: dict = {}  # f -> [(m, g)]
+        for g, (_, halves) in groups.items():
+            for m in rows[bisect_left(rows, min(halves)):]:
+                reads.setdefault(m - g, []).append((m, g))
         core = parts(packed << W)
-        for f, lattice in fixed_point_walk(core, sorted(values), 1):
+        for f, lattice in fixed_point_walk(core, sorted(reads), 1):
             lam_1 = core + (1,) * f
-            value = _mirror(*values.pop(f))
-            if len(value) + len(lattice) - 1 != n + 1:
+            for m, g in reads.pop(f):
+                degree, halves = groups[g]
+                value = None
+                for c, half in halves.items():
+                    if c <= m:
+                        if c < m:
+                            half = map(mul, half, repeat(comb(m, c)))
+                        value = list(half if value is None else map(add, value, half))
+                value = _mirror(value, degree)
+                if len(value) + len(lattice) - 1 != m + 1:
+                    raise ArithmeticError(
+                        f"t+1 type {lam_1} at n={m}: dimension polynomial has length "
+                        f"{len(value) + len(lattice) - 1}, expected n + 1 = {m + 1}")
+                poly = tuple(_mirror(convolve(value, lattice, size=m // 2 + 1), m))
+                total = totals[m]
+                total[0] += poly[0]
+                total[1] += poly[1]
+                total[2] += value[-1] * lattice[-1]
+                yield m, lam_1, poly, firsts[bisect_right(cs, m) - 1]
+    for m, total in totals.items():
+        mfact = factorial(m)
+        checks = ((0, mfact, f"{m}!"), (1, m * mfact, f"{m} * {m}!"), (m, mfact, f"{m}!"))
+        for (d, expected, name), got in zip(checks, total):
+            if got != expected:
                 raise ArithmeticError(
-                    f"t+1 type {lam_1} at n={n}: dimension polynomial has length "
-                    f"{len(value) + len(lattice) - 1}, expected n + 1 = {n + 1}")
-            poly = tuple(_mirror(convolve(value, lattice, size=n // 2 + 1), n))
-            totals[0] += poly[0]
-            totals[1] += poly[1]
-            totals[2] += value[-1] * lattice[-1]
-            yield lam_1, poly
-    checks = ((0, nfact, f"{n}!"), (1, n * nfact, f"{n} * {n}!"), (n, nfact, f"{n}!"))
-    for (d, expected, name), total in zip(checks, totals):
-        if total != expected:
-            raise ArithmeticError(
-                f"dimension-{d} orbit sum is {total} at n={n}, expected {name}")
+                    f"dimension-{d} orbit sum is {got} at n={m}, expected {name}")
 
 
-@lru_cache(maxsize=None)
+def census(rows) -> dict[int, CensusRow]:
+    """The census rows m of rows, from one pass at max(rows): orbit count,
+    total subspace count, per-dimension orbit counts and t+1 type weights,
+    summed tuple by tuple from sums_by_t1_type.  Each per-dimension sum
+    must divide exactly by m!; b is their total.  Uncached: count_codes
+    and census_rows keep what it returns."""
+    dim_sums: dict = {}
+    weights: dict = {}
+    for m, lam_1, poly, rank in sums_by_t1_type(rows):
+        have = dim_sums.get(m)
+        dim_sums[m] = list(poly) if have is None else list(map(add, have, poly))
+        weights.setdefault(m, []).append((rank, lam_1, sum(poly)))
+    made = {}
+    for m in sorted(dim_sums):
+        mfact = factorial(m)
+        by_dim = []
+        for d, s in enumerate(dim_sums.pop(m)):
+            bd, rem = divmod(s, mfact)
+            if rem:
+                raise ArithmeticError(
+                    f"dimension-{d} orbit sum not divisible by {m}! at n={m}")
+            by_dim.append(bd)
+        t1_weights = tuple((lam_1, w) for _, lam_1, w in sorted(weights.pop(m), key=itemgetter(0)))
+        made[m] = CensusRow(n=m, b=sum(by_dim), G=gauss_total(m, 2), by_dim=tuple(by_dim),
+                            t1_weights=t1_weights)
+    return made
+
+
+_ROWS: dict[int, CensusRow] = {}  # the census cache: every row made in this process
+
+
 def count_codes(n: int) -> CensusRow:
-    """Exact census at n: orbit count, total subspace count, per-dimension
-    orbit counts and t+1 type weights, summed pair by pair from sums_by_t1_type.
-    Each per-dimension sum must divide exactly by n!; b is their total."""
-    _check_n(n)
-    dim_sum = [0] * (n + 1)
-    t1_weights = []
-    for lam_1, poly in sums_by_t1_type(n):
-        dim_sum = list(map(add, dim_sum, poly))
-        t1_weights.append((lam_1, sum(poly)))
-    nfact = factorial(n)
-    by_dim = []
-    for d, s in enumerate(dim_sum):
-        bd, rem = divmod(s, nfact)
-        if rem:
-            raise ArithmeticError(
-                f"dimension-{d} orbit sum not divisible by {n}! at n={n}")
-        by_dim.append(bd)
-    return CensusRow(n=n, b=sum(by_dim), G=gauss_total(n, 2), by_dim=tuple(by_dim),
-                     t1_weights=tuple(t1_weights))
+    """The census row at n, from the cache or from a pass with the single
+    row n."""
+    if n not in _ROWS:
+        _ROWS.update(census((n,)))
+    return _ROWS[n]
+
+
+def census_rows(max_n: int) -> list[CensusRow]:
+    """The census rows 1..max_n; those not in the cache come from one pass."""
+    missing = [m for m in range(1, max_n + 1) if m not in _ROWS]
+    if missing:
+        _ROWS.update(census(missing))
+    return [_ROWS[m] for m in range(1, max_n + 1)]
 
 
 def count_codes_by_dim(n: int, d: int) -> int:

@@ -50,9 +50,12 @@ class CeilingError(Exception):
 # The largest count --n and table --max-n, and the largest verify --max-n,
 # run without --no-ceiling.  Cold runs, one process each, on a 2-vCPU VM
 # (Python 3.11, raw wall time and peak RSS):
-#   count_codes(n): n = 60 5.1 s 45 MB, 70 13 s 91 MB, 80 39 s 194 MB;
-#     about 3x the time and 2x the memory per +10 in n, so n = 100
-#     would take ~6 min and ~0.9 GB;
+#   count --n: 60 4.9 s 43 MB, 70 14.1 s 84 MB, 80 32.4 s 179 MB,
+#     100 194 s 858 MB (with --no-ceiling): ~2.4x the time and ~2.2x the
+#     memory per +10 in n;
+#   table --max-n, one census pass for all its rows: 40 1.0 s 26 MB,
+#     60 14.5 s 51 MB, 80 110 s 179 MB (with one census per row, as
+#     before the pass: 40 2.7 s 28 MB, 60 39 s 87 MB, 80 376 s 400 MB);
 #   verify --suite all: max-n 800 12 s, 1000 25 s, 1200 46 s, 30 MB each
 #     (check_lemma1 sweeps G(n, 2) and u_n over every n <= max-n).
 CENSUS_CEILING = 80
@@ -124,7 +127,7 @@ def cmd_table(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     try:
-        rows = [burnside.count_codes(n) for n in range(1, args.max_n + 1)]
+        rows = burnside.census_rows(args.max_n)
         if args.format == "csv":
             writer = csv.writer(out)
             writer.writerow(["n", "b", "G", "correction"])

@@ -633,6 +633,10 @@ def _nilpotent_census(lam, Q):
 
 
 def _conjugate(parts):
+    """Column lengths of the Young diagram of parts, which must be listed
+    nonincreasing: parts[0] is read as the largest part."""
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"type {parts} is not in nonincreasing order")
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))

@@ -135,11 +135,11 @@ class TestClassifyD:
         assert main(["verify", "--suite", "dclass", "--max-n", str(n)]) == 0
         out = capsys.readouterr().out
 
-        def rerun(n):
+        def rerun(rows):
             raise AssertionError("the orbit-sum DP ran again")
 
-        monkeypatch.setattr(burnside, "sums_by_t1_type", rerun)
-        monkeypatch.setattr(boundscheck, "sums_by_t1_type", rerun, raising=False)
+        monkeypatch.setattr(burnside, "census", rerun)
+        monkeypatch.setattr(boundscheck, "census", rerun, raising=False)
         assert classify_D(n) == before
         assert main(["verify", "--suite", "dclass", "--max-n", str(n)]) == 0
         assert capsys.readouterr().out == out
@@ -207,3 +207,35 @@ class TestRunSuite:
     def test_no_fail_statuses(self):
         for r in run_suite("lemma23", 8) + run_suite("dclass", 8):
             assert r.status != FAIL
+
+    @pytest.mark.parametrize("suite, top", [("all", 30), ("dims", 30), ("dclass", 30),
+                                            ("bound4", 20)])
+    def test_one_census_pass_for_every_row_read(self, capsys, monkeypatch, suite, top):
+        # the odd stages u = 29, 27, ..., 3 (or 19, ..., 3) run once, at the
+        # largest row the suite reads, whatever rows it reads below it
+        passes, stages = [], []
+        real_census, real_stage = burnside.census, burnside._stage
+
+        def counted_census(rows):
+            passes.append(tuple(rows))
+            return real_census(rows)
+
+        def counted_stage(n, u, states):
+            stages.append((n, u))
+            return real_stage(n, u, states)
+
+        monkeypatch.setattr(burnside, "census", counted_census)
+        monkeypatch.setattr(burnside, "_stage", counted_stage)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        assert main(["verify", "--suite", suite, "--max-n", "30", "--json"]) == 0
+        capsys.readouterr()
+        assert passes == [tuple(range(1, top + 1))]
+        assert stages == [(top, u) for u in range(top - 1, 1, -2)]
+
+    def test_suites_without_census_rows_make_no_pass(self, monkeypatch):
+        def no_census(rows):
+            raise AssertionError("a census pass ran")
+
+        monkeypatch.setattr(burnside, "census", no_census)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        assert run_suite("lemma1", 12) and run_suite("lemma23", 12)

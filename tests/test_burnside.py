@@ -10,6 +10,9 @@ import pytest
 from codecensus import burnside
 from codecensus.burnside import (
     SLOT,
+    W,
+    census,
+    census_rows,
     correction_report,
     count_codes,
     count_codes_by_dim,
@@ -81,7 +84,7 @@ class TestCountCodes:
     def test_indivisible_dimension_sum_raises(self, monkeypatch):
         patch_identity_block(monkeypatch, lambda p: p[:2] + [p[2] + 1] + p[3:])
         with pytest.raises(ArithmeticError, match="dimension-2"):
-            count_codes.__wrapped__(4)
+            census((4,))
 
     @pytest.mark.parametrize("n", [30, 36, 40])
     def test_pinned_orbit_counts(self, n):
@@ -108,11 +111,11 @@ class TestCountCodes:
 
     def test_rejects_n_past_the_packed_fields(self):
         # a multiplicity of n needs 16 bits; refused before any stage runs
-        for run in (count_codes.__wrapped__, lambda n: next(sums_by_t1_type(n))):
+        for run in (lambda n: census((n,)), lambda n: next(sums_by_t1_type((n,)))):
             with pytest.raises(ValueError, match="n must be below 2\\^16 = 65536, got 65536"):
                 run(1 << 16)
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-            next(sums_by_t1_type(0))
+            next(sums_by_t1_type((0,)))
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_row_invariants(self, n):
@@ -157,7 +160,8 @@ class TestOddPartDP:
             if lam_1 in expected:
                 poly = [a + b for a, b in zip(expected[lam_1], poly)]
             expected[lam_1] = poly
-        assert dict(sums_by_t1_type(n)) == {k: tuple(v) for k, v in expected.items()}
+        assert {lam_1: poly for _, lam_1, poly, _ in sums_by_t1_type((n,))} == \
+            {k: tuple(v) for k, v in expected.items()}
         assert dict(count_codes(n).t1_weights) == {k: sum(v) for k, v in expected.items()}
 
     def test_binary_partitions_follow_the_recurrence(self):
@@ -184,7 +188,7 @@ class TestOddPartDP:
 
         monkeypatch.setattr(burnside, "choice_table", times_five)
         with pytest.raises(ArithmeticError, match="stage u=3 at n=4"):
-            dict(sums_by_t1_type(4))
+            list(sums_by_t1_type((4,)))
 
     # At n = 6 the stage-3 choices of the empty state are (), (1,), (1, 1)
     # and (2,), with z-products 1, 3, 18 and 6: the value 3 divides by the
@@ -236,7 +240,8 @@ class TestOddPartDP:
     def test_carried_degree_matches_the_open_types(self, n):
         # the stages driven as sums_by_t1_type drives them: each key's
         # degree is the size used less phi(e) * |lambda_e| over the orders
-        # e still open, decoded from its packed types
+        # e still open, decoded from its packed types; after the u = 1
+        # stage, c points are used and lambda_1 is the core and f_p 1-parts
         def check(used, degree, pending, open_orders):
             for e in range(1, n + 1, 2):
                 if e not in open_orders:
@@ -247,25 +252,27 @@ class TestOddPartDP:
             assert degree == used - open_size
 
         states = {(0, 0, 0): [factorial(n)]}
-        for u in range(n - 1 + n % 2, -1, -2):
+        for u in range(n - 1 + n % 2, 1, -2):
             reached = burnside._stage(n, u, states)
             for lam_u, used, degree, pending in reached:
                 check(used, degree, pending + (lam_u << SLOT * (u // 2)), range(1, u + 1, 2))
-            if u == 1:
-                assert all(used == n and not rest for _, used, _, rest in reached)
-                break
             count, deg = cyclotomic_split(u)
             states = {}
             for (lam_u, used, degree, pending), value in reached.items():
                 done = degree + count * deg * sum(parts(lam_u))
                 check(used, done, pending, range(1, u, 2))
                 states[used, done, pending] = [0] * (done // 2 + 1)
+        for core, stamps, groups in burnside._stage_one(n, states):
+            assert all(c <= n for c in stamps)
+            for g, (degree, halves) in groups.items():
+                for c in halves:
+                    check(c, degree, (core << W) + c - g, [1])
 
     def test_t1_type_order_n30(self):
         # sha256 of the lambda_1 sequence, "1,1;1,1,1,1;...", as the
         # census yielded it before its stages read the choice tables;
         # CensusRow equality compares t1_weights, kept in this order
-        keys = [lam_1 for lam_1, _ in sums_by_t1_type(30)]
+        keys = [lam_1 for lam_1, _ in census((30,))[30].t1_weights]
         assert len(keys) == 730
         assert sha256(";".join(",".join(map(str, k)) for k in keys).encode()).hexdigest() == \
             "61108c5df5ce1e1c8836684c2fc8a32c84febc69a65b8bc96403055584418bf2"
@@ -279,7 +286,7 @@ class TestOddPartDP:
 
         patch_identity_block(monkeypatch, bump)
         with pytest.raises(ArithmeticError, match=f"dimension-{d} orbit sum is 25"):
-            dict(sums_by_t1_type(4))
+            list(sums_by_t1_type((4,)))
 
     def test_wrong_dimension_one_total_raises(self, monkeypatch):
         # every permutation fixes 2^c - 1 nonzero vectors, c its cycle
@@ -291,12 +298,66 @@ class TestOddPartDP:
 
         patch_identity_block(monkeypatch, bump)
         with pytest.raises(ArithmeticError, match="dimension-1 orbit sum is 97"):
-            dict(sums_by_t1_type(4))
+            list(sums_by_t1_type((4,)))
 
     def test_wrong_length_raises(self, monkeypatch):
         patch_identity_block(monkeypatch, lambda p: p[:-1])
         with pytest.raises(ArithmeticError, match="length 4"):
-            dict(sums_by_t1_type(4))
+            list(sums_by_t1_type((4,)))
+
+
+class TestOnePass:
+    """One pass at N gives every row m <= N: entry (core, c, f_p) is read at
+    f = f_p + m - c with weight C(m, c)."""
+
+    @pytest.mark.parametrize("top", [12, 30, 40])
+    def test_rows_match_single_row_passes(self, top):
+        rows = census(range(1, top + 1))
+        assert sorted(rows) == list(range(1, top + 1))
+        for m, row in rows.items():
+            assert row == census((m,))[m], m  # t1_weights order included
+
+    def test_t1_type_order_n30_from_a_pass_at_40(self):
+        # the pin of test_t1_type_order_n30, on row 30 of the pass at N = 40
+        keys = [lam_1 for lam_1, _ in census(range(1, 41))[30].t1_weights]
+        assert len(keys) == 730
+        assert sha256(";".join(",".join(map(str, k)) for k in keys).encode()).hexdigest() == \
+            "61108c5df5ce1e1c8836684c2fc8a32c84febc69a65b8bc96403055584418bf2"
+
+    def test_patched_block_fails_the_table_pass_naming_the_row(self, monkeypatch):
+        # the n = 4 identity's t+1 type 1,1,1,1 is also the t+1 type of
+        # 3,1,1,1 at n = 6 and 3,3,1,1 at n = 8, read from the same walk
+        def bump(poly):
+            poly = list(poly)
+            poly[0] += 1
+            return poly
+
+        patch_identity_block(monkeypatch, bump)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        with pytest.raises(ArithmeticError, match="dimension-0 orbit sum is 25 at n=4, expected 4!"):
+            census_rows(8)
+        assert burnside._ROWS == {}
+
+    def test_indivisible_u1_state_raises(self):
+        # the lcm of the divisors z(nu) * n!/c! of a state is n!/used!
+        with pytest.raises(ArithmeticError, match=r"stage u=1 at n=6: value not divisible "
+                                                  r"by 6!/2! = 360"):
+            list(burnside._stage_one(6, {(0, 0, 0): [720], (2, 0, 1 << W): [720, 180]}))
+
+    def test_count_codes_is_the_single_row_pass(self, monkeypatch):
+        calls = []
+        real = burnside.census
+
+        def counted(rows):
+            calls.append(tuple(rows))
+            return real(rows)
+
+        monkeypatch.setattr(burnside, "census", counted)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        assert count_codes(9) == real((9,))[9]
+        assert count_codes(9) is count_codes(9)
+        assert census_rows(9)[8] is count_codes(9)
+        assert calls == [(9,), tuple(range(1, 9))]
 
 
 class TestByDim:

@@ -135,10 +135,10 @@ class TestTable:
 
     def test_unwritable_out_is_usage_error_before_census(self, capsys, tmp_path,
                                                          monkeypatch):
-        def no_census(n):
+        def no_census(rows):
             raise AssertionError("census ran before the output was opened")
 
-        monkeypatch.setattr(burnside, "count_codes", no_census)
+        monkeypatch.setattr(burnside, "census", no_census)
         path = tmp_path / "missing" / "table.csv"
         code = main(["table", "--max-n", "3", "--out", str(path)])
         captured = capsys.readouterr()
@@ -171,7 +171,7 @@ class TestVerify:
 
 
 class TestOutputContract:
-    """The stdout bytes of two census-heavy commands, a lattice query and
+    """The stdout bytes of four census-heavy commands, a lattice query and
     the lemma-1 suite past its limit checks at n = 200, 201, pinned by
     sha256: the code may change how it computes, never what it prints."""
 
@@ -180,11 +180,15 @@ class TestOutputContract:
          "3ada9de0d458212b53334030820a47df14b3008ac7884b9e1ad89cb02c7716c1"),
         (("verify", "--suite", "all", "--max-n", "30", "--json"),
          "904e1d9b35e8e72aeef567547ba673746522e52adb8dace417e72c21ec9c0331"),
+        (("table", "--max-n", "40", "--format", "csv"),
+         "d358ec89cd56eda9f3c5556a7476d01128eff3a230905d755c47e6ff4a56c59d"),
+        (("verify", "--suite", "all", "--max-n", "40", "--json"),
+         "be93a8c13a29521998781cdf824e71af44fc025827a29806bf058d2d515a7a73"),
         (("lattice", "--type", "12,6,5,3,2,1,1"),
          "a58654462400df5a48cda80ae33c763e280fad171c74a62564ff11a563fa6e78"),
         (("verify", "--suite", "lemma1", "--max-n", "201", "--json"),
          "f2fc8960d32689b1bd088950266fca5b88e23c29462c972ef06afbcd9816d941"),
-    ], ids=["count", "verify", "lattice", "verify-lemma1"])
+    ], ids=["count", "verify", "table-40", "verify-40", "lattice", "verify-lemma1"])
     def test_stdout_digest(self, argv, digest):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -325,7 +329,7 @@ class TestInternalErrors:
                 yield f, poly
 
         monkeypatch.setattr(burnside, "fixed_point_walk", off_by_one)
-        monkeypatch.setattr(burnside, "count_codes", burnside.count_codes.__wrapped__)
+        monkeypatch.setattr(burnside, "_ROWS", {})
         code = main(["count", "--n", "4"])
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL

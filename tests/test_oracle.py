@@ -15,6 +15,7 @@ from codecensus.oracle import (
     _gl_cycle_lengths,
     apply_perm,
     classify,
+    count_submodules_by_type,
     enum_subspaces,
     graded_submodule_counts,
     invariant_count,
@@ -142,6 +143,15 @@ class TestGradedSubmoduleCounts:
     def test_rejects_mismatched_field(self):
         with pytest.raises(ValueError):
             graded_submodule_counts((1,), 4, 1)
+
+    def test_rejects_a_type_out_of_order(self):
+        # read as nonincreasing, (1, 2) would be counted as (1, 1)
+        with pytest.raises(ValueError, match=r"type \(1, 2\) is not in nonincreasing order"):
+            graded_submodule_counts((1, 2), 2, 1)
+        for lam, mu in (((1, 2), (1,)), ((2, 1), (1, 2))):
+            with pytest.raises(ValueError, match="not in nonincreasing order"):
+                count_submodules_by_type(lam, mu, 2)
+        assert count_submodules_by_type((2, 1), (1, 1), 2) == 1
 
 
 class TestClassify:

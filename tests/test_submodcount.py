@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecensus import submodcount
-from codecensus.burnside import sums_by_t1_type
+from codecensus.burnside import count_codes
 from codecensus.cyclestruct import (
     CycleType,
     cycle_types_of,
@@ -238,7 +238,7 @@ class TestFixedPointWalk:
 
     def test_every_census_t1_type_at_n30_against_enumeration(self):
         cores = {}
-        for lam_1, _ in sums_by_t1_type(30):
+        for lam_1, _ in count_codes(30).t1_weights:
             f = lam_1.count(1)
             cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
         for core, fs in cores.items():
@@ -248,7 +248,7 @@ class TestFixedPointWalk:
 
     def test_every_census_t1_type_at_n48(self):
         cores = {}
-        for lam_1, _ in sums_by_t1_type(48):
+        for lam_1, _ in count_codes(48).t1_weights:
             f = lam_1.count(1)
             cores.setdefault(lam_1[:len(lam_1) - f], []).append(f)
         assert sum(map(len, cores.values())) > len(cores) > 1
@@ -404,7 +404,7 @@ class TestColumnBound:
         # the walk sizes its slots for the largest type of each core; the
         # exact width is that of the type's lattice total
         tops = {}
-        for lam_1, _ in sums_by_t1_type(36):
+        for lam_1, _ in count_codes(36).t1_weights:
             f = lam_1.count(1)
             core = lam_1[:len(lam_1) - f]
             tops[core] = max(tops.get(core, 0), f)
