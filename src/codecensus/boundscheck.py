@@ -25,6 +25,12 @@ REPORT = "report-only"
 
 LOG_BASE_NOTE = "log means log2 throughout"
 
+# the largest census row each check reads; run_suite makes them in one pass
+BOUND4_MAX_N = 20
+DIMS_MAX_N = 40
+DCLASS_MAX_N = 40
+THEOREM_N = (20, 30, 40)
+
 
 @dataclass
 class CheckResult:
@@ -125,8 +131,8 @@ def check_lemma2_3(n: int) -> CheckResult:
 def check_lower_bound_4(n: int) -> CheckResult:
     """The transposition-class floor: the non-identity orbit sum is at least
     C(n,2) * G(n-1,2)."""
-    if not 2 <= n <= 20:
-        raise ValueError(f"n must be in [2, 20], got {n}")
+    if not 2 <= n <= BOUND4_MAX_N:
+        raise ValueError(f"n must be in [2, {BOUND4_MAX_N}], got {n}")
     total = non_identity_sum(n)
     floor = comb(n, 2) * gauss_total(n - 1, 2)
     status = PASS if total >= floor else FAIL
@@ -201,7 +207,7 @@ def check_dimension_bounds(n: int) -> CheckResult:
             if not low <= g <= 4 * low:
                 return CheckResult("gauss_sandwich_27", (1, n), FAIL,
                                    counterexample={"n": m, "d": d, "G": g})
-    n31 = min(n, 40)
+    n31 = min(n, DIMS_MAX_N)
     for m in range(1, n31 + 1):
         row = count_codes(m)
         mfact = factorial(m)
@@ -224,7 +230,7 @@ def check_dimension_bounds(n: int) -> CheckResult:
                        {"ratio_upper_31_at_n": n31, "observed_ratios": ratios})
 
 
-def theorem_constants_report(n_values=(20, 30, 40)) -> CheckResult:
+def theorem_constants_report(n_values=THEOREM_N) -> CheckResult:
     """Empirical exponents e(n) next to the paper-facing constants; the
     bracket constants themselves are never asserted.  They are ambiguous by
     a factor 2 in R: the exact e(n) here tends to 1/4 (0.216 at n = 40),
@@ -242,15 +248,14 @@ def theorem_constants_report(n_values=(20, 30, 40)) -> CheckResult:
                         "note": LOG_BASE_NOTE})
 
 
-# the largest census row each suite reads (min(max_n, this) at a smaller max-n)
-CENSUS_ROWS_READ = {"all": 40, "dims": 40, "dclass": 40, "bound4": 20}
-
-
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
     """Run one named suite (or all); deterministic result order.  Every
     census row the suite reads comes from one pass, made first."""
-    if suite in CENSUS_ROWS_READ:
-        census_rows(min(max_n, CENSUS_ROWS_READ[suite]))
+    top = {"all": max(BOUND4_MAX_N, DIMS_MAX_N, DCLASS_MAX_N, *THEOREM_N),
+           "bound4": BOUND4_MAX_N, "dims": DIMS_MAX_N,
+           "dclass": DCLASS_MAX_N}.get(suite)
+    if top:
+        census_rows(min(max_n, top))
     results: list[CheckResult] = []
     if suite in ("all", "lemma1"):
         results.append(check_lemma1(max(max_n, 10)))
@@ -258,14 +263,14 @@ def run_suite(suite: str, max_n: int) -> list[CheckResult]:
         for n in range(1, min(max_n, 12) + 1):
             results.append(check_lemma2_3(n))
     if suite in ("all", "bound4"):
-        for n in range(2, min(max_n, 20) + 1):
+        for n in range(2, min(max_n, BOUND4_MAX_N) + 1):
             results.append(check_lower_bound_4(n))
     if suite in ("all", "dims"):
         results.append(check_dimension_bounds(min(max_n, 100)))
     if suite in ("all", "dclass"):
-        for n in range(2, min(max_n, 40) + 1):
+        for n in range(2, min(max_n, DCLASS_MAX_N) + 1):
             results.append(classify_D(n))
     if suite == "all" and max_n >= 20:
         results.append(theorem_constants_report(
-            tuple(n for n in (20, 30, 40) if n <= max_n)))
+            tuple(n for n in THEOREM_N if n <= max_n)))
     return results

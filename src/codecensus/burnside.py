@@ -88,7 +88,11 @@ below; a single row n is the pass with N = n):
   empty nu): the state is checked against it and divided by it once, and
   each choice multiplies by c!/(used! * z(nu)).  The stage runs core by
   core, each core pulling its choices from the states whose pending types
-  it contains, so it holds the values of one core at a time.
+  it contains, so it holds the values of one core at a time.  Its values
+  are packed, each into one integer with a fixed number of bytes per
+  entry for each degree, wide enough for any sum a row makes of them, so
+  a choice costs one multiplication and one addition, and a row's sum is
+  unpacked once per t+1 type.
 - Rows.  A permutation of m points that moves c of them is a choice of
   the c points and a fixed-point-free permutation of them, so its class
   size is C(m, c) times the class size of its fixed-point-free part on c
@@ -236,9 +240,9 @@ def _stage_one(top: int, states: dict):
 
     Yields (packed core, stamps, groups) core by core: stamps[c] is the
     first (state index, nu) that reaches the core with c, and groups[g] is
-    (degree, {c: value}) for the entries (c, f_p) with c - f_p = g, f_p
-    the 1-field of pending, which row m reads at the same f = m - g.  A
-    value is the state's divided by z(nu) * top!/c!, so it is the class
+    (degree, nbytes, {c: value}) for the entries (c, f_p) with c - f_p = g,
+    f_p the 1-field of pending, which row m reads at the same f = m - g.
+    A value is the state's divided by z(nu) * top!/c!, so it is the class
     size of the fixed-point-free partial type on c points times its block
     lattices.  z(nu) divides |nu|! and so c!/used!, so the lcm of those
     divisors is top!/used!, that of the empty nu: each state's value is
@@ -246,9 +250,25 @@ def _stage_one(top: int, states: dict):
     each transition multiplies by c!/(used! * z(nu)).  A core pulls its
     transitions from the states whose pending part above the 1-field it
     contains, so the values of one core at a time are held.  states is
-    emptied as it is read."""
+    emptied as it is read.
+
+    Values are packed, nbytes bytes per entry (_pack), so a transition is
+    one multiplication and one addition.  Row m sums, over the (used, nu)
+    it reads for one group, one state's divided value each, times C(m, c)
+    * c!/(used! * z(nu)).  Those weights count distinct permutations of m
+    points (which m - used points move, and in which cycles of length 2,
+    4, 8, ...), at most m!/used! for each used, and used >= D, the
+    degree.  So no entry of a sum, nor of a partial one, exceeds peak
+    times the sum of top!/used! over used >= D, peak the largest entry of
+    the divided values of degree D; that sets nbytes for degree D."""
     spans = [[0] * used + list(accumulate(range(used + 1, top + 1), mul, initial=1))
              for used in range(top + 1)]  # spans[used][c] = c!/used!
+    peaks = [0] * (top + 1)
+    for (used, degree, _), value in states.items():
+        peaks[degree] = max(peaks[degree], max(value) // spans[used][top])
+    masses = accumulate((spans[used][top] for used in range(top, -1, -1)), add)
+    widths = [(mass * peak).bit_length() // 8 + 1
+              for mass, peak in zip(reversed(list(masses)), peaks)]
     by_part: dict = {}  # pending without its 1-field -> {used: [(index, degree, f_p, value)]}
     for index, key in enumerate(list(states)):
         used, degree, pending = key
@@ -258,7 +278,8 @@ def _stage_one(top: int, states: dict):
             raise ArithmeticError(
                 f"stage u=1 at n={top}: value not divisible by {top}!/{used}! = {ratio}")
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
-            (index, degree, pending & FIELD, list(map(floordiv, value, repeat(ratio)))))
+            (index, degree, pending & FIELD,
+             _pack(map(floordiv, value, repeat(ratio)), widths[degree])))
     # packed nu -> (z(nu), |nu|), by size: nu of size 2k is a binary partition of k doubled
     moves = {mu << W: (z, 2 * k) for k in range(top // 2 + 1)
              for mu, z in _weighted_binary_partitions(k, 2)}
@@ -286,12 +307,23 @@ def _stage_one(top: int, states: dict):
                 for _, degree, f_p, value in sources:
                     group = groups.get(c - f_p)
                     if group is None:
-                        group = groups[c - f_p] = degree, {}
-                    halves = group[1]
-                    half = map(mul, value, repeat(weight))
-                    have = halves.get(c)
-                    halves[c] = tuple(half if have is None else map(add, have, half))
+                        group = groups[c - f_p] = degree, widths[degree], {}
+                    halves = group[2]
+                    halves[c] = halves.get(c, 0) + value * weight
         yield core, stamps, groups
+
+
+def _pack(entries, nbytes: int) -> int:
+    """The entries as one integer, nbytes bytes each, the first lowest."""
+    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
+
+
+def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
+    """The count entries of nbytes bytes each that _pack packed."""
+    if packed.bit_length() > 8 * nbytes * count:
+        raise ArithmeticError(f"packed value does not fit {count} entries of {nbytes} bytes")
+    raw = packed.to_bytes(nbytes * count, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 def _mirror(half: list[int], degree: int) -> list[int]:
@@ -329,21 +361,21 @@ def sums_by_t1_type(rows):
         cs = sorted(stamps)
         firsts = list(accumulate((stamps[c] for c in cs), min))
         reads: dict = {}  # f -> [(m, g)]
-        for g, (_, halves) in groups.items():
+        for g, (_, _, halves) in groups.items():
             for m in rows[bisect_left(rows, min(halves)):]:
                 reads.setdefault(m - g, []).append((m, g))
         core = parts(packed << W)
         for f, lattice in fixed_point_walk(core, sorted(reads), 1):
             lam_1 = core + (1,) * f
             for m, g in reads.pop(f):
-                degree, halves = groups[g]
-                value = None
+                degree, nbytes, halves = groups[g]
+                value = 0
                 for c, half in halves.items():
-                    if c <= m:
-                        if c < m:
-                            half = map(mul, half, repeat(comb(m, c)))
-                        value = list(half if value is None else map(add, value, half))
-                value = _mirror(value, degree)
+                    if c < m:
+                        value += half * comb(m, c)
+                    elif c == m:
+                        value += half
+                value = _mirror(_unpack(value, nbytes, degree // 2 + 1), degree)
                 if len(value) + len(lattice) - 1 != m + 1:
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "

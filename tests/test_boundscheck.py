@@ -208,9 +208,11 @@ class TestRunSuite:
         for r in run_suite("lemma23", 8) + run_suite("dclass", 8):
             assert r.status != FAIL
 
-    @pytest.mark.parametrize("suite, top", [("all", 30), ("dims", 30), ("dclass", 30),
-                                            ("bound4", 20)])
-    def test_one_census_pass_for_every_row_read(self, capsys, monkeypatch, suite, top):
+    @pytest.mark.parametrize("suite, max_n, top", [("all", 30, 30), ("dims", 30, 30),
+                                                   ("dclass", 30, 30), ("bound4", 30, 20),
+                                                   ("all", 41, 40)])
+    def test_one_census_pass_for_every_row_read(self, capsys, monkeypatch, suite,
+                                                max_n, top):
         # the odd stages u = 29, 27, ..., 3 (or 19, ..., 3) run once, at the
         # largest row the suite reads, whatever rows it reads below it
         passes, stages = [], []
@@ -227,7 +229,7 @@ class TestRunSuite:
         monkeypatch.setattr(burnside, "census", counted_census)
         monkeypatch.setattr(burnside, "_stage", counted_stage)
         monkeypatch.setattr(burnside, "_ROWS", {})
-        assert main(["verify", "--suite", suite, "--max-n", "30", "--json"]) == 0
+        assert main(["verify", "--suite", suite, "--max-n", str(max_n), "--json"]) == 0
         capsys.readouterr()
         assert passes == [tuple(range(1, top + 1))]
         assert stages == [(top, u) for u in range(top - 1, 1, -2)]

@@ -264,7 +264,7 @@ class TestOddPartDP:
                 states[used, done, pending] = [0] * (done // 2 + 1)
         for core, stamps, groups in burnside._stage_one(n, states):
             assert all(c <= n for c in stamps)
-            for g, (degree, halves) in groups.items():
+            for g, (degree, _, halves) in groups.items():
                 for c in halves:
                     check(c, degree, (core << W) + c - g, [1])
 
@@ -343,6 +343,13 @@ class TestOnePass:
         with pytest.raises(ArithmeticError, match=r"stage u=1 at n=6: value not divisible "
                                                   r"by 6!/2! = 360"):
             list(burnside._stage_one(6, {(0, 0, 0): [720], (2, 0, 1 << W): [720, 180]}))
+
+    def test_packed_values_round_trip_and_overflow_raises(self):
+        entries = [0, 1, 255, 256, (1 << 40) - 1]
+        packed = burnside._pack(entries, 5)
+        assert burnside._unpack(packed, 5, 5) == entries
+        with pytest.raises(ArithmeticError, match="does not fit 5 entries of 5 bytes"):
+            burnside._unpack(packed << 1, 5, 5)
 
     def test_count_codes_is_the_single_row_pass(self, monkeypatch):
         calls = []

@@ -139,6 +139,7 @@ class TestTable:
             raise AssertionError("census ran before the output was opened")
 
         monkeypatch.setattr(burnside, "census", no_census)
+        monkeypatch.setattr(burnside, "_ROWS", {})  # rows cached earlier hide the order
         path = tmp_path / "missing" / "table.csv"
         code = main(["table", "--max-n", "3", "--out", str(path)])
         captured = capsys.readouterr()
