@@ -48,11 +48,11 @@ below; a single row n is the pass with N = n):
 - Merging.  Transitions that reach the same completed type and state are
   summed before that block's polynomial is multiplied in, so it is
   convolved once per merged state, not once per cycle type.  The product
-  of one order's blocks and the strided convolution that multiplies it in
-  are submodcount.order_lattice and convolve, as in lattice_dim_poly: the
-  value is mirrored to full length and only the lower half of the product
-  is made (convolve's size), at the odd orders and again at the t+1 block,
-  whose lower half is mirrored to the yielded length m + 1.
+  of one order's blocks is submodcount.order_lattice, and it is
+  multiplied in by submodcount.half_product, the step lattice_dim_poly
+  takes at each odd order: the value is mirrored to full length and only
+  the lower half of the product is made, at the odd orders and again at
+  the t+1 block, whose lower half is mirrored to the yielded length m + 1.
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type,
@@ -127,7 +127,7 @@ import mpmath
 
 from .cyclestruct import cyclotomic_split, odd_divisors
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import convolve, fixed_point_walk, order_lattice
+from .submodcount import _mirror, fixed_point_walk, half_product, order_lattice
 
 
 # packed module types: W-bit fields, a SLOT of 16 of them per odd order (State above)
@@ -326,12 +326,6 @@ def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
-def _mirror(half: list[int], degree: int) -> list[int]:
-    """The palindrome of the given degree whose lower half (entries
-    0..degree // 2) is half."""
-    return half + half[:degree + 1 - len(half)][::-1]
-
-
 def sums_by_t1_type(rows):
     """Yield (m, lambda_1, poly, rank) for each row m of rows and each t+1
     type lambda_1 at m, poly the sum of class_size(ct) * lattice_dim_poly(ct)
@@ -349,11 +343,8 @@ def sums_by_t1_type(rows):
         merged: dict = {}
         for (lam_u, used, degree, pending), value in _stage(top, u, states).items():
             if lam_u:
-                lam = parts(lam_u)
-                value = _mirror(value, degree)
-                degree += count * deg * sum(lam)
-                value = convolve(value, order_lattice(lam, count, deg), stride=deg,
-                                 size=degree // 2 + 1)
+                value, degree = half_product(value, degree,
+                                             order_lattice(parts(lam_u), count, deg), deg)
             _add_into(merged, (used, degree, pending), value)
         states = merged
     totals = {m: [0, 0, 0] for m in rows}  # dimensions 0, 1 and m
@@ -375,16 +366,16 @@ def sums_by_t1_type(rows):
                         value += half * comb(m, c)
                     elif c == m:
                         value += half
-                value = _mirror(_unpack(value, nbytes, degree // 2 + 1), degree)
-                if len(value) + len(lattice) - 1 != m + 1:
+                half = _unpack(value, nbytes, degree // 2 + 1)
+                if degree + len(lattice) - 1 != m:
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "
-                        f"{len(value) + len(lattice) - 1}, expected n + 1 = {m + 1}")
-                poly = tuple(_mirror(convolve(value, lattice, size=m // 2 + 1), m))
+                        f"{degree + len(lattice)}, expected n + 1 = {m + 1}")
+                poly = tuple(_mirror(half_product(half, degree, lattice, 1)[0], m))
                 total = totals[m]
                 total[0] += poly[0]
                 total[1] += poly[1]
-                total[2] += value[-1] * lattice[-1]
+                total[2] += half[0] * lattice[-1]  # the value's top entry is its first
                 yield m, lam_1, poly, firsts[bisect_right(cs, m) - 1]
     for m, total in totals.items():
         mfact = factorial(m)

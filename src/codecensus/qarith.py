@@ -86,13 +86,16 @@ def lemma1_tail_product(terms: int) -> mpmath.mpf:
     """1.7 times the partial product of (2^(5/4-k/2) + 1 - 2^(1-k)), k >= 2.
 
     Monotone increasing in `terms`; the infinite product is finite and the
-    value stays below 23 for every truncation.
+    value stays below 23 for every truncation.  2^(5/4-k/2) is 2^(5/4)
+    (k even) or 2^(3/4) (k odd) scaled by 2^-(k//2), so the two roots are
+    the only fractional powers taken, and each term's scalings by powers
+    of two (ldexp) are exact.
     """
     if terms < 10:
         raise ValueError(f"terms must be >= 10, got {terms}")
     with mpmath.workdps(DEFAULT_PRECISION + _GUARD_DIGITS):
+        roots = mpmath.mpf(2) ** (mpmath.mpf(5) / 4), mpmath.mpf(2) ** (mpmath.mpf(3) / 4)
         acc = mpmath.mpf("1.7")
         for k in range(2, terms + 2):
-            acc *= mpmath.mpf(2) ** (mpmath.mpf(5) / 4 - mpmath.mpf(k) / 2) \
-                + 1 - mpmath.mpf(2) ** (1 - k)
+            acc *= mpmath.ldexp(roots[k % 2], -(k // 2)) + 1 - mpmath.ldexp(1, 1 - k)
         return +acc

@@ -73,16 +73,21 @@ one module type and the degree d = ord_e(2).  Below the dimension grading
 every block is graded by submodule size, with d its only field parameter
 (component_lattice, order_lattice), and a submodule of size j has
 GF(2)-dimension d * j, so d is applied once: order_lattice raises the
-block lattice to the number of blocks, and lattice_dim_poly convolves
-that product into the running polynomial with the stride-aware kernel
-convolve, with stride d.  The census DP (burnside) multiplies its blocks
-with the same two functions, but keeps only the lower halves of its
-polynomials, so it asks convolve for the first size coefficients of each
-product; without size (lattice_dim_poly) the whole product is made, the
-full-length reference.  A finite module's submodule lattice is self-dual,
-so every block lattice must read the same from either end, by size as by
+block lattice to the number of blocks, and that product enters a
+polynomial graded by dimension through the stride-aware kernel convolve,
+with stride d.  A finite module's submodule lattice is self-dual, so
+every block lattice must read the same from either end, by size as by
 dimension: each one the walk makes is checked for its end counts and
-then for that symmetry (_checked_ends), which the census's halves rely on.
+then for that symmetry (_checked_ends).  So every product of them is a
+palindrome too, and both callers keep only lower halves: half_product
+mirrors a half to full length and asks convolve for the first D // 2 + 1
+coefficients of the product, D its degree.  lattice_dim_poly takes one
+such step per odd order and mirrors the last half to length n + 1; the
+census DP (burnside) takes one per completed order and at its t+1
+block.  A mirror would hide an asymmetric factor, so lattice_dim_poly
+checks that its counts sum to the product of its factors' totals.  The
+full-length reference is per_block_dim_poly in the tests, one plain
+convolution per block.
 """
 
 from __future__ import annotations
@@ -241,6 +246,23 @@ def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
     return out
 
 
+def _mirror(half: list[int], degree: int) -> list[int]:
+    """The palindrome of the given degree whose lower half (entries
+    0..degree // 2) is half."""
+    return half + half[:degree + 1 - len(half)][::-1]
+
+
+def half_product(half: list[int], degree: int, factor, stride: int):
+    """(lower half, degree) of p(t) * factor(t^stride), where p is the
+    palindrome of the given degree whose lower half is half: p is mirrored
+    to full length and only entries 0..D // 2 of the product are made, D
+    its degree.  Exact only for a palindromic factor, which every block
+    lattice and every product of them is (module docstring)."""
+    full = _mirror(half, degree)
+    degree += stride * (len(factor) - 1)
+    return convolve(full, factor, stride=stride, size=degree // 2 + 1), degree
+
+
 def order_lattice(lam: tuple[int, ...], count: int, d: int):
     """Submodule counts of count >= 1 blocks of type lam over irreducibles
     of degree d, multiplied together, graded by size: entry j counts
@@ -267,16 +289,23 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     """Invariant-subspace counts graded by dimension (index = dimension).
 
     Product over the odd orders of the cycle type of each order's block
-    product (order_lattice, graded by submodule size), each convolved into
-    the running polynomial once with stride d; entries sum to
-    lattice_size(ct) and the length is n + 1.
+    product (order_lattice, graded by submodule size), each multiplied
+    into the running lower half once with stride d (half_product); the
+    last half is mirrored to length n + 1, and the entries must sum to the
+    product of the factors' totals, lattice_size(ct).
     """
-    poly = [1]
+    half, degree, total = [1], 0, 1
     for c in primary_components(ct):
-        poly = convolve(poly, order_lattice(c.module_type, c.count, c.deg),
-                        stride=c.deg)
-    if len(poly) != ct.n + 1:
+        factor = order_lattice(c.module_type, c.count, c.deg)
+        half, degree = half_product(half, degree, factor, c.deg)
+        total *= sum(factor)
+    if degree != ct.n:
         raise ArithmeticError(
-            f"dimension polynomial of cycle type {ct} has length {len(poly)}, "
+            f"dimension polynomial of cycle type {ct} has length {degree + 1}, "
             f"expected n + 1 = {ct.n + 1}")
+    poly = _mirror(half, degree)
+    if sum(poly) != total:
+        raise ArithmeticError(
+            f"dimension polynomial of cycle type {ct} sums to {sum(poly)}, "
+            f"not to the product {total} of its factors' totals")
     return tuple(poly)

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from codecensus.burnside import (
+    census_rows,
     correction_report,
     count_codes,
     non_identity_sum,
@@ -171,8 +172,7 @@ def test_10_small_n_structure():
     # equality at n=2 in the averaged-automorphism bound
     num, den = rep.beta
     ok = ok and rep.b * den * factorial(2) == (den + num) * gauss_total(2, 2)
-    for n in range(1, 41):
-        row = count_codes(n)
+    for n, row in enumerate(census_rows(40), 1):
         if row.by_dim != row.by_dim[::-1] or sum(row.by_dim) != row.b:
             ok = False
         nfact = factorial(n)

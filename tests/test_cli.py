@@ -172,8 +172,9 @@ class TestVerify:
 
 
 class TestOutputContract:
-    """The stdout bytes of four census-heavy commands, a lattice query and
-    the lemma-1 suite past its limit checks at n = 200, 201, pinned by
+    """The stdout bytes of four census-heavy commands, two lattice queries
+    (the second the slowest type of the benchmark's query pool, n = 1465)
+    and the lemma-1 suite past its limit checks at n = 200, 201, pinned by
     sha256: the code may change how it computes, never what it prints."""
 
     @pytest.mark.parametrize("argv,digest", [
@@ -187,9 +188,12 @@ class TestOutputContract:
          "be93a8c13a29521998781cdf824e71af44fc025827a29806bf058d2d515a7a73"),
         (("lattice", "--type", "12,6,5,3,2,1,1"),
          "a58654462400df5a48cda80ae33c763e280fad171c74a62564ff11a563fa6e78"),
+        (("lattice", "--type", "721,357,177,128,39,22,14,5,1,1"),
+         "77ed3b369f34cf281504bd9fecc27d6944ff3e7d27567235b2881dbd658682f8"),
         (("verify", "--suite", "lemma1", "--max-n", "201", "--json"),
          "f2fc8960d32689b1bd088950266fca5b88e23c29462c972ef06afbcd9816d941"),
-    ], ids=["count", "verify", "table-40", "verify-40", "lattice", "verify-lemma1"])
+    ], ids=["count", "verify", "table-40", "verify-40", "lattice", "lattice-1465",
+            "verify-lemma1"])
     def test_stdout_digest(self, argv, digest):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -3,6 +3,8 @@ import pytest
 
 from codecensus.oracle import enum_subspaces
 from codecensus.qarith import (
+    DEFAULT_PRECISION,
+    _GUARD_DIGITS,
     gauss_binomial,
     gauss_total,
     lemma1_tail_product,
@@ -114,7 +116,22 @@ class TestScaledU:
             scaled_u(10, 2, precision=10)
 
 
+def termwise_tail_product(terms):
+    """lemma1_tail_product with a fractional power of 2 taken for every
+    term, at the same working precision: the reference for its ldexp form."""
+    with mpmath.workdps(DEFAULT_PRECISION + _GUARD_DIGITS):
+        acc = mpmath.mpf("1.7")
+        for k in range(2, terms + 2):
+            acc *= mpmath.mpf(2) ** (mpmath.mpf(5) / 4 - mpmath.mpf(k) / 2) \
+                + 1 - mpmath.mpf(2) ** (1 - k)
+        return +acc
+
+
 class TestTailProduct:
+    @pytest.mark.parametrize("terms", [10, 50, 200, 1000, 2000])
+    def test_matches_the_termwise_powers(self, terms):
+        assert lemma1_tail_product(terms) == termwise_tail_product(terms)
+
     def test_partial_products_increase(self):
         values = [lemma1_tail_product(t) for t in (10, 50, 200, 1000)]
         assert values == sorted(values)

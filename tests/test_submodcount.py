@@ -471,6 +471,43 @@ class TestLatticeDimPoly:
         with pytest.raises(ArithmeticError, match="3,1"):
             lattice_dim_poly(ct)
 
+    # the t+1 factor of 3,1,1 is [1, 7, 7, 1]; skewed to [1, 8, 7, 1] it
+    # keeps its length and end counts, and the mirrored lower half of the
+    # product sums to 36, where the factors' totals multiply to 17 * 2
+    SKEWED_MESSAGE = ("dimension polynomial of cycle type 3,1,1 sums to 36, "
+                      "not to the product 34 of its factors' totals")
+
+    def test_asymmetric_factor_raises(self, monkeypatch):
+        real = submodcount.order_lattice
+
+        def skewed(lam, count, d):
+            poly = list(real(lam, count, d))
+            if len(poly) > 2:
+                poly[1] += 1
+            return poly
+
+        monkeypatch.setattr(submodcount, "order_lattice", skewed)
+        with pytest.raises(ArithmeticError) as exc:
+            lattice_dim_poly(CycleType((3, 1, 1)))
+        assert str(exc.value) == self.SKEWED_MESSAGE
+
+    def test_asymmetric_factor_raises_without_asserts(self):
+        script = (
+            "from codecensus import submodcount as s\n"
+            "from codecensus.cyclestruct import CycleType\n"
+            "real = s.order_lattice\n"
+            "def skewed(lam, count, d):\n"
+            "    poly = list(real(lam, count, d))\n"
+            "    if len(poly) > 2:\n"
+            "        poly[1] += 1\n"
+            "    return poly\n"
+            "s.order_lattice = skewed\n"
+            "s.lattice_dim_poly(CycleType((3, 1, 1)))\n"
+        )
+        proc = run_without_asserts(script)
+        assert proc.returncode == 1
+        assert f"ArithmeticError: {self.SKEWED_MESSAGE}" in proc.stderr
+
     def test_kernel_of_t_plus_1_block_is_cycle_count(self):
         for n in range(1, 13):
             for ct in cycle_types_of(n):
@@ -552,6 +589,20 @@ class TestPerOrderProduct:
             expected = per_block_dim_poly(ct)
             assert lattice_dim_poly(ct) == expected, ct
             assert lattice_size(ct) == sum(expected), ct
+
+    # lattice_dim_poly keeps lower halves, so the parity of n and of the
+    # last order's degree decide where each mirror folds: one type at
+    # bench scale for each of the four parities (n, degree)
+    @pytest.mark.parametrize("parts,parities", [
+        ((581, 450, 30, 9, 4), (0, 0)),
+        ((203, 199, 154, 123, 73, 48, 8, 2), (0, 1)),
+        ((443, 423, 115, 32, 13, 3, 2, 1, 1), (1, 0)),
+        ((369, 263, 178, 68, 59, 15, 4, 1), (1, 1)),
+    ], ids=lambda p: ",".join(map(str, p[:3])))
+    def test_bench_scale_types_of_every_parity(self, parts, parities):
+        ct = CycleType(parts)
+        assert (ct.n % 2, primary_components(ct)[-1].deg % 2) == parities
+        assert lattice_dim_poly(ct) == per_block_dim_poly(ct)
 
     @settings(derandomize=True, max_examples=200)
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
