@@ -15,9 +15,9 @@ from math import comb, factorial
 import mpmath
 
 from .burnside import census_rows, correction_report, count_codes, non_identity_sum
-from .cyclestruct import CycleType, cycle_types_of, primary_components
+from .cyclestruct import cycle_types_of, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
-from .submodcount import component_total, lattice_size
+from .submodcount import component_total, components_size
 
 PASS = "pass"
 FAIL = "fail"
@@ -91,12 +91,6 @@ def check_lemma1(n_max: int) -> CheckResult:
     return CheckResult("lemma1", (0, n_max), PASS, witnesses)
 
 
-def _t_plus_1_data(ct: CycleType):
-    comp = primary_components(ct)[0]
-    lam = comp.module_type
-    return component_total(lam, 1), comp.dim, comp.max_exponent
-
-
 def check_lemma2_3(n: int) -> CheckResult:
     """For every cycle type of S_n: the two bounds on the t+1 block and the
     whole-lattice bound via that block, all exact."""
@@ -104,9 +98,11 @@ def check_lemma2_3(n: int) -> CheckResult:
         raise ValueError(f"n must be <= 12, got {n}")
     worst = None
     for ct in cycle_types_of(n):
-        L1, n1, mu1 = _t_plus_1_data(ct)
+        comps = primary_components(ct)
+        t1 = comps[0]  # the t+1 block (order 1, degree 1)
+        L1, n1, mu1 = component_total(t1.module_type, 1), t1.dim, t1.max_exponent
         r = ct.r
-        L = lattice_size(ct)
+        L = components_size(comps)
         bound3a = gauss_total(r, 2) * gauss_total(n1 - r, 2)
         bound3b = gauss_total(r, 2) ** mu1
         if L1 > bound3a:

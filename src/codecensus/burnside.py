@@ -51,8 +51,9 @@ below; a single row n is the pass with N = n):
   of one order's blocks is submodcount.order_lattice, and it is
   multiplied in by submodcount.half_product, the step lattice_dim_poly
   takes at each odd order: the value is mirrored to full length and only
-  the lower half of the product is made, at the odd orders and again at
-  the t+1 block, whose lower half is mirrored to the yielded length m + 1.
+  the lower half of the product is made.  The t+1 block is never
+  multiplied into a state: its product with each row's value is added
+  straight into that row's lower half (Rows).
 - Exactness.  Each stage divides the values by the z-product of the cycles
   it adds.  Cycles added at different stages have different lengths, so
   the z-products multiply to the z-product of the partial cycle type,
@@ -70,8 +71,7 @@ below; a single row n is the pass with N = n):
   m * m!.  The dimension-m total is summed from the exact top coefficient
   of each t+1 product, the product of its factors' top entries, and each
   product's length is checked from its factors' lengths, so neither reads
-  the mirrored half: a t+1 block with a wrong or missing top entry still
-  fails.  Each block lattice is checked to be a palindrome where it is
+  a mirror: a t+1 block with a wrong or missing top entry still fails.  Each block lattice is checked to be a palindrome where it is
   made (submodcount); census requires every per-dimension total of row m
   to divide by m!.
 - Fixed points.  The last stage (u = 1) completes the t+1 block.  It
@@ -102,16 +102,20 @@ below; a single row n is the pass with N = n):
   lattices come from one fixed-point walk (submodcount.fixed_point_walk),
   up to the largest f any row needs: the column DP on the core, then one
   shift-and-add step per 1-part.  At each f, each row that reads it sums
-  its weighted entries and multiplies the lattice in once; the result is
-  yielded and dropped.  census, which count_codes and census_rows keep in
-  the one census cache, keeps only the per-dimension totals of each row
-  and each type's weight (its value's sum), which boundscheck.classify_D
-  reads.  A row lists its t+1 types as a pass at that row alone finds
-  them: the states of the pass at N with used <= m come in the order the
-  pass at m makes them, and the packed nu of one state ascend in the
-  order its binary partitions are listed, so the cores of row m are
-  ordered by their first (state, nu) with c <= m (the rank yielded), and
-  the types of one core by f.
+  its weighted entries into V, the lower half of the type's value, and
+  yields it with the lattice.  census, whose rows count_codes and
+  census_rows keep in the one census cache, adds each product V * lattice
+  (submodcount.add_product, V mirrored) straight into the lower half,
+  entries 0..m // 2, of row m's per-dimension sum, one list per row,
+  mirrored once after the pass, so no type's product is made whole or
+  kept.  A type's weight, which boundscheck.classify_D reads, is the sum
+  of its product, sum(V) * sum(lattice): the sum of a product is the
+  product of the sums.  A row lists its t+1 types as a pass at that row
+  alone finds them: the states of the pass at N with used <= m come in
+  the order the pass at m makes them, and the packed nu of one state
+  ascend in the order its binary partitions are listed, so the cores of
+  row m are ordered by their first (state, nu) with c <= m (the rank
+  yielded), and the types of one core by f.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ import mpmath
 
 from .cyclestruct import cyclotomic_split, odd_divisors
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import _mirror, fixed_point_walk, half_product, order_lattice
+from .submodcount import _mirror, add_product, fixed_point_walk, half_product, order_lattice
 
 
 # packed module types: W-bit fields, a SLOT of 16 of them per odd order (State above)
@@ -327,12 +331,15 @@ def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
 
 
 def sums_by_t1_type(rows):
-    """Yield (m, lambda_1, poly, rank) for each row m of rows and each t+1
-    type lambda_1 at m, poly the sum of class_size(ct) * lattice_dim_poly(ct)
-    over the cycle types ct of S_m with t+1 module type lambda_1, by one
-    pass of the odd-part DP of the module docstring at max(rows).  rank
-    orders the t+1 types of a row (Rows in the module docstring); the end
-    and dimension-1 totals of every row are checked after the last tuple."""
+    """Yield (m, lambda_1, half, degree, lattice, rank) for each row m of
+    rows and each t+1 type lambda_1 at m, by one pass of the odd-part DP
+    of the module docstring at max(rows).  The sum of class_size(ct) *
+    lattice_dim_poly(ct) over the cycle types ct of S_m with t+1 module
+    type lambda_1 is V(t) * lattice(t), where V is the palindrome of the
+    given degree whose lower half is half, and lattice is the t+1 block
+    lattice of lambda_1; each pair's length is checked before it is
+    yielded.  rank orders the t+1 types of a row (Rows in the module
+    docstring)."""
     rows = sorted(set(rows))
     for m in rows:
         _check_n(m)
@@ -347,7 +354,6 @@ def sums_by_t1_type(rows):
                                              order_lattice(parts(lam_u), count, deg), deg)
             _add_into(merged, (used, degree, pending), value)
         states = merged
-    totals = {m: [0, 0, 0] for m in rows}  # dimensions 0, 1 and m
     for packed, stamps, groups in _stage_one(top, states):
         cs = sorted(stamps)
         firsts = list(accumulate((stamps[c] for c in cs), min))
@@ -366,43 +372,47 @@ def sums_by_t1_type(rows):
                         value += half * comb(m, c)
                     elif c == m:
                         value += half
-                half = _unpack(value, nbytes, degree // 2 + 1)
                 if degree + len(lattice) - 1 != m:
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "
                         f"{degree + len(lattice)}, expected n + 1 = {m + 1}")
-                poly = tuple(_mirror(half_product(half, degree, lattice, 1)[0], m))
-                total = totals[m]
-                total[0] += poly[0]
-                total[1] += poly[1]
-                total[2] += half[0] * lattice[-1]  # the value's top entry is its first
-                yield m, lam_1, poly, firsts[bisect_right(cs, m) - 1]
-    for m, total in totals.items():
-        mfact = factorial(m)
-        checks = ((0, mfact, f"{m}!"), (1, m * mfact, f"{m} * {m}!"), (m, mfact, f"{m}!"))
-        for (d, expected, name), got in zip(checks, total):
-            if got != expected:
-                raise ArithmeticError(
-                    f"dimension-{d} orbit sum is {got} at n={m}, expected {name}")
+                yield (m, lam_1, _unpack(value, nbytes, degree // 2 + 1), degree, lattice,
+                       firsts[bisect_right(cs, m) - 1])
 
 
 def census(rows) -> dict[int, CensusRow]:
     """The census rows m of rows, from one pass at max(rows): orbit count,
-    total subspace count, per-dimension orbit counts and t+1 type weights,
-    summed tuple by tuple from sums_by_t1_type.  Each per-dimension sum
-    must divide exactly by m!; b is their total.  Uncached: count_codes
-    and census_rows keep what it returns."""
-    dim_sums: dict = {}
+    total subspace count, per-dimension orbit counts and t+1 type weights.
+    Each t+1 product V * lattice from sums_by_t1_type is added straight
+    into the lower half, entries 0..m // 2, of its row's per-dimension
+    sum, which is mirrored once, after the pass; a type's weight is
+    sum(V) * sum(lattice), the sum of the product.  The dimension-0,
+    dimension-1 and dimension-m totals of each row are checked, the last
+    summed from the exact top entries of the products, then each
+    per-dimension sum must divide exactly by m!; b is their total.
+    Uncached: count_codes and census_rows keep what it returns."""
+    halves: dict = {}
+    tops: dict = {}  # m -> the dimension-m total
     weights: dict = {}
-    for m, lam_1, poly, rank in sums_by_t1_type(rows):
-        have = dim_sums.get(m)
-        dim_sums[m] = list(poly) if have is None else list(map(add, have, poly))
-        weights.setdefault(m, []).append((rank, lam_1, sum(poly)))
+    for m, lam_1, half, degree, lattice, rank in sums_by_t1_type(rows):
+        if m not in halves:
+            halves[m], tops[m], weights[m] = [0] * (m // 2 + 1), 0, []
+        value = _mirror(half, degree)
+        add_product(halves[m], value, lattice)
+        tops[m] += half[0] * lattice[-1]  # V's top entry is its first
+        weights[m].append((rank, lam_1, sum(value) * sum(lattice)))
     made = {}
-    for m in sorted(dim_sums):
+    for m in sorted(halves):
         mfact = factorial(m)
+        dim_sums = _mirror(halves.pop(m), m)
+        checks = ((0, dim_sums[0], mfact, f"{m}!"), (1, dim_sums[1], m * mfact, f"{m} * {m}!"),
+                  (m, tops.pop(m), mfact, f"{m}!"))
+        for d, got, expected, name in checks:
+            if got != expected:
+                raise ArithmeticError(
+                    f"dimension-{d} orbit sum is {got} at n={m}, expected {name}")
         by_dim = []
-        for d, s in enumerate(dim_sums.pop(m)):
+        for d, s in enumerate(dim_sums):
             bd, rem = divmod(s, mfact)
             if rem:
                 raise ArithmeticError(

@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
 n < 1, a census n >= 2^16 and an output file that cannot be opened), 3
 ceiling violation (an oracle size beyond brute force, a limits
 --precision below 30, or, without --no-ceiling, a count --n or table
---max-n above CENSUS_CEILING or a verify --max-n above VERIFY_CEILING;
-one line on stderr), 4 internal
-error (any other exception, such as an ArithmeticError from a census
-self-check; one line on stderr), 141 the reader closed stdout early (128
-+ SIGPIPE, as a shell reports it; nothing on stderr).
+--max-n above CENSUS_CEILING, a verify --max-n above VERIFY_CEILING or
+a lattice --type of n above LATTICE_CEILING; one line on stderr), 4
+internal error (any other exception, such as an ArithmeticError from a
+census self-check; one line on stderr), 141 the reader closed stdout
+early (128 + SIGPIPE, as a shell reports it; nothing on stderr).
 """
 
 from __future__ import annotations
@@ -61,6 +61,16 @@ class CeilingError(Exception):
 #     (check_lemma1 sweeps G(n, 2) and u_n over every n <= max-n).
 CENSUS_CEILING = 80
 VERIFY_CEILING = 1000
+
+# The largest n of a lattice --type run without --no-ceiling.  Cold runs,
+# one process each, on the same VM (raw wall time and peak RSS):
+#   one cycle of length n: 1536 0.15 s 20 MB, 2048 0.7 s 22 MB, 4096
+#     6.5 s 29 MB, 8192 65 s (~10x per doubling; 16384 had not finished
+#     after 60 s);
+#   n fixed points, the largest lattice of S_n: 512 3.9 s 39 MB, 1024
+#     57 s 168 MB, 1536 267 s 520 MB (~15x per doubling);
+#   the benchmark's query pool, random types with n <= 1536: a few ms each.
+LATTICE_CEILING = 1536
 
 
 def _check_ceiling(args, flag: str, n: int, limit: int) -> None:
@@ -156,6 +166,7 @@ def cmd_gauss(args) -> int:
 
 def cmd_lattice(args) -> int:
     ct = CycleType.parse(args.type)
+    _check_ceiling(args, "lattice --type n", ct.n, LATTICE_CEILING)
     poly = lattice_dim_poly(ct)
     _emit({
         "schema": SCHEMA_VERSION,
@@ -251,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.set_defaults(func=cmd_gauss)
 
-    p = sub.add_parser("lattice", help="invariant-subspace count of a cycle type")
+    p = sub.add_parser("lattice", parents=[ceiling],
+                       help="invariant-subspace count of a cycle type")
     p.add_argument("--type", required=True, metavar="L1,L2,...")
     p.set_defaults(func=cmd_lattice)
 

@@ -74,20 +74,22 @@ every block is graded by submodule size, with d its only field parameter
 (component_lattice, order_lattice), and a submodule of size j has
 GF(2)-dimension d * j, so d is applied once: order_lattice raises the
 block lattice to the number of blocks, and that product enters a
-polynomial graded by dimension through the stride-aware kernel convolve,
-with stride d.  A finite module's submodule lattice is self-dual, so
-every block lattice must read the same from either end, by size as by
-dimension: each one the walk makes is checked for its end counts and
-then for that symmetry (_checked_ends).  So every product of them is a
-palindrome too, and both callers keep only lower halves: half_product
-mirrors a half to full length and asks convolve for the first D // 2 + 1
-coefficients of the product, D its degree.  lattice_dim_poly takes one
-such step per odd order and mirrors the last half to length n + 1; the
-census DP (burnside) takes one per completed order and at its t+1
-block.  A mirror would hide an asymmetric factor, so lattice_dim_poly
-checks that its counts sum to the product of its factors' totals.  The
-full-length reference is per_block_dim_poly in the tests, one plain
-convolution per block.
+polynomial graded by dimension through the stride-aware kernel
+add_product (convolve allocates and calls it), with stride d.  A finite
+module's submodule lattice is self-dual, so every block lattice must
+read the same from either end, by size as by dimension: each one the
+walk makes is checked for its end counts and then for that symmetry
+(_checked_ends).  So every product of them is a palindrome too, and both
+callers keep only lower halves: half_product mirrors a half to full
+length and asks convolve for the first D // 2 + 1 coefficients of the
+product, D its degree.  lattice_dim_poly takes one such step per odd
+order and mirrors the last half to length n + 1; the census DP
+(burnside) takes one per completed order, and adds each t+1 product
+straight into the lower half of its row with add_product.  A mirror
+would hide an asymmetric factor, so lattice_dim_poly checks that its
+counts sum to the product of its factors' totals.  The full-length
+reference is per_block_dim_poly in the tests, one plain convolution per
+block.
 """
 
 from __future__ import annotations
@@ -223,16 +225,15 @@ def component_total(lam: tuple[int, ...], d: int) -> int:
     return sum(component_lattice(lam, d))
 
 
-def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
-    """Coefficients of a(t) * b(t^stride): entry j of b is the coefficient
-    of t^(stride * j), so the zeros between the strided entries are never
-    visited.  With size, only the first size coefficients are made (the
-    census keeps the lower halves of palindromes).  The shorter factor is
-    walked outside, skipping its zero entries: the census multiplies short
-    state polynomials with many zeros by longer blocks, a lattice query a
-    long running polynomial by short per-order products."""
-    full = len(a) + stride * (len(b) - 1)
-    out = [0] * (full if size is None else min(size, full))
+def add_product(out: list[int], a, b, stride: int = 1) -> list[int]:
+    """Add the coefficients of a(t) * b(t^stride) into out, up to
+    len(out), and return out: entry j of b is the coefficient of
+    t^(stride * j), so the zeros between the strided entries are never
+    visited.  The shorter factor is walked outside, skipping its zero
+    entries: the census multiplies short state polynomials with many
+    zeros by longer blocks, a lattice query a long running polynomial by
+    short per-order products.  The one convolution kernel: the census
+    adds each t+1 product straight into the lower half of its row."""
     if len(a) <= len(b):
         for i, x in enumerate(a):
             if x:
@@ -244,6 +245,14 @@ def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
                 for k, x in zip(range(stride * j, len(out)), a):
                     out[k] += x * y
     return out
+
+
+def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
+    """Coefficients of a(t) * b(t^stride), by add_product into zeros.  With
+    size, only the first size coefficients are made (the lower halves of
+    palindromes)."""
+    full = len(a) + stride * (len(b) - 1)
+    return add_product([0] * (full if size is None else min(size, full)), a, b, stride)
 
 
 def _mirror(half: list[int], degree: int) -> list[int]:
@@ -279,8 +288,14 @@ def lattice_size(ct: CycleType) -> int:
     """Number of invariant subspaces of (any permutation with) this cycle
     type: product of the per-block submodule counts, one power per odd
     order."""
+    return components_size(primary_components(ct))
+
+
+def components_size(components) -> int:
+    """lattice_size from the primary_components records of a cycle type,
+    for a caller that has them already."""
     result = 1
-    for c in primary_components(ct):
+    for c in components:
         result *= component_total(c.module_type, c.deg) ** c.count
     return result
 

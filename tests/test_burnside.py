@@ -30,7 +30,7 @@ from codecensus.cyclestruct import (
     z_product,
 )
 from codecensus.qarith import gauss_total
-from codecensus.submodcount import lattice_dim_poly
+from codecensus.submodcount import _mirror, convolve, lattice_dim_poly
 
 
 IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n = 4
@@ -160,7 +160,9 @@ class TestOddPartDP:
             if lam_1 in expected:
                 poly = [a + b for a, b in zip(expected[lam_1], poly)]
             expected[lam_1] = poly
-        assert {lam_1: poly for _, lam_1, poly, _ in sums_by_t1_type((n,))} == \
+        # each type's full polynomial, from the factors the pass yields
+        assert {lam_1: tuple(convolve(_mirror(half, degree), lattice))
+                for _, lam_1, half, degree, lattice, _ in sums_by_t1_type((n,))} == \
             {k: tuple(v) for k, v in expected.items()}
         assert dict(count_codes(n).t1_weights) == {k: sum(v) for k, v in expected.items()}
 
@@ -286,7 +288,7 @@ class TestOddPartDP:
 
         patch_identity_block(monkeypatch, bump)
         with pytest.raises(ArithmeticError, match=f"dimension-{d} orbit sum is 25"):
-            list(sums_by_t1_type((4,)))
+            census((4,))
 
     def test_wrong_dimension_one_total_raises(self, monkeypatch):
         # every permutation fixes 2^c - 1 nonzero vectors, c its cycle
@@ -298,7 +300,7 @@ class TestOddPartDP:
 
         patch_identity_block(monkeypatch, bump)
         with pytest.raises(ArithmeticError, match="dimension-1 orbit sum is 97"):
-            list(sums_by_t1_type((4,)))
+            census((4,))
 
     def test_wrong_length_raises(self, monkeypatch):
         patch_identity_block(monkeypatch, lambda p: p[:-1])

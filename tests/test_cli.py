@@ -247,6 +247,7 @@ class TestCeiling:
         (["table", "--max-n", "{n}"], "CENSUS_CEILING", "table --max-n"),
         (["verify", "--suite", "lemma1", "--max-n", "{n}"], "VERIFY_CEILING",
          "verify --max-n"),
+        (["lattice", "--type", "{n}"], "LATTICE_CEILING", "lattice --type n"),
     ])
     def test_refused_above_the_limit_unless_allowed(self, capsys, monkeypatch,
                                                     argv, limit_name, flag):

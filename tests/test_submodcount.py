@@ -27,6 +27,7 @@ from codecensus.oracle import (
 )
 from codecensus.qarith import gauss_binomial, gauss_total
 from codecensus.submodcount import (
+    add_product,
     component_lattice,
     component_total,
     conjugate,
@@ -613,3 +614,56 @@ class TestPerOrderProduct:
         spread[::stride] = b
         assert convolve(a, b, stride) == schoolbook(a, spread)
         assert convolve(a, b, stride, size) == schoolbook(a, spread)[:size]
+
+
+def naive_add_product(out, a, b, stride):
+    """out plus a(t) * b(t^stride), term by term, cut at len(out)."""
+    out = list(out)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + stride * j < len(out):
+                out[i + stride * j] += x * y
+    return out
+
+
+class TestAddProduct:
+    """The one convolution kernel: a(t) * b(t^stride) added into out, up
+    to len(out)."""
+
+    def test_truncates_at_the_length_of_out(self):
+        # (1 + 2t + 3t^2)(1 + t) = 1 + 3t + 5t^2 + 3t^3
+        assert add_product([0] * 3, [1, 2, 3], [1, 1]) == [1, 3, 5]
+        assert add_product([0] * 3, [1, 1], [1, 2, 3]) == [1, 3, 5]
+        assert add_product([0], [4, 5], [6, 7]) == [24]
+
+    def test_stride_with_the_shorter_factor_first(self):
+        # (1 + 2t)(1 + t^2 + t^4): a is walked outside
+        assert add_product([0] * 6, [1, 2], [1, 1, 1], 2) == [1, 2, 1, 2, 1, 2]
+        assert add_product([0] * 4, [1, 2], [1, 1, 1], 2) == [1, 2, 1, 2]
+
+    def test_stride_with_the_longer_factor_first(self):
+        # (1 + 2t + 3t^2 + 4t^3)(5 + 6t^3): b is walked outside
+        assert add_product([0] * 7, [1, 2, 3, 4], [5, 6], 3) == [5, 10, 15, 26, 12, 18, 24]
+        assert add_product([0] * 5, [1, 2, 3, 4], [5, 6], 3) == [5, 10, 15, 26, 12]
+
+    def test_adds_onto_a_nonzero_out_in_place(self):
+        out = [10, 20, 30]
+        assert add_product(out, [1, 1], [1, 1]) is out
+        assert out == [11, 22, 31]
+        assert add_product(out, [0, 2], [3, 0, 4], 2) == [11, 28, 31]
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.integers(-50, 50), max_size=10),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+           st.integers(1, 6))
+    def test_matches_a_naive_double_loop(self, out, a, b, stride):
+        assert add_product(list(out), a, b, stride) == naive_add_product(out, a, b, stride)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+           st.integers(1, 6), st.integers(0, 60))
+    def test_convolve_is_add_product_into_zeros(self, a, b, stride, size):
+        n = min(size, len(a) + stride * (len(b) - 1))
+        assert convolve(a, b, stride, size) == add_product([0] * n, a, b, stride)
