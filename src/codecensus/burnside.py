@@ -68,12 +68,13 @@ below; a single row n is the pass with N = n):
   the dimension-0 and dimension-m totals of row m must both equal m!.  A
   permutation with c cycles fixes 2^c - 1 nonzero vectors, and
   sum_sigma 2^c(sigma) = (m + 1)!, so the dimension-1 total must equal
-  m * m!.  The dimension-m total is summed from the exact top coefficient
-  of each t+1 product, the product of its factors' top entries, and each
-  product's length is checked from its factors' lengths, so neither reads
-  a mirror: a t+1 block with a wrong or missing top entry still fails.  Each block lattice is checked to be a palindrome where it is
-  made (submodcount); census requires every per-dimension total of row m
-  to divide by m!.
+  m * m!.  The dimension-m total is summed from the top coefficient of
+  each t+1 product, the product of its factors' top entries, where V's is
+  the mirror of its exact first and the lattice's is read as made, and
+  each product's length is checked from its factors' lengths: a t+1 block
+  with a wrong or missing top entry still fails.  Each block lattice is
+  checked to be a palindrome where it is made (submodcount); census
+  requires every per-dimension total of row m to divide by m!.
 - Fixed points.  The last stage (u = 1) completes the t+1 block.  It
   chooses only nu, the cycles of length 2, 4, 8, ... (_stage_one), never
   the fixed points, so its results hold every row at once: they are keyed
@@ -102,30 +103,25 @@ below; a single row n is the pass with N = n):
   lattices come from one fixed-point walk (submodcount.fixed_point_walk),
   up to the largest f any row needs: the column DP on the core, then one
   shift-and-add step per 1-part.  At each f, each row that reads it sums
-  its weighted entries into V, the lower half of the type's value, and
-  yields it with the lattice.  census, whose rows count_codes and
-  census_rows keep in the one census cache, adds each product V * lattice
-  (submodcount.add_product, V mirrored) straight into the lower half,
+  its weighted entries into the lower half of the type's value V, and
+  yields V, mirrored, with the lattice.  census, whose rows count_codes
+  and census_rows keep in the one census cache, adds each product
+  V * lattice (submodcount.add_product) straight into the lower half,
   entries 0..m // 2, of row m's per-dimension sum, one list per row,
   mirrored once after the pass, so no type's product is made whole or
   kept.  A type's weight, which boundscheck.classify_D reads, is the sum
   of its product, sum(V) * sum(lattice): the sum of a product is the
-  product of the sums.  A row lists its t+1 types as a pass at that row
-  alone finds them: the states of the pass at N with used <= m come in
-  the order the pass at m makes them, and the packed nu of one state
-  ascend in the order its binary partitions are listed, so the cores of
-  row m are ordered by their first (state, nu) with c <= m (the rank
-  yielded), and the types of one core by f.
+  product of the sums.  A row lists its t+1 types sorted by lambda_1.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm
-from operator import add, floordiv, itemgetter, mul
+from operator import add, floordiv, mul
 
 import mpmath
 
@@ -146,7 +142,8 @@ class CensusRow:
     b: int
     G: int                     # total number of subspaces of GF(2)^n
     by_dim: tuple[int, ...]    # b(n, d) for d = 0..n
-    # (lambda_1, sum of class_size * lattice_size over the cycle types of t+1 type lambda_1)
+    # (lambda_1, sum of class_size * lattice_size over the cycle types of t+1 type
+    # lambda_1), sorted by lambda_1
     t1_weights: tuple[tuple[tuple[int, ...], int], ...] = field(repr=False)
 
     def correction(self) -> mpmath.mpf:
@@ -242,10 +239,9 @@ def _stage_one(top: int, states: dict):
     every size 2k <= top - used, so c = used + 2k points move, and reaches
     the core (pending + nu) >> W, its t+1 type without the 1-field.
 
-    Yields (packed core, stamps, groups) core by core: stamps[c] is the
-    first (state index, nu) that reaches the core with c, and groups[g] is
-    (degree, nbytes, {c: value}) for the entries (c, f_p) with c - f_p = g,
-    f_p the 1-field of pending, which row m reads at the same f = m - g.
+    Yields (packed core, groups) core by core: groups[g] is (degree,
+    nbytes, {c: value}) for the entries (c, f_p) with c - f_p = g, f_p
+    the 1-field of pending, which row m reads at the same f = m - g.
     A value is the state's divided by z(nu) * top!/c!, so it is the class
     size of the fixed-point-free partial type on c points times its block
     lattices.  z(nu) divides |nu|! and so c!/used!, so the lcm of those
@@ -273,8 +269,8 @@ def _stage_one(top: int, states: dict):
     masses = accumulate((spans[used][top] for used in range(top, -1, -1)), add)
     widths = [(mass * peak).bit_length() // 8 + 1
               for mass, peak in zip(reversed(list(masses)), peaks)]
-    by_part: dict = {}  # pending without its 1-field -> {used: [(index, degree, f_p, value)]}
-    for index, key in enumerate(list(states)):
+    by_part: dict = {}  # pending without its 1-field -> {used: [(degree, f_p, value)]}
+    for key in list(states):
         used, degree, pending = key
         value = states.pop(key)
         ratio = spans[used][top]
@@ -282,7 +278,7 @@ def _stage_one(top: int, states: dict):
             raise ArithmeticError(
                 f"stage u=1 at n={top}: value not divisible by {top}!/{used}! = {ratio}")
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
-            (index, degree, pending & FIELD,
+            (degree, pending & FIELD,
              _pack(map(floordiv, value, repeat(ratio)), widths[degree])))
     # packed nu -> (z(nu), |nu|), by size: nu of size 2k is a binary partition of k doubled
     moves = {mu << W: (z, 2 * k) for k in range(top // 2 + 1)
@@ -295,7 +291,6 @@ def _stage_one(top: int, states: dict):
                 break
             pulls.setdefault((part + nu) >> W, []).append(part)
     for core in list(pulls):
-        stamps: dict = {}
         groups: dict = {}
         for part in pulls.pop(core):
             nu = (core << W) - part
@@ -304,17 +299,14 @@ def _stage_one(top: int, states: dict):
                 c = used + size
                 if c > top:
                     continue
-                stamp = stamps.get(c)
-                if stamp is None or sources[0][0] < stamp[0]:
-                    stamps[c] = sources[0][0], nu
                 weight = spans[used][c] // z
-                for _, degree, f_p, value in sources:
+                for degree, f_p, value in sources:
                     group = groups.get(c - f_p)
                     if group is None:
                         group = groups[c - f_p] = degree, widths[degree], {}
                     halves = group[2]
                     halves[c] = halves.get(c, 0) + value * weight
-        yield core, stamps, groups
+        yield core, groups
 
 
 def _pack(entries, nbytes: int) -> int:
@@ -331,15 +323,13 @@ def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
 
 
 def sums_by_t1_type(rows):
-    """Yield (m, lambda_1, half, degree, lattice, rank) for each row m of
-    rows and each t+1 type lambda_1 at m, by one pass of the odd-part DP
-    of the module docstring at max(rows).  The sum of class_size(ct) *
+    """Yield (m, lambda_1, V, lattice) for each row m of rows and each t+1
+    type lambda_1 at m, by one pass of the odd-part DP of the module
+    docstring at max(rows).  The sum of class_size(ct) *
     lattice_dim_poly(ct) over the cycle types ct of S_m with t+1 module
-    type lambda_1 is V(t) * lattice(t), where V is the palindrome of the
-    given degree whose lower half is half, and lattice is the t+1 block
-    lattice of lambda_1; each pair's length is checked before it is
-    yielded.  rank orders the t+1 types of a row (Rows in the module
-    docstring)."""
+    type lambda_1 is V(t) * lattice(t), where V is a palindrome, mirrored
+    from its lower half, and lattice is the t+1 block lattice of lambda_1;
+    each pair's length is checked before it is yielded."""
     rows = sorted(set(rows))
     for m in rows:
         _check_n(m)
@@ -354,9 +344,7 @@ def sums_by_t1_type(rows):
                                              order_lattice(parts(lam_u), count, deg), deg)
             _add_into(merged, (used, degree, pending), value)
         states = merged
-    for packed, stamps, groups in _stage_one(top, states):
-        cs = sorted(stamps)
-        firsts = list(accumulate((stamps[c] for c in cs), min))
+    for packed, groups in _stage_one(top, states):
         reads: dict = {}  # f -> [(m, g)]
         for g, (_, _, halves) in groups.items():
             for m in rows[bisect_left(rows, min(halves)):]:
@@ -376,8 +364,7 @@ def sums_by_t1_type(rows):
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "
                         f"{degree + len(lattice)}, expected n + 1 = {m + 1}")
-                yield (m, lam_1, _unpack(value, nbytes, degree // 2 + 1), degree, lattice,
-                       firsts[bisect_right(cs, m) - 1])
+                yield m, lam_1, _mirror(_unpack(value, nbytes, degree // 2 + 1), degree), lattice
 
 
 def census(rows) -> dict[int, CensusRow]:
@@ -386,21 +373,21 @@ def census(rows) -> dict[int, CensusRow]:
     Each t+1 product V * lattice from sums_by_t1_type is added straight
     into the lower half, entries 0..m // 2, of its row's per-dimension
     sum, which is mirrored once, after the pass; a type's weight is
-    sum(V) * sum(lattice), the sum of the product.  The dimension-0,
-    dimension-1 and dimension-m totals of each row are checked, the last
-    summed from the exact top entries of the products, then each
-    per-dimension sum must divide exactly by m!; b is their total.
-    Uncached: count_codes and census_rows keep what it returns."""
+    sum(V) * sum(lattice), the sum of the product, and a row's t+1 types
+    are sorted by lambda_1.  The dimension-0, dimension-1 and dimension-m
+    totals of each row are checked, the last summed from the top entries
+    of the products, then each per-dimension sum must divide exactly by
+    m!; b is their total.  Uncached: count_codes and census_rows keep
+    what it returns."""
     halves: dict = {}
     tops: dict = {}  # m -> the dimension-m total
     weights: dict = {}
-    for m, lam_1, half, degree, lattice, rank in sums_by_t1_type(rows):
+    for m, lam_1, value, lattice in sums_by_t1_type(rows):
         if m not in halves:
             halves[m], tops[m], weights[m] = [0] * (m // 2 + 1), 0, []
-        value = _mirror(half, degree)
         add_product(halves[m], value, lattice)
-        tops[m] += half[0] * lattice[-1]  # V's top entry is its first
-        weights[m].append((rank, lam_1, sum(value) * sum(lattice)))
+        tops[m] += value[-1] * lattice[-1]
+        weights[m].append((lam_1, sum(value) * sum(lattice)))
     made = {}
     for m in sorted(halves):
         mfact = factorial(m)
@@ -418,9 +405,8 @@ def census(rows) -> dict[int, CensusRow]:
                 raise ArithmeticError(
                     f"dimension-{d} orbit sum not divisible by {m}! at n={m}")
             by_dim.append(bd)
-        t1_weights = tuple((lam_1, w) for _, lam_1, w in sorted(weights.pop(m), key=itemgetter(0)))
         made[m] = CensusRow(n=m, b=sum(by_dim), G=gauss_total(m, 2), by_dim=tuple(by_dim),
-                            t1_weights=t1_weights)
+                            t1_weights=tuple(sorted(weights.pop(m))))
     return made
 
 

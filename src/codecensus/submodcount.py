@@ -75,14 +75,15 @@ every block is graded by submodule size, with d its only field parameter
 GF(2)-dimension d * j, so d is applied once: order_lattice raises the
 block lattice to the number of blocks, and that product enters a
 polynomial graded by dimension through the stride-aware kernel
-add_product (convolve allocates and calls it), with stride d.  A finite
-module's submodule lattice is self-dual, so every block lattice must
-read the same from either end, by size as by dimension: each one the
-walk makes is checked for its end counts and then for that symmetry
-(_checked_ends).  So every product of them is a palindrome too, and both
-callers keep only lower halves: half_product mirrors a half to full
-length and asks convolve for the first D // 2 + 1 coefficients of the
-product, D its degree.  lattice_dim_poly takes one such step per odd
+add_product, with stride d (convolve, for full stride-1 products,
+allocates and calls it).  A finite module's submodule lattice is
+self-dual, so every block lattice must read the same from either end, by
+size as by dimension: each one the walk makes is checked for its end
+counts and then for that symmetry (_checked_ends).  So every product of
+them is a palindrome too, and both callers keep only lower halves:
+half_product mirrors a half to full length and adds the product into
+its own D // 2 + 1 zeros with add_product, D its degree, so no other
+coefficient is made.  lattice_dim_poly takes one such step per odd
 order and mirrors the last half to length n + 1; the census DP
 (burnside) takes one per completed order, and adds each t+1 product
 straight into the lower half of its row with add_product.  A mirror
@@ -247,12 +248,9 @@ def add_product(out: list[int], a, b, stride: int = 1) -> list[int]:
     return out
 
 
-def convolve(a, b, stride: int = 1, size: int | None = None) -> list[int]:
-    """Coefficients of a(t) * b(t^stride), by add_product into zeros.  With
-    size, only the first size coefficients are made (the lower halves of
-    palindromes)."""
-    full = len(a) + stride * (len(b) - 1)
-    return add_product([0] * (full if size is None else min(size, full)), a, b, stride)
+def convolve(a, b) -> list[int]:
+    """Coefficients of a(t) * b(t), by add_product into zeros."""
+    return add_product([0] * (len(a) + len(b) - 1), a, b)
 
 
 def _mirror(half: list[int], degree: int) -> list[int]:
@@ -269,7 +267,7 @@ def half_product(half: list[int], degree: int, factor, stride: int):
     lattice and every product of them is (module docstring)."""
     full = _mirror(half, degree)
     degree += stride * (len(factor) - 1)
-    return convolve(full, factor, stride=stride, size=degree // 2 + 1), degree
+    return add_product([0] * (degree // 2 + 1), full, factor, stride), degree
 
 
 def order_lattice(lam: tuple[int, ...], count: int, d: int):

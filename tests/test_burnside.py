@@ -30,7 +30,7 @@ from codecensus.cyclestruct import (
     z_product,
 )
 from codecensus.qarith import gauss_total
-from codecensus.submodcount import _mirror, convolve, lattice_dim_poly
+from codecensus.submodcount import convolve, lattice_dim_poly
 
 
 IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n = 4
@@ -161,8 +161,8 @@ class TestOddPartDP:
                 poly = [a + b for a, b in zip(expected[lam_1], poly)]
             expected[lam_1] = poly
         # each type's full polynomial, from the factors the pass yields
-        assert {lam_1: tuple(convolve(_mirror(half, degree), lattice))
-                for _, lam_1, half, degree, lattice, _ in sums_by_t1_type((n,))} == \
+        assert {lam_1: tuple(convolve(value, lattice))
+                for _, lam_1, value, lattice in sums_by_t1_type((n,))} == \
             {k: tuple(v) for k, v in expected.items()}
         assert dict(count_codes(n).t1_weights) == {k: sum(v) for k, v in expected.items()}
 
@@ -264,10 +264,10 @@ class TestOddPartDP:
                 done = degree + count * deg * sum(parts(lam_u))
                 check(used, done, pending, range(1, u, 2))
                 states[used, done, pending] = [0] * (done // 2 + 1)
-        for core, stamps, groups in burnside._stage_one(n, states):
-            assert all(c <= n for c in stamps)
+        for core, groups in burnside._stage_one(n, states):
             for g, (degree, _, halves) in groups.items():
                 for c in halves:
+                    assert c <= n
                     check(c, degree, (core << W) + c - g, [1])
 
     def test_t1_type_order_n30(self):
@@ -318,6 +318,8 @@ class TestOnePass:
         assert sorted(rows) == list(range(1, top + 1))
         for m, row in rows.items():
             assert row == census((m,))[m], m  # t1_weights order included
+            keys = [lam_1 for lam_1, _ in row.t1_weights]
+            assert all(a < b for a, b in zip(keys, keys[1:])), m
 
     def test_t1_type_order_n30_from_a_pass_at_40(self):
         # the pin of test_t1_type_order_n30, on row 30 of the pass at N = 40

@@ -610,10 +610,15 @@ class TestPerOrderProduct:
            st.lists(st.integers(-50, 50), min_size=1, max_size=8),
            st.integers(1, 6), st.integers(0, 60))
     def test_convolve_is_schoolbook_with_spread_b(self, a, b, stride, size):
+        # convolve makes full stride-1 products; the strided and truncated
+        # ones are add_product into zeros of the length kept
         spread = [0] * (stride * (len(b) - 1) + 1)
         spread[::stride] = b
-        assert convolve(a, b, stride) == schoolbook(a, spread)
-        assert convolve(a, b, stride, size) == schoolbook(a, spread)[:size]
+        assert convolve(a, b) == schoolbook(a, b)
+        full = len(a) + len(spread) - 1
+        assert add_product([0] * full, a, b, stride) == schoolbook(a, spread)
+        assert add_product([0] * min(size, full), a, b, stride) == \
+            schoolbook(a, spread)[:size]
 
 
 def naive_add_product(out, a, b, stride):
@@ -665,5 +670,8 @@ class TestAddProduct:
            st.lists(st.integers(-50, 50), min_size=1, max_size=8),
            st.integers(1, 6), st.integers(0, 60))
     def test_convolve_is_add_product_into_zeros(self, a, b, stride, size):
+        assert convolve(a, b) == add_product([0] * (len(a) + len(b) - 1), a, b)
+        spread = [0] * (stride * (len(b) - 1) + 1)
+        spread[::stride] = b
         n = min(size, len(a) + stride * (len(b) - 1))
-        assert convolve(a, b, stride, size) == add_product([0] * n, a, b, stride)
+        assert add_product([0] * n, a, b, stride) == schoolbook(a, spread)[:n]
