@@ -34,8 +34,10 @@ below; a single row n is the pass with N = n):
   types shifted down by the slot of u and the new pending is the rest (at
   u = 1 the slot is 0).  Types are decoded (parts) only for a block lattice.
   The value, a polynomial in the dimension, is the sum over the choices
-  reaching the state of N!/z_partial times the product of the completed
-  block lattices, where z_partial = prod l^m * m! over the cycles chosen.
+  reaching the state of used!/z_partial times the product of the
+  completed block lattices, where z_partial = prod l^m * m! over the
+  cycles chosen: used!/z_partial is the number of permutations of the
+  used points with those cycles.
 - Degree.  A finite module's submodule lattice is self-dual (L. M. Butler,
   Subgroup lattices and symmetric functions, Mem. AMS 539, 1994), so every
   block lattice is a palindrome, and so is every product and same-degree
@@ -54,46 +56,46 @@ below; a single row n is the pass with N = n):
   the lower half of the product is made.  The t+1 block is never
   multiplied into a state: its product with each row's value is added
   straight into that row's lower half (Rows).
-- Exactness.  Each stage divides the values by the z-product of the cycles
-  it adds.  Cycles added at different stages have different lengths, so
-  the z-products multiply to the z-product of the partial cycle type,
-  which divides c! for a partial type of size c, and so N!: the division
-  leaves no remainder.  The choices of size s at stage u, each binary
-  partition mu of s with its step and z-product, come from one table per
-  (s, u) (choice_table), built once per process.  Each state's value is
-  checked once, against the lcm of its choices' divisors; a value that
-  fails raises, naming the first choice in stage order whose divisor it
-  does not divide by.  Every cycle type has one invariant subspace of
-  dimension 0 and one of dimension m, and the class sizes sum to m!, so
-  the dimension-0 and dimension-m totals of row m must both equal m!.  A
+- Weights.  Every stage, u = 1 included, weighs a choice one way.  A
+  choice whose cycles cover size points, c points used after it,
+  multiplies the value by C(c, size) * ways: C(c, size) picks those
+  points among the c, and ways = size!/z, z the z-product of the chosen
+  cycles, counts the permutations of those points with those cycles.
+  The factors telescope to c!/z_partial, so no state value is ever
+  divided.  The one division is size!/z, made once per choice when its
+  table is built (_ways), and a z that does not divide size! raises.
+  The choices of size s at stage u, each binary partition mu of s with
+  its packed step and ways, come from one table per (s, u)
+  (choice_table), built once per process.
+- Checks.  Every cycle type has one invariant subspace of dimension 0
+  and one of dimension m, and the class sizes sum to m!, so the
+  dimension-0 and dimension-m totals of row m must both equal m!.  A
   permutation with c cycles fixes 2^c - 1 nonzero vectors, and
   sum_sigma 2^c(sigma) = (m + 1)!, so the dimension-1 total must equal
-  m * m!.  The dimension-m total is summed from the top coefficient of
-  each t+1 product, the product of its factors' top entries, where V's is
-  the mirror of its exact first and the lattice's is read as made, and
-  each product's length is checked from its factors' lengths: a t+1 block
-  with a wrong or missing top entry still fails.  Each block lattice is
-  checked to be a palindrome where it is made (submodcount); census
-  requires every per-dimension total of row m to divide by m!.
+  m * m!.  A wrong weight shows in these totals.  The dimension-m total
+  is summed from the top coefficient of each t+1 product, the product of
+  its factors' top entries, where V's is the mirror of its exact first
+  and the lattice's is read as made, and each product's length is
+  checked from its factors' lengths: a t+1 block with a wrong or missing
+  top entry still fails.  Each block lattice is checked to be a
+  palindrome where it is made (submodcount); census requires every
+  per-dimension total of row m to divide by m!.
 - Fixed points.  The last stage (u = 1) completes the t+1 block.  It
   chooses only nu, the cycles of length 2, 4, 8, ... (_stage_one), never
   the fixed points, so its results hold every row at once: they are keyed
   by (core, c, f_p), where c = used + |nu| is the number of points that
   move, the core is lambda_1 without its 1-parts (the fields of
   pending + nu above the lowest) and f_p is the count of 1-parts from the
-  odd cycles u >= 3 (the lowest field of pending).  Each value is divided
-  by z(nu) * N!/c!, which leaves c!/z times the block lattices, z the
-  z-product of the fixed-point-free partial type on c points: the
-  division is exact, as z divides c!.  z(nu) divides |nu|! and so
-  c!/used!, so a state's divisors have the lcm N!/used! (that of the
-  empty nu): the state is checked against it and divided by it once, and
-  each choice multiplies by c!/(used! * z(nu)).  The stage runs core by
-  core, each core pulling its choices from the states whose pending types
-  it contains, so it holds the values of one core at a time.  Its values
-  are packed, each into one integer with a fixed number of bytes per
-  entry for each degree, wide enough for any sum a row makes of them, so
-  a choice costs one multiplication and one addition, and a row's sum is
-  unpacked once per t+1 type.
+  odd cycles u >= 3 (the lowest field of pending).  Its choices are
+  weighed as every stage's are, so each value is c!/z times the block
+  lattices, z the z-product of the fixed-point-free partial type on c
+  points.  The stage runs core by core, each core pulling its choices
+  from the states whose pending types it contains, so it holds the
+  values of one core at a time.  Its values are packed, each into one
+  integer with a fixed number of bytes per entry for each degree, wide
+  enough for any sum a row makes of them, so a choice costs one
+  multiplication and one addition, and a row's sum is unpacked once per
+  t+1 type.
 - Rows.  A permutation of m points that moves c of them is a choice of
   the c points and a fixed-point-free permutation of them, so its class
   size is C(m, c) times the class size of its fixed-point-free part on c
@@ -120,8 +122,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, factorial, lcm
-from operator import add, floordiv, mul
+from math import comb, factorial
+from operator import add, mul
 
 import mpmath
 
@@ -180,15 +182,25 @@ def parts(packed: int) -> tuple[int, ...]:
                  for _ in range((packed >> W * a) & FIELD))
 
 
+def _ways(size: int, z: int) -> int:
+    """size!/z, the number of permutations of size points with cycles of
+    z-product z.  The division is exact, as a class size is; a z that
+    leaves a remainder raises."""
+    ways, rem = divmod(factorial(size), z)
+    if rem:
+        raise ArithmeticError(f"z-product {z} does not divide {size}!")
+    return ways
+
+
 @lru_cache(maxsize=None)
-def choice_table(s: int, u: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The stage-u choices of size s, with the lcm of their z: the pairs
-    (step, z) for the binary partitions mu of s, in _weighted_binary_partitions
-    order, where step is mu packed into the slot of every odd divisor of u
-    and z is the z-product of the cycles p * u for p in mu."""
+def choice_table(s: int, u: int) -> tuple[tuple[int, int], ...]:
+    """The stage-u choices of size s: the pairs (step, ways) for the
+    binary partitions mu of s, in _weighted_binary_partitions order, where
+    step is mu packed into the slot of every odd divisor of u and ways is
+    the number of permutations of s * u points with the cycles p * u for
+    p in mu (_ways)."""
     spread = sum(1 << SLOT * (e // 2) for e in odd_divisors(u))
-    pairs = tuple((mu * spread, z) for mu, z in _weighted_binary_partitions(s, u))
-    return lcm(*(z for _, z in pairs)), pairs
+    return tuple((mu * spread, _ways(s * u, z)) for mu, z in _weighted_binary_partitions(s, u))
 
 
 def _add_into(acc: dict, key, poly) -> None:
@@ -201,36 +213,21 @@ def _stage(n: int, u: int, states: dict) -> dict:
     pending); returns the summed values keyed by (packed lambda_u, used,
     degree, pending), each key made by one addition, one shift and one
     mask.  A state with r left chooses partitions of every s <= r // u,
-    read from the choice tables.  Its value is checked once, against the
-    lcm of those choices' z-products, then divided by each."""
+    read from the choice tables.  A choice's cycles cover s * u more
+    points, c in all, so it multiplies the value by C(c, s * u), the
+    ways to pick those points, times its ways to place the cycles."""
     shift = SLOT * (u // 2)
     below = (1 << shift) - 1
     reached: dict = {}
     for (used, degree, pending), value in states.items():
-        sizes = range((n - used) // u + 1)
-        tables = [choice_table(s, u) for s in sizes]
-        zlcm = lcm(*(t[0] for t in tables))
-        if any(c % zlcm for c in value):
-            _raise_indivisible(n, u, value, tables)
-        for s, (_, pairs) in zip(sizes, tables):
-            used_s = used + s * u
-            for step, z in pairs:
+        for s in range((n - used) // u + 1):
+            c = used + s * u
+            picks = comb(c, s * u)
+            for step, ways in choice_table(s, u):
                 types = pending + step
-                key = (types >> shift, used_s, degree, types & below)
-                _add_into(reached, key, list(map(floordiv, value, repeat(z))))
+                key = (types >> shift, c, degree, types & below)
+                _add_into(reached, key, list(map(mul, value, repeat(picks * ways))))
     return reached
-
-
-def _raise_indivisible(n: int, u: int, value, tables) -> None:
-    """Raise for the first choice, in stage order, whose z-product does not
-    divide value; its mu is the step's order-1 slot."""
-    for _, pairs in tables:
-        for step, z in pairs:
-            if any(c % z for c in value):
-                mu = parts(step & ((1 << SLOT) - 1))
-                raise ArithmeticError(
-                    f"stage u={u} at n={n}: value not divisible by the "
-                    f"z-product {z} of cycles {[p * u for p in mu]}")
 
 
 def _stage_one(top: int, states: dict):
@@ -242,46 +239,35 @@ def _stage_one(top: int, states: dict):
     Yields (packed core, groups) core by core: groups[g] is (degree,
     nbytes, {c: value}) for the entries (c, f_p) with c - f_p = g, f_p
     the 1-field of pending, which row m reads at the same f = m - g.
-    A value is the state's divided by z(nu) * top!/c!, so it is the class
-    size of the fixed-point-free partial type on c points times its block
-    lattices.  z(nu) divides |nu|! and so c!/used!, so the lcm of those
-    divisors is top!/used!, that of the empty nu: each state's value is
-    checked against it and divided by it once, before the first core, and
-    each transition multiplies by c!/(used! * z(nu)).  A core pulls its
-    transitions from the states whose pending part above the 1-field it
-    contains, so the values of one core at a time are held.  states is
-    emptied as it is read.
+    A transition multiplies the state's value by C(c, 2k) times the ways
+    of nu (_ways), as every stage does, so a value is the class size of
+    the fixed-point-free partial type on c points times its block
+    lattices.  A core pulls its transitions from the states whose pending
+    part above the 1-field it contains, so the values of one core at a
+    time are held.  states is emptied as it is read.
 
     Values are packed, nbytes bytes per entry (_pack), so a transition is
     one multiplication and one addition.  Row m sums, over the (used, nu)
-    it reads for one group, one state's divided value each, times C(m, c)
-    * c!/(used! * z(nu)).  Those weights count distinct permutations of m
+    it reads for one group, one state's value each, times C(m, c) *
+    C(c, 2k) * ways.  Those weights count distinct permutations of m
     points (which m - used points move, and in which cycles of length 2,
     4, 8, ...), at most m!/used! for each used, and used >= D, the
     degree.  So no entry of a sum, nor of a partial one, exceeds peak
     times the sum of top!/used! over used >= D, peak the largest entry of
-    the divided values of degree D; that sets nbytes for degree D."""
-    spans = [[0] * used + list(accumulate(range(used + 1, top + 1), mul, initial=1))
-             for used in range(top + 1)]  # spans[used][c] = c!/used!
+    the state values of degree D; that sets nbytes for degree D."""
     peaks = [0] * (top + 1)
-    for (used, degree, _), value in states.items():
-        peaks[degree] = max(peaks[degree], max(value) // spans[used][top])
-    masses = accumulate((spans[used][top] for used in range(top, -1, -1)), add)
+    for (_, degree, _), value in states.items():
+        peaks[degree] = max(peaks[degree], max(value))
+    masses = accumulate((factorial(top) // factorial(used) for used in range(top, -1, -1)), add)
     widths = [(mass * peak).bit_length() // 8 + 1
               for mass, peak in zip(reversed(list(masses)), peaks)]
     by_part: dict = {}  # pending without its 1-field -> {used: [(degree, f_p, value)]}
     for key in list(states):
         used, degree, pending = key
-        value = states.pop(key)
-        ratio = spans[used][top]
-        if any(x % ratio for x in value):
-            raise ArithmeticError(
-                f"stage u=1 at n={top}: value not divisible by {top}!/{used}! = {ratio}")
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
-            (degree, pending & FIELD,
-             _pack(map(floordiv, value, repeat(ratio)), widths[degree])))
-    # packed nu -> (z(nu), |nu|), by size: nu of size 2k is a binary partition of k doubled
-    moves = {mu << W: (z, 2 * k) for k in range(top // 2 + 1)
+            (degree, pending & FIELD, _pack(states.pop(key), widths[degree])))
+    # packed nu -> (ways, |nu|), by size: nu of size 2k is a binary partition of k doubled
+    moves = {mu << W: (_ways(2 * k, z), 2 * k) for k in range(top // 2 + 1)
              for mu, z in _weighted_binary_partitions(k, 2)}
     pulls: dict = {}  # packed core -> the parts it pulls from
     for part, by_used in by_part.items():
@@ -294,12 +280,12 @@ def _stage_one(top: int, states: dict):
         groups: dict = {}
         for part in pulls.pop(core):
             nu = (core << W) - part
-            z, size = moves[nu]
+            ways, size = moves[nu]
             for used, sources in by_part[part].items():
                 c = used + size
                 if c > top:
                     continue
-                weight = spans[used][c] // z
+                weight = comb(c, size) * ways
                 for degree, f_p, value in sources:
                     group = groups.get(c - f_p)
                     if group is None:
@@ -334,7 +320,7 @@ def sums_by_t1_type(rows):
     for m in rows:
         _check_n(m)
     top = rows[-1]
-    states: dict = {(0, 0, 0): [factorial(top)]}
+    states: dict = {(0, 0, 0): [1]}
     for u in range(top - 1 + top % 2, 1, -2):
         count, deg = cyclotomic_split(u)
         merged: dict = {}

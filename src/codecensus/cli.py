@@ -50,7 +50,7 @@ class CeilingError(Exception):
 # The largest count --n and table --max-n, and the largest verify --max-n,
 # run without --no-ceiling.  Cold runs, one process each, on a 2-vCPU VM
 # (Python 3.11, raw wall time and peak RSS):
-#   count --n: 60 3.8 s 46 MB, 80 27-30 s 193 MB; ~2.4x the time and
+#   count --n: 60 3.8-4.3 s 44 MB, 80 31-35 s 179 MB; ~2.4x the time and
 #     ~2.2x the memory per +10 in n (with the census before the one-pass
 #     u = 1 stage: 60 4.9 s 43 MB, 70 14.1 s 84 MB, 80 32.4 s 179 MB,
 #     100 194 s 858 MB with --no-ceiling);

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from hashlib import sha256
-from math import comb, factorial, lcm
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -22,12 +22,12 @@ from codecensus.burnside import (
     transposition_class_sum,
 )
 from codecensus.cyclestruct import (
+    CycleType,
     class_size,
     cycle_types_of,
     cyclotomic_split,
     odd_divisors,
     primary_components,
-    z_product,
 )
 from codecensus.qarith import gauss_total
 from codecensus.submodcount import convolve, lattice_dim_poly
@@ -181,33 +181,28 @@ class TestOddPartDP:
                 assert sum(mu) == s and list(mu) == sorted(mu, reverse=True)
                 assert all(p & (p - 1) == 0 for p in mu)
 
-    def test_indivisible_stage_raises(self, monkeypatch):
+    # every class of S_4 is weighed 5 times over, through the empty stage-3
+    # choice or the 3-cycle: the dimension-0 total is 5 * 4!
+    WRONG_WAYS_MESSAGE = "dimension-0 orbit sum is 120 at n=4, expected 4!"
+
+    def test_wrong_ways_fail_the_dimension_zero_total(self, monkeypatch):
         real = burnside.choice_table
 
-        def times_five(s, u):  # every stage-u z-product, and so their lcm, times 5
-            zlcm, pairs = real(s, u)
-            return 5 * zlcm, tuple((step, 5 * z) for step, z in pairs)
+        def times_five(s, u):  # every stage-u weight times 5
+            return tuple((step, 5 * ways) for step, ways in real(s, u))
 
         monkeypatch.setattr(burnside, "choice_table", times_five)
-        with pytest.raises(ArithmeticError, match="stage u=3 at n=4"):
-            list(sums_by_t1_type((4,)))
-
-    # At n = 6 the stage-3 choices of the empty state are (), (1,), (1, 1)
-    # and (2,), with z-products 1, 3, 18 and 6: the value 3 divides by the
-    # first two only, and 18 is the first it does not divide by.
-    PARTLY_DIVISIBLE_MESSAGE = ("stage u=3 at n=6: value not divisible by the "
-                                "z-product 18 of cycles [3, 3]")
-
-    def test_partly_divisible_state_names_first_indivisible_z(self):
         with pytest.raises(ArithmeticError) as exc:
-            burnside._stage(6, 3, {(0, 0, 0): [3]})
-        assert str(exc.value) == self.PARTLY_DIVISIBLE_MESSAGE
+            census((4,))
+        assert str(exc.value) == self.WRONG_WAYS_MESSAGE
 
-    def test_partly_divisible_state_raises_under_optimize(self):
+    def test_wrong_ways_fail_the_dimension_zero_total_under_optimize(self):
         script = (
             "from codecensus import burnside\n"
+            "real = burnside.choice_table\n"
+            "burnside.choice_table = lambda s, u: tuple((step, 5 * ways) for step, ways in real(s, u))\n"
             "try:\n"
-            "    burnside._stage(6, 3, {(0, 0, 0): [3]})\n"
+            "    burnside.census((4,))\n"
             "except ArithmeticError as exc:\n"
             "    print(exc)\n"
         )
@@ -217,22 +212,32 @@ class TestOddPartDP:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == self.PARTLY_DIVISIBLE_MESSAGE + "\n"
+        assert proc.stdout == self.WRONG_WAYS_MESSAGE + "\n"
+
+    def test_z_that_does_not_divide_raises_when_a_table_is_built(self, monkeypatch):
+        # the cycles 3, 3 given the z-product 7 in place of 18: 7 does not
+        # divide 6!; the u = 1 stage builds its moves the same way
+        monkeypatch.setattr(burnside, "_weighted_binary_partitions", lambda s, u: [(2, 7)])
+        with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 6!$"):
+            burnside.choice_table.__wrapped__(2, 3)  # uncached, so nothing wrong is kept
+        with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 0!$"):
+            next(burnside._stage_one(4, {(0, 0, 0): [1]}))
 
     @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
     def test_choice_table_matches_z_product(self, u):
+        # ways is the class size of the cycles p * u on s * u points
         for s in range(65):
-            zlcm, pairs = burnside.choice_table(s, u)
+            pairs = burnside.choice_table(s, u)
             mus = [parts(slot(step, 1)) for step, _ in pairs]
             assert mus == binary_partitions(s)
-            assert [z for _, z in pairs] == [z_product([p * u for p in mu]) for mu in mus]
-            assert zlcm == lcm(*(z for _, z in pairs))
+            assert [ways for _, ways in pairs] == \
+                [class_size(CycleType(tuple(p * u for p in mu))) if mu else 1 for mu in mus]
 
     @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
     def test_step_fills_the_slots_of_the_divisors_of_u(self, u):
         # every odd divisor of u gets mu, and no other order is touched
         for s in range(65):
-            for step, _ in burnside.choice_table(s, u)[1]:
+            for step, _ in burnside.choice_table(s, u):
                 mu = slot(step, 1)
                 assert step == sum(mu << SLOT * (e // 2) for e in odd_divisors(u))
                 assert [e for e in range(1, u + 1, 2) if slot(step, e)] == \
@@ -253,7 +258,7 @@ class TestOddPartDP:
                             for count, deg in [cyclotomic_split(e)])
             assert degree == used - open_size
 
-        states = {(0, 0, 0): [factorial(n)]}
+        states = {(0, 0, 0): [1]}
         for u in range(n - 1 + n % 2, 1, -2):
             reached = burnside._stage(n, u, states)
             for lam_u, used, degree, pending in reached:
@@ -321,6 +326,15 @@ class TestOnePass:
             keys = [lam_1 for lam_1, _ in row.t1_weights]
             assert all(a < b for a, b in zip(keys, keys[1:])), m
 
+    def test_rows_1_to_40_pinned(self):
+        # sha256 of repr([(n, b, by_dim, t1_weights) for rows 1..40]) from
+        # one pass of the census whose odd stages divided N! by each z-product
+        rows = census(range(1, 41))
+        blob = repr([(r.n, r.b, r.by_dim, r.t1_weights) for r in rows.values()]).encode()
+        assert list(rows) == list(range(1, 41))
+        assert sha256(blob).hexdigest() == \
+            "ea48d720419a7f67c1eaf72fd43e05d06f2ffb300d929de70f04c6c9c5626a6b"
+
     def test_t1_type_order_n30_from_a_pass_at_40(self):
         # the pin of test_t1_type_order_n30, on row 30 of the pass at N = 40
         keys = [lam_1 for lam_1, _ in census(range(1, 41))[30].t1_weights]
@@ -341,12 +355,6 @@ class TestOnePass:
         with pytest.raises(ArithmeticError, match="dimension-0 orbit sum is 25 at n=4, expected 4!"):
             census_rows(8)
         assert burnside._ROWS == {}
-
-    def test_indivisible_u1_state_raises(self):
-        # the lcm of the divisors z(nu) * n!/c! of a state is n!/used!
-        with pytest.raises(ArithmeticError, match=r"stage u=1 at n=6: value not divisible "
-                                                  r"by 6!/2! = 360"):
-            list(burnside._stage_one(6, {(0, 0, 0): [720], (2, 0, 1 << W): [720, 180]}))
 
     def test_packed_values_round_trip_and_overflow_raises(self):
         entries = [0, 1, 255, 256, (1 << 40) - 1]
