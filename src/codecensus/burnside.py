@@ -95,7 +95,8 @@ below; a single row n is the pass with N = n):
   integer with a fixed number of bytes per entry for each degree, wide
   enough for any sum a row makes of them, so a choice costs one
   multiplication and one addition, and a row's sum is unpacked once per
-  t+1 type.
+  t+1 type.  The packed format and its one fit check are
+  submodcount's _pack and _unpack, which the block walk shares.
 - Rows.  A permutation of m points that moves c of them is a choice of
   the c points and a fixed-point-free permutation of them, so its class
   size is C(m, c) times the class size of its fixed-point-free part on c
@@ -129,7 +130,8 @@ import mpmath
 
 from .cyclestruct import cyclotomic_split, odd_divisors
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import _mirror, add_product, fixed_point_walk, half_product, order_lattice
+from .submodcount import (_mirror, _pack, _unpack, add_product, fixed_point_walk, half_product,
+                          order_lattice)
 
 
 # packed module types: W-bit fields, a SLOT of 16 of them per odd order (State above)
@@ -246,8 +248,9 @@ def _stage_one(top: int, states: dict):
     part above the 1-field it contains, so the values of one core at a
     time are held.  states is emptied as it is read.
 
-    Values are packed, nbytes bytes per entry (_pack), so a transition is
-    one multiplication and one addition.  Row m sums, over the (used, nu)
+    Values are packed, nbytes bytes per entry (submodcount._pack, the
+    format of the block walk's lattices), so a transition is one
+    multiplication and one addition.  Row m sums, over the (used, nu)
     it reads for one group, one state's value each, times C(m, c) *
     C(c, 2k) * ways.  Those weights count distinct permutations of m
     points (which m - used points move, and in which cycles of length 2,
@@ -293,19 +296,6 @@ def _stage_one(top: int, states: dict):
                     halves = group[2]
                     halves[c] = halves.get(c, 0) + value * weight
         yield core, groups
-
-
-def _pack(entries, nbytes: int) -> int:
-    """The entries as one integer, nbytes bytes each, the first lowest."""
-    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
-
-
-def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
-    """The count entries of nbytes bytes each that _pack packed."""
-    if packed.bit_length() > 8 * nbytes * count:
-        raise ArithmeticError(f"packed value does not fit {count} entries of {nbytes} bytes")
-    raw = packed.to_bytes(nbytes * count, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 def sums_by_t1_type(rows):

@@ -50,13 +50,10 @@ class CeilingError(Exception):
 # The largest count --n and table --max-n, and the largest verify --max-n,
 # run without --no-ceiling.  Cold runs, one process each, on a 2-vCPU VM
 # (Python 3.11, raw wall time and peak RSS):
-#   count --n: 60 3.8-4.3 s 44 MB, 80 31-35 s 179 MB; ~2.4x the time and
-#     ~2.2x the memory per +10 in n (with the census before the one-pass
-#     u = 1 stage: 60 4.9 s 43 MB, 70 14.1 s 84 MB, 80 32.4 s 179 MB,
-#     100 194 s 858 MB with --no-ceiling);
+#   count --n: 60 3.0-4.3 s 44 MB, 70 9.8 s 84 MB, 80 26-35 s 179 MB;
+#     ~3x the time and ~2x the memory per +10 in n;
 #   table --max-n, one census pass for all its rows: 40 1.0 s 24 MB,
-#     60 11.7 s 49 MB, 80 112 s 192 MB (with one census per row, as
-#     before the pass: 40 2.8 s 28 MB, 60 31-39 s 87 MB, 80 376 s 400 MB);
+#     60 11.7 s 49 MB, 80 112 s 192 MB;
 #   verify --suite all: max-n 800 12 s, 1000 25 s, 1200 46 s, 30 MB each
 #     (check_lemma1 sweeps G(n, 2) and u_n over every n <= max-n).
 CENSUS_CEILING = 80

@@ -65,6 +65,12 @@ S_{l-m}(Q^m) falls as m grows, and a column multiplies the total by at
 most S_l(1) = G(l, Q), the number of subspaces of GF(Q)^l.  So the
 lattice total of lam is at most prod_i G(lam'_i, Q) (_total_bound).
 
+One packed format serves the walk and the census's u = 1 values
+(burnside): a list of nonnegative entries as one integer, a fixed number
+of little-endian bytes per entry, the first lowest (_pack).  _unpack
+decodes it and raises when the value needs more entries than asked for,
+so one check guards every packed value.
+
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
 Both are taken per odd order e, one primary_components record each,
@@ -152,20 +158,28 @@ def _packed_heads(cols: tuple[int, ...], d: int, slot: int) -> list[int]:
     return heads
 
 
-@lru_cache(maxsize=None)
-def _column_gain(l: int, d: int) -> int:
-    """The most a column of length l multiplies the lattice total by:
-    max over m of S_{l-m}(Q^m), which is S_l(1) = G(l, Q), Q = 2^d."""
-    return _gauss_total(l, 1 << d)
-
-
 def _total_bound(cols: tuple[int, ...], d: int) -> int:
     """An upper bound on the lattice total of the block with conjugate
-    type cols over Q = 2^d: the product of its columns' gains."""
+    type cols over Q = 2^d: the product over its columns of G(l, Q), the
+    most a column of length l multiplies the total by (module docstring)."""
     bound = 1
     for l in cols:
-        bound *= _column_gain(l, d)
+        bound *= _gauss_total(l, 1 << d)
     return bound
+
+
+def _pack(entries, nbytes: int) -> int:
+    """The entries as one integer, nbytes bytes each, the first lowest."""
+    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
+
+
+def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
+    """The count entries of nbytes bytes each that _pack packed; a packed
+    value that needs more than count entries raises."""
+    if packed.bit_length() > 8 * nbytes * count:
+        raise ArithmeticError(f"packed value does not fit {count} entries of {nbytes} bytes")
+    raw = packed.to_bytes(nbytes * count, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 def fixed_point_walk(core: tuple[int, ...], fs, d: int):
@@ -174,14 +188,14 @@ def fixed_point_walk(core: tuple[int, ...], fs, d: int):
     return: the column DP on core over Q = 2^d, then one fixed_point_step
     per added 1-part.
 
-    Each head is packed into one integer, nbytes bytes per entry.  Entries
-    are nonnegative and at most the lattice total of the largest type
-    walked to, whose conjugate is that of core with the first column
-    max(fs) longer; _total_bound of those columns is at least that total,
-    so no entry overflows its slot.  Folding shifts head t by t slots and
-    unpacks the sum once; a fold that needs more than size + 1 slots
-    raises, and every lattice passes the end-count and palindrome
-    check."""
+    Each head is packed into one integer, nbytes bytes per entry, in the
+    format of _pack.  Entries are nonnegative and at most the lattice
+    total of the largest type walked to, whose conjugate is that of core
+    with the first column max(fs) longer; _total_bound of those columns
+    is at least that total, so no entry overflows its slot.  Folding
+    shifts head t by t slots, and _unpack decodes the sum once into
+    size + 1 entries, raising if it needs more; every lattice passes the
+    end-count and palindrome check."""
     Q = 1 << d
     cols = conjugate(core)
     top = max(fs, default=0)
@@ -196,16 +210,8 @@ def fixed_point_walk(core: tuple[int, ...], fs, d: int):
         for ones in range(ones + 1, f + 1):
             rows = fixed_point_step(rows, d)
         lam = core + (1,) * f
-        size = sum(lam)
         folded = sum(row << 8 * nbytes * t for t, row in enumerate(rows))
-        if folded.bit_length() > 8 * nbytes * (size + 1):
-            raise ArithmeticError(
-                f"block lattice of type {lam} over Q={Q} does not fit "
-                f"{size + 1} slots of {8 * nbytes} bits")
-        raw = folded.to_bytes(nbytes * (size + 1), "little")
-        coeffs = [int.from_bytes(raw[i:i + nbytes], "little")
-                  for i in range(0, len(raw), nbytes)]
-        yield f, _checked_ends(coeffs, lam, Q)
+        yield f, _checked_ends(_unpack(folded, nbytes, sum(lam) + 1), lam, Q)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from codecensus import burnside
+from codecensus import burnside, submodcount
 from codecensus.burnside import (
     SLOT,
     W,
@@ -128,15 +128,14 @@ class TestCountCodes:
 
 class TestRetention:
     def test_census_keeps_no_polynomial(self):
-        # the block-lattice and column-gain memos are cleared, so what is
-        # left is the count_codes row and anything else kept
+        # the block-lattice memo is cleared, so what is left is the
+        # count_codes row and anything else kept
         script = (
             "import gc, tracemalloc\n"
             "from codecensus import burnside, submodcount\n"
             "tracemalloc.start()\n"
             "burnside.count_codes(40)\n"
             "submodcount.component_lattice.cache_clear()\n"
-            "submodcount._column_gain.cache_clear()\n"
             "gc.collect()\n"
             "print(tracemalloc.get_traced_memory()[0])\n"
         )
@@ -358,10 +357,10 @@ class TestOnePass:
 
     def test_packed_values_round_trip_and_overflow_raises(self):
         entries = [0, 1, 255, 256, (1 << 40) - 1]
-        packed = burnside._pack(entries, 5)
-        assert burnside._unpack(packed, 5, 5) == entries
+        packed = submodcount._pack(entries, 5)
+        assert submodcount._unpack(packed, 5, 5) == entries
         with pytest.raises(ArithmeticError, match="does not fit 5 entries of 5 bytes"):
-            burnside._unpack(packed << 1, 5, 5)
+            submodcount._unpack(packed << 1, 5, 5)
 
     def test_count_codes_is_the_single_row_pass(self, monkeypatch):
         calls = []

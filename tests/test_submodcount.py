@@ -105,7 +105,8 @@ class TestValidationGate:
 
 class TestComponentLattice:
     def test_semisimple_block_reproduces_gaussian_binomials(self):
-        for m in range(1, 13):
+        # m = 256 packs its slots 2,049 bytes wide
+        for m in [*range(1, 13), 256]:
             coeffs = component_lattice((1,) * m, 1)
             assert coeffs == tuple(
                 gauss_binomial(m, k, 2) for k in range(m + 1)
@@ -329,13 +330,12 @@ class TestFixedPointWalk:
         assert proc.returncode == 1
         assert f"ArithmeticError: {self.SKEWED_MESSAGE}" in proc.stderr
 
-    # with every column gain patched to 1 the walk packs (1,) * 16 into
-    # 8-bit slots, and its folded lattice needs more than 17 of them
-    UNFIT_MESSAGE = (f"block lattice of type {(1,) * 16} over Q=2 "
-                     f"does not fit 17 slots of 8 bits")
+    # with the total bound patched to 1 the walk packs (1,) * 16 into
+    # 1-byte slots, and its folded lattice needs more than 17 of them
+    UNFIT_MESSAGE = "packed value does not fit 17 entries of 1 bytes"
 
     def test_unfit_fold_raises(self, monkeypatch):
-        monkeypatch.setattr(submodcount, "_column_gain", lambda l, d: 1)
+        monkeypatch.setattr(submodcount, "_total_bound", lambda cols, d: 1)
         with pytest.raises(ArithmeticError) as exc:
             list(fixed_point_walk((), [16], 1))
         assert str(exc.value) == self.UNFIT_MESSAGE
@@ -343,7 +343,7 @@ class TestFixedPointWalk:
     def test_unfit_fold_raises_without_asserts(self):
         script = (
             "from codecensus import submodcount as s\n"
-            "s._column_gain = lambda l, d: 1\n"
+            "s._total_bound = lambda cols, d: 1\n"
             "list(s.fixed_point_walk((), [16], 1))\n"
         )
         proc = run_without_asserts(script)
@@ -387,7 +387,7 @@ class TestColumnBound:
                 assert total == sum(gauss_binomial(l - m, t - m, Q) * Q ** (m * (l - t))
                                     for t in range(m, l + 1)), (l, m)
             assert sums == sorted(sums, reverse=True)
-            assert submodcount._column_gain(l, d) == max(sums) == gauss_total(l, Q)
+            assert submodcount._total_bound((l,), d) == max(sums) == gauss_total(l, Q)
 
     @pytest.mark.parametrize("Q,d", [(2, 1), (4, 2), (8, 3)])
     def test_bounds_every_lattice_total_up_to_12(self, Q, d):
