@@ -332,10 +332,8 @@ def sums_by_t1_type(rows):
                 degree, nbytes, halves = groups[g]
                 value = 0
                 for c, half in halves.items():
-                    if c < m:
+                    if c <= m:
                         value += half * comb(m, c)
-                    elif c == m:
-                        value += half
                 if degree + len(lattice) - 1 != m:
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "

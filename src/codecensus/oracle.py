@@ -6,6 +6,12 @@ equality.  Everything here is deliberately naive: explicit enumeration,
 explicit permutation action, explicit linear algebra.  The module imports
 nothing from the rest of the package, so the fast path is checked against
 code it shares nothing with.
+
+The one shortcut is in the nilpotent submodule census: it fills each
+echelon basis row by row, from the last pivot to the first, and drops a
+partial basis as soon as the image of one of its rows lies outside the
+span.  The rows already filled decide that, since the nilpotent operator
+moves each coordinate down by one, so no invariant subspace is dropped.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ ENUM_CEILING = 7      # 29212 subspaces at n=7
 CLASSIFY_CEILING = 5  # 374 subspaces x 120 permutations at n=5
 MINPOLY_CEILING = 16
 SLEPIAN_MAX_DIM = 4    # |GL(4,2)| = 20160 matrices; |GL(5,2)| = 9999360 is too many
+NILPOTENT_CEILING = 565723  # G(6, 4), the subspaces of GF(4)^6
 
 
 def rref(rows, n):
@@ -514,32 +521,28 @@ def _field_tables(Q):
     raise ValueError(f"Q must be 2 or 4, got {Q}")
 
 
-def _k_rank(vectors, m, mul):
-    work = [list(v) for v in vectors]
-    rank = 0
-    row = 0
-    for col in range(m):
-        pivot = None
-        for i in range(row, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        p = work[row]
-        pc = p[col]
-        pinv = next(b for b in range(1, len(mul)) if mul[pc][b] == 1)
-        work[row] = p = [mul[pinv][x] for x in p]
-        for i in range(len(work)):
-            if i != row and work[i][col]:
-                c = work[i][col]
-                work[i] = [x ^ mul[c][y] for x, y in zip(work[i], p)]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
+def _reduce(v, rows, pivots, mul):
+    """What is left of v after clearing, row by row in the order given, its
+    entry at each row's pivot.  Each row has a 1 at its pivot and a 0 at
+    the pivots of the rows before it, so the result is zero exactly when v
+    lies in their span."""
+    for r, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            v = [x ^ mul[c][y] for x, y in zip(v, r)]
+    return v
+
+
+def _k_rank(vectors, mul):
+    rows, pivots = [], []
+    for v in vectors:
+        w = _reduce(v, rows, pivots, mul)
+        lead = next((i for i, x in enumerate(w) if x), None)
+        if lead is not None:
+            inv = mul[w[lead]].index(1)
+            rows.append([mul[inv][x] for x in w])
+            pivots.append(lead)
+    return len(rows)
 
 
 def _jordan_shift(lam):
@@ -566,11 +569,13 @@ def nilpotent_submodule_census(lam, Q):
     """Brute-force census of the invariant subspaces of the nilpotent Jordan
     operator of type lam over the field with Q elements (Q in {2, 4}).
 
-    Enumerates every subspace in echelon form, keeps the invariant ones,
-    and bins them by module type (read off the kernel filtration: the
-    conjugate type part i is dim J^(i-1)M - dim J^i M).  Returns a fresh
-    dict mapping type partitions to counts; the enumeration itself is
-    memoized per (type, Q).
+    Enumerates the subspaces in echelon form, pruned row by row as the
+    module docstring says, keeps the invariant ones, and bins them by
+    module type (read off the kernel filtration: the conjugate type part i
+    is dim J^(i-1)M - dim J^i M).  Returns a fresh dict mapping type
+    partitions to counts; the enumeration itself is memoized per (type,
+    Q).  Raises ValueError when GF(Q)^|lam| has more than
+    NILPOTENT_CEILING subspaces.
     """
     return dict(_nilpotent_census(tuple(sorted(lam, reverse=True)), Q))
 
@@ -579,45 +584,50 @@ def nilpotent_submodule_census(lam, Q):
 def _nilpotent_census(lam, Q):
     (mul,) = _field_tables(Q)
     m = sum(lam)
-    if m > 6:
-        raise ValueError(f"|lam| must be <= 6, got {m}")
+    visits = sum(_gaussian_binomial(m, d, Q) for d in range(m + 1))
+    if visits > NILPOTENT_CEILING:
+        raise ValueError(f"GF({Q})^{m} has {visits} subspaces, more than the "
+                         f"{NILPOTENT_CEILING} the census may visit")
     shift = _jordan_shift(lam)
-    census = {(): 1}  # the zero submodule
 
-    for d in range(1, m + 1):
+    def in_span(v, rows, pivots):
+        return not any(_reduce(_apply_jordan(v, shift, m), rows, pivots, mul))
+
+    # The rows are filled from the last pivot to the first.  J moves a
+    # coordinate down by one, so J(row k) is zero before p_k - 1 and
+    # reduces only against rows of pivot >= p_k - 1: row k is checked as
+    # soon as row k - 1 is filled, row 0 last.  The rows not yet filled
+    # would clear nothing in that reduction, so each check gives what the
+    # whole basis gives, and a partial basis is dropped only when no
+    # filling of its first rows makes the subspace invariant.
+    def bases(pivots, free, rows):
+        k = len(pivots) - len(rows)
+        if k == 0:
+            if not rows or in_span(rows[0], rows, pivots):
+                yield rows
+            return
+        for values in product(range(Q), repeat=len(free[k - 1])):
+            row = [0] * m
+            row[pivots[k - 1]] = 1
+            for c, val in zip(free[k - 1], values):
+                row[c] = val
+            filled = [row] + rows
+            if not rows or in_span(rows[0], filled, pivots[k - 1:]):
+                yield from bases(pivots, free, filled)
+
+    census = {}
+    for d in range(m + 1):
         for pivots in combinations(range(m), d):
             pivot_set = set(pivots)
-            free = [
-                [c for c in range(m) if c > pivots[j] and c not in pivot_set]
-                for j in range(d)
-            ]
-            cells = [(j, c) for j in range(d) for c in free[j]]
-            for values in product(range(Q), repeat=len(cells)):
-                rows = [[0] * m for _ in range(d)]
-                for j, p in enumerate(pivots):
-                    rows[j][p] = 1
-                for (j, c), val in zip(cells, values):
-                    rows[j][c] = val
-                # invariance: J(row) must reduce to zero against the basis
-                ok = True
-                for v in rows:
-                    w = _apply_jordan(v, shift, m)
-                    for j, p in enumerate(pivots):
-                        c = w[p]
-                        if c:
-                            rj = rows[j]
-                            w = [x ^ mul[c][y] for x, y in zip(w, rj)]
-                    if any(w):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            free = [[c for c in range(p + 1, m) if c not in pivot_set]
+                    for p in pivots]
+            for rows in bases(pivots, free, []):
                 # module type via the kernel filtration
                 dims = [d]
                 images = rows
                 while dims[-1] > 0:
                     images = [_apply_jordan(v, shift, m) for v in images]
-                    dims.append(_k_rank(images, m, mul))
+                    dims.append(_k_rank(images, mul))
                 conj = tuple(a - b for a, b in zip(dims, dims[1:]) if a - b > 0)
                 mu = tuple(sum(1 for c in conj if c >= i)
                            for i in range(1, conj[0] + 1)) if conj else ()

@@ -134,6 +134,11 @@ class TestNilpotentSubmoduleCensus:
         first[(1,)] = 0
         assert nilpotent_submodule_census([1, 2], 2)[(1,)] == 3
 
+    def test_rejects_size_7_over_gf4(self):
+        # GF(4)^7 has 51,409,856 subspaces, GF(4)^6 565,723
+        with pytest.raises(ValueError, match="51409856 subspaces"):
+            nilpotent_submodule_census((1,) * 7, 4)
+
 
 class TestGradedSubmoduleCounts:
     def test_small_blocks(self):

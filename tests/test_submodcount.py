@@ -79,10 +79,11 @@ class TestCountSubmodulesByType:
 class TestValidationGate:
     """The type-counting formula must reproduce brute-force enumeration of
     the invariant subspaces of the matching nilpotent Jordan operator for
-    every type of size <= 6 over the 2- and 4-element fields."""
+    every type of size <= 6 over the 2- and 4-element fields, and of size
+    7 over the 2-element field."""
 
-    @pytest.mark.parametrize("Q", [2, 4])
-    @pytest.mark.parametrize("size", range(1, 7))
+    @pytest.mark.parametrize(
+        "size,Q", [(size, Q) for size in range(1, 7) for Q in (2, 4)] + [(7, 2)])
     def test_formula_matches_brute_force(self, Q, size):
         for lam in partitions_of(size):
             census = nilpotent_submodule_census(lam, Q)
