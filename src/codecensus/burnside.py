@@ -184,11 +184,12 @@ def parts(packed: int) -> tuple[int, ...]:
                  for _ in range((packed >> W * a) & FIELD))
 
 
-def _ways(size: int, z: int) -> int:
-    """size!/z, the number of permutations of size points with cycles of
-    z-product z.  The division is exact, as a class size is; a z that
+def _ways(size: int, z: int, fact: int) -> int:
+    """fact/z, fact being size!, which the caller computes once for all the
+    z of one size: the number of permutations of size points with cycles
+    of z-product z.  The division is exact, as a class size is; a z that
     leaves a remainder raises."""
-    ways, rem = divmod(factorial(size), z)
+    ways, rem = divmod(fact, z)
     if rem:
         raise ArithmeticError(f"z-product {z} does not divide {size}!")
     return ways
@@ -201,8 +202,9 @@ def choice_table(s: int, u: int) -> tuple[tuple[int, int], ...]:
     step is mu packed into the slot of every odd divisor of u and ways is
     the number of permutations of s * u points with the cycles p * u for
     p in mu (_ways)."""
-    spread = sum(1 << SLOT * (e // 2) for e in odd_divisors(u))
-    return tuple((mu * spread, _ways(s * u, z)) for mu, z in _weighted_binary_partitions(s, u))
+    spread, fact = sum(1 << SLOT * (e // 2) for e in odd_divisors(u)), factorial(s * u)
+    return tuple((mu * spread, _ways(s * u, z, fact))
+                 for mu, z in _weighted_binary_partitions(s, u))
 
 
 def _add_into(acc: dict, key, poly) -> None:
@@ -270,8 +272,8 @@ def _stage_one(top: int, states: dict):
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
             (degree, pending & FIELD, _pack(states.pop(key), widths[degree])))
     # packed nu -> (ways, |nu|), by size: nu of size 2k is a binary partition of k doubled
-    moves = {mu << W: (_ways(2 * k, z), 2 * k) for k in range(top // 2 + 1)
-             for mu, z in _weighted_binary_partitions(k, 2)}
+    moves = {mu << W: (_ways(2 * k, z, fact), 2 * k) for k in range(top // 2 + 1)
+             for fact in [factorial(2 * k)] for mu, z in _weighted_binary_partitions(k, 2)}
     pulls: dict = {}  # packed core -> the parts it pulls from
     for part, by_used in by_part.items():
         room = top - min(by_used)

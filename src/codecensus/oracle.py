@@ -628,9 +628,9 @@ def _nilpotent_census(lam, Q):
                 while dims[-1] > 0:
                     images = [_apply_jordan(v, shift, m) for v in images]
                     dims.append(_k_rank(images, mul))
-                conj = tuple(a - b for a, b in zip(dims, dims[1:]) if a - b > 0)
-                mu = tuple(sum(1 for c in conj if c >= i)
-                           for i in range(1, conj[0] + 1)) if conj else ()
+                # J is nilpotent, so dims strictly decreases to 0 and every
+                # difference is a part
+                mu = _conjugate(tuple(a - b for a, b in zip(dims, dims[1:])))
                 census[mu] = census.get(mu, 0) + 1
     return tuple(census.items())
 
@@ -639,7 +639,9 @@ def _nilpotent_census(lam, Q):
 # the type-counting formula for the submodules of a primary block, and the
 # slow reference for the graded block lattice that sums it over every
 # submodule type, with its own partition loop and Gaussian binomials
-# (nothing shared with submodcount or qarith)
+# (nothing shared with submodcount or qarith).  The formula's one copy is
+# _count_by_conjugates, in the column coordinates it is written in; the
+# references conjugate each block once and hand it conjugates only.
 
 
 def _conjugate(parts):
@@ -678,16 +680,14 @@ def _sub_conjugates(lc):
     return out
 
 
-def count_submodules_by_type(lam, mu, Q):
-    """Number of type-mu submodules of a type-lam module over a local ring
-    with residue field of size Q, in conjugate coordinates
+def _count_by_conjugates(lc, mc, Q):
+    """count_submodules_by_type in conjugate coordinates: the number of
+    submodules with conjugate type mc of a module with conjugate type lc,
 
         prod_i Q^(mu'_{i+1} (lam'_i - mu'_i))
                * [lam'_i - mu'_{i+1} choose mu'_i - mu'_{i+1}]_Q,
 
-    and 0 when mu' does not fit under lam' (some mu'_i > lam'_i).  The
-    validation gate checks it against nilpotent_submodule_census."""
-    lc, mc = _conjugate(tuple(lam)), _conjugate(tuple(mu))
+    and 0 when mc does not fit under lc (some mu'_i > lam'_i)."""
     if len(mc) > len(lc) or any(t > l for t, l in zip(mc, lc)):
         return 0
     mc += (0,) * (len(lc) + 1 - len(mc))
@@ -697,18 +697,29 @@ def count_submodules_by_type(lam, mu, Q):
     return count
 
 
+def count_submodules_by_type(lam, mu, Q):
+    """Number of type-mu submodules of a type-lam module over a local ring
+    with residue field of size Q.  Conjugates lam and mu once and evaluates
+    the formula's one copy, _count_by_conjugates, which returns 0 when mu'
+    does not fit under lam'.  The validation gate checks it against
+    nilpotent_submodule_census."""
+    return _count_by_conjugates(_conjugate(tuple(lam)), _conjugate(tuple(mu)), Q)
+
+
 def graded_submodule_counts(lam, Q, d):
     """Submodule counts of a type-lam block over a residue field of size
-    Q = 2^d, graded by GF(2)-dimension d * |mu|, by listing every
-    submodule type mu' <= lam' and summing count_submodules_by_type for
-    each one."""
+    Q = 2^d, graded by GF(2)-dimension d * |mu|.  Conjugates lam once,
+    lists every submodule type by its conjugate mu' <= lam' and adds
+    _count_by_conjugates(lam', mu', Q), the formula that
+    count_submodules_by_type evaluates, for each one."""
     if not lam:
         raise ValueError("lam must be nonempty")
     if Q != 2 ** d:
         raise ValueError(f"Q={Q} does not match residue degree d={d}")
+    lc = _conjugate(tuple(lam))
     coeffs = [0] * (d * sum(lam) + 1)
-    for mc in _sub_conjugates(_conjugate(tuple(lam))):
-        coeffs[d * sum(mc)] += count_submodules_by_type(lam, _conjugate(mc), Q)
+    for mc in _sub_conjugates(lc):
+        coeffs[d * sum(mc)] += _count_by_conjugates(lc, mc, Q)
     return tuple(coeffs)
 
 

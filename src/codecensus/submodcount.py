@@ -190,18 +190,16 @@ def fixed_point_walk(core: tuple[int, ...], fs, d: int):
 
     Each head is packed into one integer, nbytes bytes per entry, in the
     format of _pack.  Entries are nonnegative and at most the lattice
-    total of the largest type walked to, whose conjugate is that of core
-    with the first column max(fs) longer; _total_bound of those columns
-    is at least that total, so no entry overflows its slot.  Folding
-    shifts head t by t slots, and _unpack decodes the sum once into
-    size + 1 entries, raising if it needs more; every lattice passes the
-    end-count and palindrome check."""
+    total of the largest type walked to, core + (1,) * max(fs), whose
+    conjugate is that of core with the first column max(fs) longer;
+    _total_bound of those columns is at least that total, so no entry
+    overflows its slot.  Folding shifts head t by t slots, and _unpack
+    decodes the sum once into size + 1 entries, raising if it needs more;
+    every lattice passes the end-count and palindrome check."""
     Q = 1 << d
-    cols = conjugate(core)
-    top = max(fs, default=0)
-    bound = _total_bound((cols[0] + top, *cols[1:]) if cols else (top,), d)
+    bound = _total_bound(conjugate(core + (1,) * max(fs, default=0)), d)
     nbytes = (bound.bit_length() + 7) // 8
-    rows = _packed_heads(cols, d, 8 * nbytes)
+    rows = _packed_heads(conjugate(core), d, 8 * nbytes)
     ones = 0
     for f in fs:
         if f < ones or not core and f == 0:
