@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-import mpmath
-
 from .burnside import census_rows, correction_report, count_codes, non_identity_sum
 from .cyclestruct import cycle_types_of, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
@@ -83,6 +81,8 @@ def check_lemma1(n_max: int) -> CheckResult:
         "note": LOG_BASE_NOTE,
     }
     if n_max >= 201:
+        import mpmath
+
         for n, limit in ((200, "7.371969"), (201, "7.371949")):
             witnesses[f"u_{n}"] = us[n]
             if not abs(us[n] - mpmath.mpf(limit)) < mpmath.mpf("1e-5"):
@@ -180,6 +180,8 @@ def classify_D(n: int) -> CheckResult:
         if first == 1 and in_d[3]:  # D2, also in the raw D4 range
             overlap_weight += weight
     total = sum(sums.values())
+    import mpmath
+
     with mpmath.workprec(53):  # float(v) / total, without the float's 2^1024 range
         shares = {k: float(mpmath.mpf(v) / mpmath.mpf(total)) if total else 0.0
                   for k, v in sums.items()}
@@ -211,6 +213,8 @@ def check_dimension_bounds(n: int) -> CheckResult:
             if row.by_dim[d] * mfact < gauss_binomial(m, d, 2):
                 return CheckResult("dim_floor_31", (1, n31), FAIL,
                                    counterexample={"n": m, "d": d})
+    import mpmath
+
     ratios = {}
     row = count_codes(n31)
     nfact = factorial(n31)

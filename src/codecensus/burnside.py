@@ -126,8 +126,6 @@ from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul
 
-import mpmath
-
 from .cyclestruct import cyclotomic_split, odd_divisors
 from .qarith import DEFAULT_PRECISION, gauss_total
 from .submodcount import (_mirror, _pack, _unpack, add_product, fixed_point_walk, half_product,
@@ -152,6 +150,8 @@ class CensusRow:
 
     def correction(self) -> mpmath.mpf:
         """n! * b / G - 1, the relative excess over the orbit-count floor."""
+        import mpmath
+
         with mpmath.workdps(DEFAULT_PRECISION):
             return mpmath.mpf(factorial(self.n) * self.b - self.G) / mpmath.mpf(self.G)
 
@@ -435,6 +435,8 @@ def correction_report(n: int) -> dict:
         raise ValueError(f"n must be >= 4, got {n}")
     R = count_codes(n).correction()
     excess = non_identity_sum(n)          # = n! * b - G, exact
+    import mpmath
+
     with mpmath.workdps(DEFAULT_PRECISION):
         rho = mpmath.mpf(excess) / mpmath.mpf(transposition_class_sum(n))
         e = mpmath.log(R, 2) + mpmath.mpf(n) / 2 - 2 * mpmath.log(n, 2)

@@ -10,11 +10,13 @@ Exit codes: 0 success, 1 asserted check failed, 2 usage error (including
 n < 1, a census n >= 2^16 and an output file that cannot be opened), 3
 ceiling violation (an oracle size beyond brute force, a limits
 --precision below 30, or, without --no-ceiling, a count --n or table
---max-n above CENSUS_CEILING, a verify --max-n above VERIFY_CEILING or
-a lattice --type of n above LATTICE_CEILING; one line on stderr), 4
-internal error (any other exception, such as an ArithmeticError from a
-census self-check; one line on stderr), 141 the reader closed stdout
-early (128 + SIGPIPE, as a shell reports it; nothing on stderr).
+--max-n above CENSUS_CEILING, a verify --max-n above VERIFY_CEILING, a
+lattice --type of n above LATTICE_CEILING, a gauss --n times ceil(log2
+--q) above GAUSS_CEILING or a limits --n above LIMITS_CEILING; one line
+on stderr), 4 internal error (any other exception, such as an
+ArithmeticError from a census self-check; one line on stderr), 141 the
+reader closed stdout early (128 + SIGPIPE, as a shell reports it;
+nothing on stderr).
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import decimal
 import json
 import os
 import sys
-
-import mpmath
 
 from . import boundscheck, burnside, qarith
 from .cyclestruct import CycleType
@@ -69,6 +69,21 @@ VERIFY_CEILING = 1000
 #   the benchmark's query pool, random types with n <= 1536: a few ms each.
 LATTICE_CEILING = 1536
 
+# The largest n * ceil(log2 q) of a gauss run, and the largest n of a limits
+# run, without --no-ceiling.  G(n, q) has ~n^2 log2(q) / 4 bits, so n *
+# ceil(log2 q) bounds its size, and at a given value q = 2 with --d n/2 is
+# the slowest run.  Cold runs, one process each, on the same VM (raw wall
+# time and peak RSS):
+#   gauss at the value 4000: q = 2, n = 4000: 1.5 s 21 MB, --d 2000 30 s
+#     20 MB; q = 3, n = 2000: 2.7 s, --d 1000 5.2 s; q = 4, n = 2000: 0.7 s;
+#     q = 251, n = 500: 0.4 s, --d 250 0.8 s;
+#   gauss above it: G(n, 2) at n = 8000 15 s 34 MB; G(n, 3) at n = 4000
+#     41 s; G(n, 2, n/2) ~12x per doubling of n (2000 2.4 s, 3000 10 s);
+#   limits --n (G(n, 2), then u_n): 2000 0.2 s, 4000 1.0 s, 8000 8.7 s
+#     38 MB, 10000 19 s 48 MB (~9x per doubling).
+GAUSS_CEILING = 4000
+LIMITS_CEILING = 10000
+
 
 def _check_ceiling(args, flag: str, n: int, limit: int) -> None:
     if n > limit and not args.no_ceiling:
@@ -78,6 +93,11 @@ def _check_ceiling(args, flag: str, n: int, limit: int) -> None:
 
 
 def _mpf_str(value, precision: int) -> str:
+    # mpmath is imported where a real is made or printed, as cmd_oracle
+    # imports the oracle: it is about half the package's import time, and
+    # the census, lattice, gauss and oracle need no real
+    import mpmath
+
     return mpmath.nstr(value, precision, strip_zeros=False)
 
 
@@ -154,6 +174,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_gauss(args) -> int:
+    _check_ceiling(args, "gauss --n times ceil(log2 --q)",
+                   args.n * (args.q - 1).bit_length(), GAUSS_CEILING)
     if args.d is None:
         print(_decimal_str(qarith.gauss_total(args.n, args.q)))
     else:
@@ -221,6 +243,7 @@ def cmd_oracle(args) -> int:
 def cmd_limits(args) -> int:
     if args.precision < 30:
         raise CeilingError(f"precision must be >= 30, got {args.precision}")
+    _check_ceiling(args, "limits --n", args.n, LIMITS_CEILING)
     u = qarith.scaled_u(args.n, 2, args.precision)
     _emit({
         "schema": SCHEMA_VERSION,
@@ -253,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("gauss", help="subspace counts G(n,q) / G(n,q,d)")
+    p = sub.add_parser("gauss", parents=[ceiling], help="subspace counts G(n,q) / G(n,q,d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int)
@@ -277,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("limits", help="scaled subspace count u_n to P digits")
+    p = sub.add_parser("limits", parents=[ceiling], help="scaled subspace count u_n to P digits")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.set_defaults(func=cmd_limits)

@@ -2,14 +2,14 @@
 
 All counts are plain Python ints (arbitrary precision).  The scaled
 quantities u_n = G(n,q) * q^(-n^2/4) and the tail product bounding them are
-carried as mpmath floats at a configurable decimal precision.
+carried as mpmath floats at a configurable decimal precision.  mpmath is
+imported by the two functions that make them, on first use, so the exact
+counts never load it.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-import mpmath
 
 DEFAULT_PRECISION = 60
 
@@ -76,6 +76,8 @@ def scaled_u(n: int, q: int, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """The scaled subspace count G(n,q) * q^(-n^2/4)."""
     if precision < 30:
         raise ValueError(f"precision must be >= 30, got {precision}")
+    import mpmath
+
     g = gauss_total(n, q)
     with mpmath.workdps(precision + _GUARD_DIGITS):
         u = mpmath.mpf(g) * mpmath.mpf(q) ** (-mpmath.mpf(n * n) / 4)
@@ -93,6 +95,8 @@ def lemma1_tail_product(terms: int) -> mpmath.mpf:
     """
     if terms < 10:
         raise ValueError(f"terms must be >= 10, got {terms}")
+    import mpmath
+
     with mpmath.workdps(DEFAULT_PRECISION + _GUARD_DIGITS):
         roots = mpmath.mpf(2) ** (mpmath.mpf(5) / 4), mpmath.mpf(2) ** (mpmath.mpf(3) / 4)
         acc = mpmath.mpf("1.7")

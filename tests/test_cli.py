@@ -248,6 +248,9 @@ class TestCeiling:
         (["verify", "--suite", "lemma1", "--max-n", "{n}"], "VERIFY_CEILING",
          "verify --max-n"),
         (["lattice", "--type", "{n}"], "LATTICE_CEILING", "lattice --type n"),
+        (["gauss", "--n", "{n}", "--q", "2"], "GAUSS_CEILING",
+         "gauss --n times ceil(log2 --q)"),
+        (["limits", "--n", "{n}"], "LIMITS_CEILING", "limits --n"),
     ])
     def test_refused_above_the_limit_unless_allowed(self, capsys, monkeypatch,
                                                     argv, limit_name, flag):
@@ -340,6 +343,29 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert code == EXIT_INTERNAL
         assert err.startswith("error: ArithmeticError: dimension-2") and err.count("\n") == 1
+
+
+class TestMpmathLoading:
+    def test_only_commands_that_print_reals_load_mpmath(self):
+        # lattice, gauss and oracle print exact integers; count prints the
+        # correction n! b / G - 1, a real
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        script = """
+import contextlib, io, sys
+from codecensus.cli import main
+for argv in (["lattice", "--type", "3,2,1"], ["gauss", "--n", "5", "--q", "2"],
+             ["oracle", "--n", "3"], ["count", "--n", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(argv[0], code, "mpmath" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["lattice 0 False", "gauss 0 False",
+                                            "oracle 0 False", "count 0 True"]
 
 
 class TestBrokenPipe:
