@@ -9,7 +9,7 @@ Asymptotic-constant checks are report-only, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb, factorial
 
 from .burnside import census_rows, correction_report, count_codes, non_identity_sum
@@ -30,13 +30,14 @@ DCLASS_MAX_N = 40
 THEOREM_N = (20, 30, 40)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    n_range: tuple[int, int]
-    status: str
-    witnesses: dict = field(default_factory=dict)
-    counterexample: dict | None = None
+class CheckResult(namedtuple("CheckResult", "name n_range status witnesses counterexample")):
+    __slots__ = ()
+
+    def __new__(cls, name: str, n_range: tuple[int, int], status: str,
+                witnesses: dict | None = None, counterexample: dict | None = None):
+        # a new witnesses dict for each result, never a shared default
+        return super().__new__(cls, name, n_range, status,
+                               {} if witnesses is None else witnesses, counterexample)
 
     def to_json_dict(self) -> dict:
         return {

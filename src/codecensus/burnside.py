@@ -120,7 +120,7 @@ below; a single row n is the pass with N = n):
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, factorial
@@ -138,15 +138,19 @@ SLOT = 16 * W
 FIELD = (1 << W) - 1
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    n: int
-    b: int
-    G: int                     # total number of subspaces of GF(2)^n
-    by_dim: tuple[int, ...]    # b(n, d) for d = 0..n
-    # (lambda_1, sum of class_size * lattice_size over the cycle types of t+1 type
-    # lambda_1), sorted by lambda_1
-    t1_weights: tuple[tuple[tuple[int, ...], int], ...] = field(repr=False)
+class CensusRow(namedtuple("CensusRow", "n b G by_dim t1_weights")):
+    """One census row.
+
+    G: total number of subspaces of GF(2)^n
+    by_dim: b(n, d) for d = 0..n
+    t1_weights: (lambda_1, sum of class_size * lattice_size over the cycle
+    types of t+1 type lambda_1), sorted by lambda_1; left out of the repr
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"CensusRow(n={self.n!r}, b={self.b!r}, G={self.G!r}, by_dim={self.by_dim!r})"
 
     def correction(self) -> mpmath.mpf:
         """n! * b / G - 1, the relative excess over the orbit-count floor."""

@@ -94,8 +94,8 @@ def _check_ceiling(args, flag: str, n: int, limit: int) -> None:
 
 def _mpf_str(value, precision: int) -> str:
     # mpmath is imported where a real is made or printed, as cmd_oracle
-    # imports the oracle: it is about half the package's import time, and
-    # the census, lattice, gauss and oracle need no real
+    # imports the oracle: its import costs about ten times the package's,
+    # and the census, lattice, gauss and oracle need no real
     import mpmath
 
     return mpmath.nstr(value, precision, strip_zeros=False)

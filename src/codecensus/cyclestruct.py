@@ -15,24 +15,23 @@ per order; no polynomial is factored.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial, isqrt
-from typing import Iterator
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(namedtuple("CycleType", "parts")):
     """Multiset of cycle lengths, stored nonincreasing."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"invalid cycle type {self.parts}")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError(f"parts must be nonincreasing, got {self.parts}")
+    def __new__(cls, parts: tuple[int, ...]):
+        if not parts or any(p < 1 for p in parts):
+            raise ValueError(f"invalid cycle type {parts}")
+        if list(parts) != sorted(parts, reverse=True):
+            raise ValueError(f"parts must be nonincreasing, got {parts}")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -53,16 +52,18 @@ class CycleType:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
+class PrimaryComponent(namedtuple("PrimaryComponent", "order count deg module_type")):
     """The primary blocks of the permutation operator over the irreducibles
     of order exactly `order`: count blocks, one per irreducible, all of one
-    degree and one module type."""
+    degree and one module type.
 
-    order: int                # odd e; the irreducibles divide no t^f - 1, f < e
-    count: int                # phi(e) / ord_e(2), the number of those irreducibles
-    deg: int                  # ord_e(2), the degree of each irreducible
-    module_type: tuple[int, ...]  # partition, parts are powers of two
+    order: odd e; the irreducibles divide no t^f - 1, f < e
+    count: phi(e) / ord_e(2), the number of those irreducibles
+    deg: ord_e(2), the degree of each irreducible
+    module_type: partition, parts are powers of two
+    """
+
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -91,7 +91,9 @@ def lemma1_tail_product(terms: int) -> mpmath.mpf:
     value stays below 23 for every truncation.  2^(5/4-k/2) is 2^(5/4)
     (k even) or 2^(3/4) (k odd) scaled by 2^-(k//2), so the two roots are
     the only fractional powers taken, and each term's scalings by powers
-    of two (ldexp) are exact.
+    of two (ldexp) are exact.  The factors fall monotonically toward 1, so
+    once one rounds to exactly 1 at the working precision (from k = 475 on
+    at the default), every later one does too, and the product stops there.
     """
     if terms < 10:
         raise ValueError(f"terms must be >= 10, got {terms}")
@@ -101,5 +103,8 @@ def lemma1_tail_product(terms: int) -> mpmath.mpf:
         roots = mpmath.mpf(2) ** (mpmath.mpf(5) / 4), mpmath.mpf(2) ** (mpmath.mpf(3) / 4)
         acc = mpmath.mpf("1.7")
         for k in range(2, terms + 2):
-            acc *= mpmath.ldexp(roots[k % 2], -(k // 2)) + 1 - mpmath.ldexp(1, 1 - k)
+            factor = mpmath.ldexp(roots[k % 2], -(k // 2)) + 1 - mpmath.ldexp(1, 1 - k)
+            if factor == 1:
+                break
+            acc *= factor
         return +acc

@@ -8,6 +8,7 @@ from codecensus.boundscheck import (
     FAIL,
     PASS,
     REPORT,
+    CheckResult,
     check_dimension_bounds,
     check_lemma1,
     check_lemma2_3,
@@ -60,6 +61,31 @@ class TestLemma1:
     def test_rejects_small_range(self):
         with pytest.raises(ValueError):
             check_lemma1(5)
+
+    def test_failing_tail_product_exits_1(self, capsys, monkeypatch):
+        # the failing result carries a counterexample and no witnesses
+        monkeypatch.setattr(boundscheck, "lemma1_tail_product", lambda terms: 23)
+        result = check_lemma1(10)
+        assert result.status == FAIL and result.witnesses == {}
+        assert main(["verify", "--suite", "lemma1", "--max-n", "10", "--json"]) == 1
+        assert '"tail_product": "23"' in capsys.readouterr().out
+
+
+class TestCheckResult:
+    def test_defaults(self):
+        rec = CheckResult("x", (1, 1), FAIL, counterexample={"n": 3}).to_json_dict()
+        assert rec == {"name": "x", "n_range": [1, 1], "status": FAIL,
+                       "witnesses": {}, "counterexample": {"n": "3"}}
+        assert CheckResult("x", (1, 1), PASS).counterexample is None
+
+    def test_witnesses_not_shared(self):
+        a, b = CheckResult("x", (1, 1), PASS), CheckResult("y", (1, 1), PASS)
+        a.witnesses["k"] = 1
+        assert b.witnesses == {} and a.witnesses is not b.witnesses
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            CheckResult("x", (1, 1), PASS).status = FAIL
 
 
 class TestLemma23:

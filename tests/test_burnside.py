@@ -109,6 +109,16 @@ class TestCountCodes:
         with pytest.raises(ValueError):
             count_codes(0)
 
+    def test_row_record(self):
+        row = count_codes(5)
+        assert repr(row) == f"CensusRow(n=5, b={row.b}, G={row.G}, by_dim={row.by_dim})"
+        assert "t1_weights" not in repr(row)
+        with pytest.raises(AttributeError):
+            row.b = 0
+        with pytest.raises(AttributeError):
+            row.extra = 1
+        assert hash(row) == hash(census((5,))[5])
+
     def test_rejects_n_past_the_packed_fields(self):
         # a multiplicity of n needs 16 bits; refused before any stage runs
         for run in (lambda n: census((n,)), lambda n: next(sums_by_t1_type((n,)))):

@@ -213,3 +213,15 @@ class TestCycleType:
             CycleType((1, 2))
         with pytest.raises(ValueError):
             CycleType(())
+
+    def test_records_immutable_and_hashable(self):
+        ct = CycleType((4, 3, 1))
+        comp = primary_components(ct)[0]
+        for record, field in ((ct, "parts"), (comp, "order")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, ())
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        assert {ct, CycleType.parse("1,3,4")} == {ct}
+        assert hash(comp) == hash(primary_components(CycleType((4, 3, 1)))[0])
+        assert repr(ct) == "CycleType(parts=(4, 3, 1))"

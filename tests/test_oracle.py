@@ -271,9 +271,11 @@ class TestIndependence:
         src = Path(oracle.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        # -S: no site .pth file may load one of these before the package does
         script = ("import sys, codecensus, codecensus.cli; "
-                  "print('codecensus.oracle' in sys.modules, 'mpmath' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", script],
+                  "print(*(m in sys.modules for m in ('codecensus.oracle', 'mpmath', "
+                  "'dataclasses', 'inspect', 'typing')))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert proc.stdout.split() == ["False"] * 5
