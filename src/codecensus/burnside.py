@@ -24,9 +24,9 @@ below; a single row n is the pass with N = n):
   the cycles of length 2^a * u, and add mu to the pending module type of
   every odd e dividing u.  Later stages only reach orders dividing smaller
   u, so the block of the irreducibles of order exactly u is then complete.
-- State.  Three integers (used, degree, pending).  A module type is fixed
-  by its multiplicity at each exponent a, so pending packs the types of
-  all open orders into one integer: the multiplicity of 2^a in lambda_e is
+- State.  Two integers (used, pending).  A module type is fixed by its
+  multiplicity at each exponent a, so pending packs the types of all
+  open orders into one integer: the multiplicity of 2^a in lambda_e is
   the W-bit field at SLOT * (e // 2) + W * a, and N < 2^W bounds it and a,
   so no field carries into the next.  A choice's step is mu packed into
   the slot of every odd e dividing u (choice_table), and a transition adds
@@ -43,10 +43,13 @@ below; a single row n is the pass with N = n):
   block lattice is a palindrome, and so is every product and same-degree
   sum of them: a state keeps only the lower half, entries 0..D // 2, of
   its value of degree D = used - sum over the open e of phi(e) *
-  |lambda_e| (phi(e) = count * degree, cyclotomic_split).  D is carried: a
-  transition leaves it unchanged, since s cycles of length u add s * u to
-  used and s to |lambda_e| for each e dividing u, whose phi(e) sum to u;
-  completing order u adds phi(u) * |lambda_u|.
+  |lambda_e| (phi(e) = count * degree, cyclotomic_split).  The key fixes
+  D, so it is not kept but derived from the half (_degree): a transition
+  leaves D unchanged, since s cycles of length u add s * u to used and s
+  to |lambda_e| for each e dividing u, whose phi(e) sum to u, and
+  completing order u adds phi(u) * |lambda_u|.  So D is the sum of
+  phi(e) * |lambda_e| over the completed orders e >= 3, each phi(e) even:
+  D is even, and the half's D // 2 + 1 entries give it.
 - Merging.  Transitions that reach the same completed type and state are
   summed before that block's polynomial is multiplied in, so it is
   convolved once per merged state, not once per cycle type.  The product
@@ -55,7 +58,9 @@ below; a single row n is the pass with N = n):
   takes at each odd order: the value is mirrored to full length and only
   the lower half of the product is made.  The t+1 block is never
   multiplied into a state: its product with each row's value is added
-  straight into that row's lower half (Rows).
+  straight into that row's lower half (Rows).  One function, _stage,
+  makes a whole odd stage, choices, merge and completion, so the DP is a
+  fold of it over u, then the u = 1 stage.
 - Weights.  Every stage, u = 1 included, weighs a choice one way.  A
   choice whose cycles cover size points, c points used after it,
   multiplies the value by C(c, size) * ways: C(c, size) picks those
@@ -86,10 +91,12 @@ below; a single row n is the pass with N = n):
   by (core, c, f_p), where c = used + |nu| is the number of points that
   move, the core is lambda_1 without its 1-parts (the fields of
   pending + nu above the lowest) and f_p is the count of 1-parts from the
-  odd cycles u >= 3 (the lowest field of pending).  Its choices are
-  weighed as every stage's are, so each value is c!/z times the block
-  lattices, z the z-product of the fixed-point-free partial type on c
-  points.  The stage runs core by core, each core pulling its choices
+  odd cycles u >= 3 (the lowest field of pending).  They are grouped by
+  g = c - f_p, and every entry of group g has degree D = g - |core|: a
+  state's D is used - |lambda_1|, and nu adds |nu| to both c and the
+  core.  Its choices are weighed as every stage's are, so each value is
+  c!/z times the block lattices, z the z-product of the fixed-point-free
+  partial type on c points.  The stage runs core by core, each core pulling its choices
   from the states whose pending types it contains, so it holds the
   values of one core at a time.  Its values are packed, each into one
   integer with a fixed number of bytes per entry for each degree, wide
@@ -102,7 +109,7 @@ below; a single row n is the pass with N = n):
   size is C(m, c) times the class size of its fixed-point-free part on c
   points: row m reads entry (core, c, f_p), for every c <= m, at the t+1
   type core + (1,) * f, f = f_p + m - c, with weight C(m, c), and its
-  degree m - |core| - f is the entry's carried degree.  Each core's block
+  degree m - |core| - f is the group's D = g - |core|.  Each core's block
   lattices come from one fixed-point walk (submodcount.fixed_point_walk),
   up to the largest f any row needs: the column DP on the core, then one
   shift-and-add step per 1-part.  At each f, each row that reads it sums
@@ -216,45 +223,63 @@ def _add_into(acc: dict, key, poly) -> None:
     acc[key] = poly if have is None else list(map(add, have, poly))
 
 
+def _degree(half: list) -> int:
+    """D of a state's value from its lower half: D is even and half has
+    D // 2 + 1 entries (Degree)."""
+    return 2 * len(half) - 2
+
+
 def _stage(n: int, u: int, states: dict) -> dict:
-    """Apply the stage-u choices (u >= 3) to every state (used, degree,
-    pending); returns the summed values keyed by (packed lambda_u, used,
-    degree, pending), each key made by one addition, one shift and one
-    mask.  A state with r left chooses partitions of every s <= r // u,
+    """The odd stage u >= 3 on the states (used, pending): returns the new
+    states.  A state with r left chooses partitions of every s <= r // u,
     read from the choice tables.  A choice's cycles cover s * u more
-    points, c in all, so it multiplies the value by C(c, s * u), the
-    ways to pick those points, times its ways to place the cycles."""
+    points, c in all, so it multiplies the value by C(c, s * u), the ways
+    to pick those points, times its ways to place the cycles.  The values
+    are summed by (packed lambda_u, c, rest), each key made by one
+    addition, one shift and one mask; each sum then has order u completed,
+    half_product by the order_lattice of lambda_u, and is added into the
+    new state (c, rest)."""
     shift = SLOT * (u // 2)
     below = (1 << shift) - 1
     reached: dict = {}
-    for (used, degree, pending), value in states.items():
+    for (used, pending), value in states.items():
         for s in range((n - used) // u + 1):
             c = used + s * u
             picks = comb(c, s * u)
             for step, ways in choice_table(s, u):
                 types = pending + step
-                key = (types >> shift, c, degree, types & below)
+                key = (types >> shift, c, types & below)
                 _add_into(reached, key, list(map(mul, value, repeat(picks * ways))))
-    return reached
+    count, deg = cyclotomic_split(u)
+    done: dict = {}
+    for (lam_u, used, pending), value in reached.items():
+        if lam_u:
+            value, _ = half_product(value, _degree(value),
+                                    order_lattice(parts(lam_u), count, deg), deg)
+        _add_into(done, (used, pending), value)
+    return done
 
 
 def _stage_one(top: int, states: dict):
     """The u = 1 stage at top, without fixed points: each state (used,
-    degree, pending) chooses nu, the cycles of length 2, 4, 8, ..., of
-    every size 2k <= top - used, so c = used + 2k points move, and reaches
-    the core (pending + nu) >> W, its t+1 type without the 1-field.
+    pending) chooses nu, the cycles of length 2, 4, 8, ..., of every size
+    2k <= top - used, so c = used + 2k points move, and reaches the core
+    (pending + nu) >> W, its t+1 type without the 1-field.
 
-    Yields (packed core, groups) core by core: groups[g] is (degree,
-    nbytes, {c: value}) for the entries (c, f_p) with c - f_p = g, f_p
-    the 1-field of pending, which row m reads at the same f = m - g.
-    A transition multiplies the state's value by C(c, 2k) times the ways
-    of nu (_ways), as every stage does, so a value is the class size of
-    the fixed-point-free partial type on c points times its block
-    lattices.  A core pulls its transitions from the states whose pending
-    part above the 1-field it contains, so the values of one core at a
-    time are held.  states is emptied as it is read.
+    Yields (packed core, widths, groups) core by core: groups[g] is
+    {c: value} for the entries (c, f_p) with c - f_p = g, f_p the 1-field
+    of pending, which row m reads at the same f = m - g; their degree is
+    g - |core| (Fixed points), and widths[D] is the bytes per entry of the
+    values of degree D, one list for every core.  A transition multiplies
+    the state's value by C(c, 2k) times the ways of nu (_ways), as every
+    stage does, so a value is the class size of the fixed-point-free
+    partial type on c points times its block lattices.  A core pulls its
+    transitions from the sources (f_p, packed value) of the states whose
+    pending part above the 1-field it contains, so the values of one core
+    at a time are held.  states is emptied as it is read, each state
+    popped as it is packed.
 
-    Values are packed, nbytes bytes per entry (submodcount._pack, the
+    Values are packed, widths[D] bytes per entry (submodcount._pack, the
     format of the block walk's lattices), so a transition is one
     multiplication and one addition.  Row m sums, over the (used, nu)
     it reads for one group, one state's value each, times C(m, c) *
@@ -263,18 +288,18 @@ def _stage_one(top: int, states: dict):
     4, 8, ...), at most m!/used! for each used, and used >= D, the
     degree.  So no entry of a sum, nor of a partial one, exceeds peak
     times the sum of top!/used! over used >= D, peak the largest entry of
-    the state values of degree D; that sets nbytes for degree D."""
+    the state values of degree D; that sets widths[D]."""
     peaks = [0] * (top + 1)
-    for (_, degree, _), value in states.items():
-        peaks[degree] = max(peaks[degree], max(value))
+    for value in states.values():
+        peaks[_degree(value)] = max(peaks[_degree(value)], max(value))
     masses = accumulate((factorial(top) // factorial(used) for used in range(top, -1, -1)), add)
     widths = [(mass * peak).bit_length() // 8 + 1
               for mass, peak in zip(reversed(list(masses)), peaks)]
-    by_part: dict = {}  # pending without its 1-field -> {used: [(degree, f_p, value)]}
-    for key in list(states):
-        used, degree, pending = key
+    by_part: dict = {}  # pending without its 1-field -> {used: [(f_p, packed value)]}
+    for used, pending in list(states):
+        value = states.pop((used, pending))
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
-            (degree, pending & FIELD, _pack(states.pop(key), widths[degree])))
+            (pending & FIELD, _pack(value, widths[_degree(value)])))
     # packed nu -> (ways, |nu|), by size: nu of size 2k is a binary partition of k doubled
     moves = {mu << W: (_ways(2 * k, z, fact), 2 * k) for k in range(top // 2 + 1)
              for fact in [factorial(2 * k)] for mu, z in _weighted_binary_partitions(k, 2)}
@@ -295,56 +320,49 @@ def _stage_one(top: int, states: dict):
                 if c > top:
                     continue
                 weight = comb(c, size) * ways
-                for degree, f_p, value in sources:
-                    group = groups.get(c - f_p)
-                    if group is None:
-                        group = groups[c - f_p] = degree, widths[degree], {}
-                    halves = group[2]
+                for f_p, value in sources:
+                    halves = groups.setdefault(c - f_p, {})
                     halves[c] = halves.get(c, 0) + value * weight
-        yield core, groups
+        yield core, widths, groups
 
 
 def sums_by_t1_type(rows):
     """Yield (m, lambda_1, V, lattice) for each row m of rows and each t+1
     type lambda_1 at m, by one pass of the odd-part DP of the module
-    docstring at max(rows).  The sum of class_size(ct) *
+    docstring at max(rows): a fold of _stage over the odd u from the
+    largest down to 3, then _stage_one.  The sum of class_size(ct) *
     lattice_dim_poly(ct) over the cycle types ct of S_m with t+1 module
-    type lambda_1 is V(t) * lattice(t), where V is a palindrome, mirrored
-    from its lower half, and lattice is the t+1 block lattice of lambda_1;
-    each pair's length is checked before it is yielded."""
+    type lambda_1 is V(t) * lattice(t), where V is a palindrome of degree
+    D = g - |core|, read off the group key, mirrored from its lower half,
+    and lattice is the t+1 block lattice of lambda_1; each lattice's
+    length is checked against that D before the pair is yielded."""
     rows = sorted(set(rows))
     for m in rows:
         _check_n(m)
     top = rows[-1]
-    states: dict = {(0, 0, 0): [1]}
+    states: dict = {(0, 0): [1]}
     for u in range(top - 1 + top % 2, 1, -2):
-        count, deg = cyclotomic_split(u)
-        merged: dict = {}
-        for (lam_u, used, degree, pending), value in _stage(top, u, states).items():
-            if lam_u:
-                value, degree = half_product(value, degree,
-                                             order_lattice(parts(lam_u), count, deg), deg)
-            _add_into(merged, (used, degree, pending), value)
-        states = merged
-    for packed, groups in _stage_one(top, states):
+        states = _stage(top, u, states)
+    for packed, widths, groups in _stage_one(top, states):
         reads: dict = {}  # f -> [(m, g)]
-        for g, (_, _, halves) in groups.items():
+        for g, halves in groups.items():
             for m in rows[bisect_left(rows, min(halves)):]:
                 reads.setdefault(m - g, []).append((m, g))
         core = parts(packed << W)
         for f, lattice in fixed_point_walk(core, sorted(reads), 1):
             lam_1 = core + (1,) * f
             for m, g in reads.pop(f):
-                degree, nbytes, halves = groups[g]
+                degree = g - sum(core)
                 value = 0
-                for c, half in halves.items():
+                for c, half in groups[g].items():
                     if c <= m:
                         value += half * comb(m, c)
                 if degree + len(lattice) - 1 != m:
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "
                         f"{degree + len(lattice)}, expected n + 1 = {m + 1}")
-                yield m, lam_1, _mirror(_unpack(value, nbytes, degree // 2 + 1), degree), lattice
+                yield m, lam_1, _mirror(_unpack(value, widths[degree], degree // 2 + 1),
+                                        degree), lattice
 
 
 def census(rows) -> dict[int, CensusRow]:

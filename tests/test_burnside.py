@@ -230,7 +230,7 @@ class TestOddPartDP:
         with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 6!$"):
             burnside.choice_table.__wrapped__(2, 3)  # uncached, so nothing wrong is kept
         with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 0!$"):
-            next(burnside._stage_one(4, {(0, 0, 0): [1]}))
+            next(burnside._stage_one(4, {(0, 0): [1]}))
 
     @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
     def test_choice_table_matches_z_product(self, u):
@@ -254,35 +254,35 @@ class TestOddPartDP:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_carried_degree_matches_the_open_types(self, n):
-        # the stages driven as sums_by_t1_type drives them: each key's
-        # degree is the size used less phi(e) * |lambda_e| over the orders
-        # e still open, decoded from its packed types; after the u = 1
-        # stage, c points are used and lambda_1 is the core and f_p 1-parts
-        def check(used, degree, pending, open_orders):
+        # the degree is carried by no key but derived: after every odd
+        # stage, as sums_by_t1_type folds them, each state's D from its
+        # lower half (_degree) is the size used less phi(e) * |lambda_e|
+        # over the orders e still open, decoded from its packed key; in
+        # the u = 1 groups, c points are used, lambda_1 is the core and f_p
+        # 1-parts, the group's g - |core| is that same D, and each entry
+        # unpacks into the D // 2 + 1 entries of a half, the first (the
+        # weighted count of dimension 0) positive
+        def open_degree(used, pending, open_orders):
             for e in range(1, n + 1, 2):
                 if e not in open_orders:
                     assert not slot(pending, e)
-            open_size = sum(count * deg * sum(parts(slot(pending, e)))
-                            for e in open_orders
-                            for count, deg in [cyclotomic_split(e)])
-            assert degree == used - open_size
+            return used - sum(count * deg * sum(parts(slot(pending, e)))
+                              for e in open_orders
+                              for count, deg in [cyclotomic_split(e)])
 
-        states = {(0, 0, 0): [1]}
+        states = {(0, 0): [1]}
         for u in range(n - 1 + n % 2, 1, -2):
-            reached = burnside._stage(n, u, states)
-            for lam_u, used, degree, pending in reached:
-                check(used, degree, pending + (lam_u << SLOT * (u // 2)), range(1, u + 1, 2))
-            count, deg = cyclotomic_split(u)
-            states = {}
-            for (lam_u, used, degree, pending), value in reached.items():
-                done = degree + count * deg * sum(parts(lam_u))
-                check(used, done, pending, range(1, u, 2))
-                states[used, done, pending] = [0] * (done // 2 + 1)
-        for core, groups in burnside._stage_one(n, states):
-            for g, (degree, _, halves) in groups.items():
-                for c in halves:
+            states = burnside._stage(n, u, states)
+            for (used, pending), half in states.items():
+                assert burnside._degree(half) == open_degree(used, pending, range(1, u, 2))
+        for packed, widths, groups in burnside._stage_one(n, states):
+            core = parts(packed << W)
+            for g, halves in groups.items():
+                degree = g - sum(core)
+                for c, value in halves.items():
                     assert c <= n
-                    check(c, degree, (core << W) + c - g, [1])
+                    assert degree == open_degree(c, (packed << W) + c - g, [1])
+                    assert submodcount._unpack(value, widths[degree], degree // 2 + 1)[0] > 0
 
     def test_t1_type_order_n30(self):
         # sha256 of the lambda_1 sequence, "1,1;1,1,1,1;...", as the

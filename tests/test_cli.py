@@ -172,14 +172,18 @@ class TestVerify:
 
 
 class TestOutputContract:
-    """The stdout bytes of four census-heavy commands, two lattice queries
+    """The stdout bytes of five census-heavy commands, two lattice queries
     (the second the slowest type of the benchmark's query pool, n = 1465)
     and the lemma-1 suite past its limit checks at n = 200, 201, pinned by
-    sha256: the code may change how it computes, never what it prints."""
+    sha256: the code may change how it computes, never what it prints.
+    count at n = 45 is a single-row pass whose top stage, u = 45, spreads
+    each choice over the six odd divisors of 45."""
 
     @pytest.mark.parametrize("argv,digest", [
         (("count", "--n", "40", "--by-dim"),
          "3ada9de0d458212b53334030820a47df14b3008ac7884b9e1ad89cb02c7716c1"),
+        (("count", "--n", "45", "--by-dim"),
+         "2ad4099d369c68f102e1057215a8d1b8a6e980b7f2b0be3c7ebab8114d618e06"),
         (("verify", "--suite", "all", "--max-n", "30", "--json"),
          "904e1d9b35e8e72aeef567547ba673746522e52adb8dace417e72c21ec9c0331"),
         (("table", "--max-n", "40", "--format", "csv"),
@@ -192,7 +196,7 @@ class TestOutputContract:
          "77ed3b369f34cf281504bd9fecc27d6944ff3e7d27567235b2881dbd658682f8"),
         (("verify", "--suite", "lemma1", "--max-n", "201", "--json"),
          "f2fc8960d32689b1bd088950266fca5b88e23c29462c972ef06afbcd9816d941"),
-    ], ids=["count", "verify", "table-40", "verify-40", "lattice", "lattice-1465",
+    ], ids=["count", "count-45", "verify", "table-40", "verify-40", "lattice", "lattice-1465",
             "verify-lemma1"])
     def test_stdout_digest(self, argv, digest):
         src = Path(cli.__file__).resolve().parents[1]
