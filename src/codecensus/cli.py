@@ -12,11 +12,11 @@ ceiling violation (an oracle size beyond brute force, a limits
 --precision below 30, or, without --no-ceiling, a count --n or table
 --max-n above CENSUS_CEILING, a verify --max-n above VERIFY_CEILING, a
 lattice --type of n above LATTICE_CEILING, a gauss --n times ceil(log2
---q) above GAUSS_CEILING or a limits --n above LIMITS_CEILING; one line
-on stderr), 4 internal error (any other exception, such as an
-ArithmeticError from a census self-check; one line on stderr), 141 the
-reader closed stdout early (128 + SIGPIPE, as a shell reports it;
-nothing on stderr).
+--q) above GAUSS_CEILING, a limits --n above LIMITS_CEILING or a limits
+--precision above PRECISION_CEILING; one line on stderr), 4 internal
+error (any other exception, such as an ArithmeticError from a census
+self-check; one line on stderr), 141 the reader closed stdout early
+(128 + SIGPIPE, as a shell reports it; nothing on stderr).
 """
 
 from __future__ import annotations
@@ -83,6 +83,18 @@ LATTICE_CEILING = 1536
 #     38 MB, 10000 19 s 48 MB (~9x per doubling).
 GAUSS_CEILING = 4000
 LIMITS_CEILING = 10000
+
+# The largest limits --precision run without --no-ceiling.  For odd n the
+# power 2^(-n^2/4) is not exact, and mpmath's mpf_pow for it grows ~4x per
+# doubling of the digits; for even n it is exact.  Cold runs, one process
+# each, on the same VM, in a slower spell than the table above (limits
+# --n 10000 at the default precision took 24-26 s here):
+#   --n 10: 25000 0.17 s, 50000 0.22 s, 100000 0.22 s, 200000 0.5 s;
+#   --n 11: 25000 0.67 s, 50000 2.2-2.8 s 20 MB, 75000 6.9 s, 100000
+#     9.4 s, 200000 37 s 26 MB;
+#   --n 10000: 25000 23 s, 50000 28 s 46 MB, 75000 23 s, 100000 25 s;
+#   --n 9999: 25000 28 s, 50000 28-32 s 46 MB, 75000 33 s, 100000 37 s.
+PRECISION_CEILING = 50000
 
 
 def _check_ceiling(args, flag: str, n: int, limit: int) -> None:
@@ -243,6 +255,7 @@ def cmd_oracle(args) -> int:
 def cmd_limits(args) -> int:
     if args.precision < 30:
         raise CeilingError(f"precision must be >= 30, got {args.precision}")
+    _check_ceiling(args, "limits --precision", args.precision, PRECISION_CEILING)
     _check_ceiling(args, "limits --n", args.n, LIMITS_CEILING)
     u = qarith.scaled_u(args.n, 2, args.precision)
     _emit({
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ceiling = argparse.ArgumentParser(add_help=False)
     ceiling.add_argument("--no-ceiling", action="store_true",
-                         help="run above the ceiling on n")
+                         help="run above the ceiling on n (and on limits --precision)")
 
     p = sub.add_parser("count", parents=[ceiling], help="census row at one n")
     p.add_argument("--n", type=int, required=True)

@@ -17,7 +17,7 @@ moves each coordinate down by one, so no invariant subspace is dropped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -48,19 +48,6 @@ def rref(rows, n):
     return tuple(basis)
 
 
-def gf2_rank(rows):
-    rank = 0
-    work = list(rows)
-    while work:
-        r = work.pop()
-        if r == 0:
-            continue
-        low = r & -r
-        work = [x ^ r if x & low else x for x in work]
-        rank += 1
-    return rank
-
-
 @lru_cache(maxsize=None)
 def enum_subspaces(n: int):
     """All subspaces of GF(2)^n, each once, as canonical RREF tuples.
@@ -89,19 +76,14 @@ def enum_subspaces(n: int):
 
 
 def apply_perm(subspace, perm, n):
-    """Image of a subspace under coordinate permutation (re-canonicalized).
+    """Image of a subspace under the permutation operator (re-canonicalized).
 
-    perm is 0-indexed: perm[i] is the image of coordinate i, and the moved
-    vector has bit i equal to bit perm[i] of the original.
+    perm is 0-indexed: perm[i] is the image of coordinate i, so the operator
+    perm_operator(perm) sends e_i to e_{perm[i]}, and bit perm[i] of a moved
+    vector is bit i of the original.
     """
-    moved = []
-    for v in subspace:
-        w = 0
-        for i in range(n):
-            if (v >> perm[i]) & 1:
-                w |= 1 << i
-        moved.append(w)
-    return rref(moved, n)
+    T = perm_operator(perm)
+    return rref([map_apply(T, v) for v in subspace], n)
 
 
 def perm_from_cycle_type(parts):
@@ -125,22 +107,15 @@ def invariant_count(perm) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Orbit:
-    dim: int
-    size: int
-    stabilizer_order: int
-    representative: tuple
+class Orbit(namedtuple("Orbit", "dim size stabilizer_order representative")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    n: int
-    b: int
-    by_dim: tuple[int, ...]
-    orbits: tuple[Orbit, ...]
-    beta: tuple[int, int]                  # fraction of non-rigid subspaces
-    nonrigid_by_dim: tuple[tuple[int, int], ...]  # alpha(n, d) fractions
+class OrbitReport(namedtuple("OrbitReport", "n b by_dim orbits beta nonrigid_by_dim")):
+    """beta is the fraction of non-rigid subspaces, nonrigid_by_dim the
+    fractions alpha(n, d), each a (num, den) pair."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -433,17 +408,13 @@ def poly_of_map(poly, cols, n):
     return result
 
 
-def kernel_dim(cols, n):
-    return n - gf2_rank(cols)
-
-
 def minimal_polynomial(perm):
     """Factored minimal polynomial of the permutation operator over GF(2).
 
-    Returns a list of (irreducible, exponent, kernel_dim) triples where
-    kernel_dim is the dimension of ker(p(T)^exponent).  Factorization is by
-    trial division in increasing bit order, independent of the cyclotomic
-    machinery.
+    Returns a list of (irreducible, exponent, kernel dimension) triples,
+    the last being the dimension of ker(p(T)^exponent).  Factorization is
+    by trial division in increasing bit order, independent of the
+    cyclotomic machinery.
     """
     n = len(perm)
     if n > MINPOLY_CEILING:
@@ -488,7 +459,7 @@ def minimal_polynomial(perm):
                 exp += 1
                 quo, rem = poly_divmod(rest, p)
             pm = poly_of_map(_pow_poly(p, exp), T, n)
-            factors.append((p, exp, kernel_dim(pm, n)))
+            factors.append((p, exp, n - len(rref(pm, n))))
         else:
             p += 1
     return factors
@@ -515,9 +486,9 @@ _GF4_MUL = (
 
 def _field_tables(Q):
     if Q == 2:
-        return ((0, 0), (0, 1)),
+        return ((0, 0), (0, 1))
     if Q == 4:
-        return (_GF4_MUL,)
+        return _GF4_MUL
     raise ValueError(f"Q must be 2 or 4, got {Q}")
 
 
@@ -582,7 +553,7 @@ def nilpotent_submodule_census(lam, Q):
 
 @lru_cache(maxsize=None)
 def _nilpotent_census(lam, Q):
-    (mul,) = _field_tables(Q)
+    mul = _field_tables(Q)
     m = sum(lam)
     visits = sum(_gaussian_binomial(m, d, Q) for d in range(m + 1))
     if visits > NILPOTENT_CEILING:
@@ -730,7 +701,7 @@ def _gl_cycle_lengths(d):
     GF(2)^d; returns {sorted cycle lengths: number of matrices}."""
     found = {}
     for cols in product(range(1 << d), repeat=d):
-        if gf2_rank(cols) < d:
+        if len(rref(cols, d)) < d:
             continue
         seen = set()
         lengths = []

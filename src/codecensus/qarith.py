@@ -42,7 +42,9 @@ def gauss_total(n: int, q: int) -> int:
 
 def _gauss_total(n: int, q: int) -> int:
     """gauss_total without the input check, so q may pass its 2^32 bound
-    (submodcount's column gains reach q = 2^36), by the Goldman-Rota
+    (submodcount._total_bound's Q = 2^ord_e(2) reaches 2^28 at census
+    n = 36, 2^66 within CENSUS_CEILING, at e = 67, and 2^1530 for a
+    1531-cycle within LATTICE_CEILING), by the Goldman-Rota
     recurrence G(k+1) = 2 G(k) + (q^k - 1) G(k-1) with G(0) = 1, G(1) = 2,
     iterated upward.  When q is a power of two the product q^k * G(k-1) is
     a shift."""

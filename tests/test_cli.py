@@ -258,14 +258,25 @@ class TestCeiling:
     ])
     def test_refused_above_the_limit_unless_allowed(self, capsys, monkeypatch,
                                                     argv, limit_name, flag):
-        monkeypatch.setattr(cli, limit_name, 11)
-        at, above = ([a.format(n=n) for a in argv] for n in (11, 12))
+        self.check_both_sides(capsys, monkeypatch, argv, limit_name, flag, 11)
+
+    def test_precision_refused_above_the_limit_unless_allowed(self, capsys,
+                                                              monkeypatch):
+        # lowered to 41, not 11: a precision below 30 is refused on its own
+        self.check_both_sides(capsys, monkeypatch,
+                              ["limits", "--n", "11", "--precision", "{n}"],
+                              "PRECISION_CEILING", "limits --precision", 41)
+
+    @staticmethod
+    def check_both_sides(capsys, monkeypatch, argv, limit_name, flag, limit):
+        monkeypatch.setattr(cli, limit_name, limit)
+        at, above = ([a.format(n=n) for a in argv] for n in (limit, limit + 1))
         code = main(above)
         captured = capsys.readouterr()
         assert code == EXIT_CEILING == 3
-        assert captured.err == (f"error: {flag} is limited to 11 (the run time grows "
-                                "steeply above it); got 12, pass --no-ceiling to run "
-                                "it anyway\n")
+        assert captured.err == (f"error: {flag} is limited to {limit} (the run time "
+                                f"grows steeply above it); got {limit + 1}, pass "
+                                "--no-ceiling to run it anyway\n")
         assert captured.out == ""
         assert main(at) == EXIT_OK
         at_out = capsys.readouterr().out

@@ -267,15 +267,25 @@ class TestIndependence:
             assert not any(name.split(".")[0] == "codecensus" for name in names), \
                 f"package import at line {node.lineno}"
 
-    def test_package_and_cli_import_leaves_the_oracle_unloaded(self):
+    @staticmethod
+    def _loaded_after(imports, modules):
+        """Which of `modules` a fresh `python -S` has loaded once it has run
+        `import sys, <imports>`.  -S: no site .pth file may load one of
+        them before the package does."""
         src = Path(oracle.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        # -S: no site .pth file may load one of these before the package does
-        script = ("import sys, codecensus, codecensus.cli; "
-                  "print(*(m in sys.modules for m in ('codecensus.oracle', 'mpmath', "
-                  "'dataclasses', 'inspect', 'typing')))")
+        script = (f"import sys, {imports}; "
+                  f"print([m for m in {modules!r} if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-S", "-c", script],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"] * 5
+        return ast.literal_eval(proc.stdout)
+
+    def test_package_and_cli_import_leaves_the_oracle_unloaded(self):
+        assert self._loaded_after("codecensus, codecensus.cli", (
+            "codecensus.oracle", "mpmath", "dataclasses", "inspect", "typing")) == []
+
+    def test_oracle_import_loads_no_dataclasses_inspect_or_typing(self):
+        assert self._loaded_after("codecensus.oracle",
+                                  ("dataclasses", "inspect", "typing")) == []
