@@ -15,7 +15,7 @@ from math import comb, factorial
 from .burnside import census_rows, correction_report, count_codes, non_identity_sum
 from .cyclestruct import cycle_types_of, primary_components
 from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
-from .submodcount import component_total, components_size
+from .submodcount import component_total, lattice_size
 
 PASS = "pass"
 FAIL = "fail"
@@ -103,7 +103,7 @@ def check_lemma2_3(n: int) -> CheckResult:
         t1 = comps[0]  # the t+1 block (order 1, degree 1)
         L1, n1, mu1 = component_total(t1.module_type, 1), t1.dim, t1.max_exponent
         r = ct.r
-        L = components_size(comps)
+        L = lattice_size(ct)
         bound3a = gauss_total(r, 2) * gauss_total(n1 - r, 2)
         bound3b = gauss_total(r, 2) ** mu1
         if L1 > bound3a:

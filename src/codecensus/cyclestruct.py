@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
 from math import factorial, isqrt
 
 
@@ -98,27 +97,23 @@ def cycle_types_of(n: int) -> Iterator[CycleType]:
         yield CycleType(parts)
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (independent count)."""
+    """p(n) by Euler's pentagonal-number recurrence (independent count),
+    filled upward from p(0) = 1."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    p = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 == 1 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p[n]
 
 
 def z_product(lengths) -> int:

@@ -7,6 +7,13 @@ explicit permutation action, explicit linear algebra.  The module imports
 nothing from the rest of the package, so the fast path is checked against
 code it shares nothing with.
 
+rref is the one GF(2) bitmask elimination: it gives every rank, the
+canonical basis of every subspace and the linear relation that is the
+minimal polynomial of a permutation operator.  _reduce and _k_rank are the
+GF(Q) elimination of the nilpotent census.  A permutation acts through its
+image tuple, and its operator's powers are the powers of the permutation;
+general matrices appear only in _gl_cycle_lengths, which walks GL(d,2).
+
 The one shortcut is in the nilpotent submodule census: it fills each
 echelon basis row by row, from the last pivot to the first, and drops a
 partial basis as soon as the image of one of its rows lies outside the
@@ -296,9 +303,7 @@ def _equal_degree_split(f: int, d: int, rng: random.Random) -> list[int]:
             return left + right
 
 
-_factor_cache: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def factor_cyclic(u: int) -> tuple[int, ...]:
     """Distinct irreducible factors of t^u - 1 over GF(2), u odd, by
     distinct-degree and Cantor-Zassenhaus equal-degree splitting.
@@ -309,10 +314,6 @@ def factor_cyclic(u: int) -> tuple[int, ...]:
     """
     if u < 1 or u % 2 == 0:
         raise ValueError(f"u must be odd and >= 1, got {u}")
-    cached = _factor_cache.get(u)
-    if cached is not None:
-        return cached
-
     target = (1 << u) | 1  # t^u + 1 = t^u - 1 in characteristic 2
     degrees = sorted(len(c) for c in cyclotomic_cosets(u))
     rng = random.Random(u)  # deterministic per u
@@ -339,13 +340,10 @@ def factor_cyclic(u: int) -> tuple[int, ...]:
     for p in factors:
         prod = poly_mul(prod, p)
     if prod != target:
-        raise AssertionError(f"factorization of t^{u} - 1 failed verification")
+        raise ArithmeticError(f"factorization of t^{u} - 1 failed verification")
     if sorted(degree(p) for p in factors) != degrees:
-        raise AssertionError(f"factor degrees disagree with cosets for u={u}")
-
-    result = tuple(factors)
-    _factor_cache[u] = result
-    return result
+        raise ArithmeticError(f"factor degrees disagree with cosets for u={u}")
+    return tuple(factors)
 
 
 def irreducibles_of_order(e: int) -> tuple[int, ...]:
@@ -360,7 +358,8 @@ def irreducibles_of_order(e: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# permutation operators as explicit GF(2) matrices
+# a permutation's operator T(e_i) = e_{perm[i]}: its power T^k is the
+# permutation perm^k, and its minimal polynomial is found by rref
 
 
 def perm_operator(perm):
@@ -383,69 +382,34 @@ def map_apply(cols, v):
     return w
 
 
-def map_compose(a, b):
-    """a o b on column representations."""
-    return tuple(map_apply(a, col) for col in b)
-
-
-def map_add(a, b):
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def _identity(n):
-    return tuple(1 << i for i in range(n))
-
-
-def poly_of_map(poly, cols, n):
-    """Evaluate a GF(2)[t] polynomial (bit-vector int) at a linear map."""
-    result = (0,) * n
-    power = _identity(n)
-    while poly:
-        if poly & 1:
-            result = map_add(result, power)
-        power = map_compose(cols, power)
-        poly >>= 1
-    return result
-
-
 def minimal_polynomial(perm):
-    """Factored minimal polynomial of the permutation operator over GF(2).
+    """Factored minimal polynomial of the permutation operator T over GF(2).
 
     Returns a list of (irreducible, exponent, kernel dimension) triples,
-    the last being the dimension of ker(p(T)^exponent).  Factorization is
-    by trial division in increasing bit order, independent of the
-    cyclotomic machinery.
+    the last being the dimension of ker(p(T)^exponent).  T^k is the
+    permutation perm^k, written as the n*n-bit row with bit i*n + perm^k(i)
+    set and tagged with bit n*n + k.  The minimal polynomial is the first
+    linear relation among I, T, T^2, ...: once the rows of I .. T^k are
+    dependent, rref (the module's one GF(2) elimination) leaves one basis
+    row with no low n*n bits, and its tag bits are the coefficients.  A
+    polynomial q(T) sends e_i to the sum of e_{perm^j(i)} over the terms
+    t^j of q, and its kernel dimension is n minus the rank of those
+    columns.  Factorization is by trial division in increasing bit order,
+    independent of the cyclotomic machinery.
     """
     n = len(perm)
     if n > MINPOLY_CEILING:
         raise ValueError(f"n must be <= {MINPOLY_CEILING}, got {n}")
-    T = perm_operator(perm)
-
-    def vec(cols):
-        out = 0
-        for i, c in enumerate(cols):
-            out |= c << (i * n)
-        return out
-
-    # incremental elimination over vectorized powers I, T, T^2, ...
-    echelon = {}  # leading bit -> (reduced vector, combination polynomial)
-    power = _identity(n)
-    k = 0
+    low = (1 << n * n) - 1
+    powers = [tuple(range(n))]  # powers[k] is perm^k
+    rows = []
     while True:
-        v, combo = vec(power), 1 << k
-        while v:
-            lead = v.bit_length()
-            if lead not in echelon:
-                break
-            bv, bc = echelon[lead]
-            v ^= bv
-            combo ^= bc
-        if v == 0:
-            minpoly = combo
+        k = len(rows)
+        rows.append(sum(1 << i * n + j for i, j in enumerate(powers[k])) | 1 << n * n + k)
+        minpoly = next((r >> n * n for r in rref(rows, n * n + k + 1) if not r & low), 0)
+        if minpoly:
             break
-        echelon[v.bit_length()] = (v, combo)
-        power = map_compose(T, power)
-        k += 1
+        powers.append(tuple(perm[j] for j in powers[k]))
 
     factors = []
     rest = minpoly
@@ -458,8 +422,9 @@ def minimal_polynomial(perm):
                 rest = quo
                 exp += 1
                 quo, rem = poly_divmod(rest, p)
-            pm = poly_of_map(_pow_poly(p, exp), T, n)
-            factors.append((p, exp, n - len(rref(pm, n))))
+            q = _pow_poly(p, exp)
+            cols = [map_apply([1 << pw[i] for pw in powers], q) for i in range(n)]
+            factors.append((p, exp, n - len(rref(cols, n))))
         else:
             p += 1
     return factors

@@ -290,14 +290,8 @@ def lattice_size(ct: CycleType) -> int:
     """Number of invariant subspaces of (any permutation with) this cycle
     type: product of the per-block submodule counts, one power per odd
     order."""
-    return components_size(primary_components(ct))
-
-
-def components_size(components) -> int:
-    """lattice_size from the primary_components records of a cycle type,
-    for a caller that has them already."""
     result = 1
-    for c in components:
+    for c in primary_components(ct):
         result *= component_total(c.module_type, c.deg) ** c.count
     return result
 

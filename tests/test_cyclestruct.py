@@ -45,6 +45,11 @@ class TestPartitions:
     def test_n50_count(self):
         assert partition_count(50) == 204226
 
+    def test_n1000_count_does_not_recurse_n_deep(self):
+        # a recursion p(n) -> p(n - 1) -> ... passes the interpreter's
+        # default recursion limit of 1000 here
+        assert partition_count(1000) == 24061467864032622473692149727991
+
 
 class TestClassSize:
     def test_identity(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codecensus import cyclestruct, oracle
+from codecensus import cyclestruct
 from codecensus.cyclestruct import cyclotomic_split, mult_order_of_2
 from codecensus.oracle import (
     cyclotomic_cosets,
@@ -108,7 +108,7 @@ class TestFactorCyclic:
 
     def test_deterministic(self):
         first = factor_cyclic(93)
-        oracle._factor_cache.clear()
+        factor_cyclic.cache_clear()
         assert factor_cyclic(93) == first
 
 

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from hashlib import sha256
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -219,6 +220,16 @@ class TestMinimalPolynomial:
             perm = perm_from_cycle_type(parts)
             facts = minimal_polynomial(perm)
             assert sum(k for _, _, k in facts) == len(perm)
+
+    def test_every_cycle_type_up_to_14_is_pinned(self):
+        # which irreducible, exponent and kernel dimension each factor has,
+        # in order: sha256 of the repr of (parts, minimal_polynomial) for
+        # every cycle type with n = 1..14, taken from the matrix-algebra
+        # version of minimal_polynomial
+        blob = repr([(ct.parts, minimal_polynomial(perm_from_cycle_type(ct.parts)))
+                     for n in range(1, 15) for ct in cycle_types_of(n)]).encode()
+        assert sha256(blob).hexdigest() == \
+            "2c8069d45c9beeab2d791619e65d3ab6118472d879c8bfcaae6eea01e234eed0"
 
 
 class TestSlepianCount:
