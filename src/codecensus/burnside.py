@@ -54,13 +54,15 @@ below; a single row n is the pass with N = n):
   summed before that block's polynomial is multiplied in, so it is
   convolved once per merged state, not once per cycle type.  The product
   of one order's blocks is submodcount.order_lattice, and it is
-  multiplied in by submodcount.half_product, the step lattice_dim_poly
-  takes at each odd order: the value is mirrored to full length and only
-  the lower half of the product is made.  The t+1 block is never
-  multiplied into a state: its product with each row's value is added
-  straight into that row's lower half (Rows).  One function, _stage,
-  makes a whole odd stage, choices, merge and completion, so the DP is a
-  fold of it over u, then the u = 1 stage.
+  multiplied in by submodcount.half_product: the value is mirrored to
+  full length and only the lower half of the product is made.  (A
+  lattice query, lattice_dim_poly, makes its whole lower half as one
+  packed product of shift-adds instead, and takes the same half_product
+  step per order only when its total is too wide for the packed slots.)
+  The t+1 block is never multiplied into a state: its product with each
+  row's value is added straight into that row's lower half (Rows).
+  One function, _stage, makes a whole odd stage, choices, merge and
+  completion, so the DP is a fold of it over u, then the u = 1 stage.
 - Weights.  Every stage, u = 1 included, weighs a choice one way.  A
   choice whose cycles cover size points, c points used after it,
   multiplies the value by C(c, size) * ways: C(c, size) picks those

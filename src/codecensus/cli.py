@@ -61,12 +61,18 @@ VERIFY_CEILING = 1000
 
 # The largest n of a lattice --type run without --no-ceiling.  Cold runs,
 # one process each, on the same VM (raw wall time and peak RSS):
-#   one cycle of length n: 1536 0.15 s 20 MB, 2048 0.7 s 22 MB, 4096
-#     6.5 s 29 MB, 8192 65 s (~10x per doubling; 16384 had not finished
+#   one cycle of length n: 1536 0.10-0.14 s 15 MB, 2048 0.8 s 17 MB, 4096
+#     5.4-6.1 s 24 MB; 8192 65 s (~10x per doubling; 16384 had not finished
 #     after 60 s);
-#   n fixed points, the largest lattice of S_n: 512 3.9 s 39 MB, 1024
+#   n fixed points, the largest lattice of S_n: 512 3.3 s 34 MB, 1024
 #     57 s 168 MB, 1536 267 s 520 MB (~15x per doubling);
-#   the benchmark's query pool, random types with n <= 1536: a few ms each.
+#   k 3-cycles, wide counts from many equal cycles: k = 200 (n = 600)
+#     1.9 s 20 MB, 300 (n = 900) 13.8 s 32 MB, 400 (n = 1200) 69 s 54 MB,
+#     512 (n = 1536) 232 s 96 MB (~5-7x per 300 more points);
+#   the benchmark's query pool, random types with n <= 1536: 1.7 ms median
+#     and 2.6 ms 90th percentile per query after start-up (the benchmark's
+#     host-scaled figures); its slowest type, n = 1465, 0.08-0.15 s 15 MB,
+#     mostly interpreter start.
 LATTICE_CEILING = 1536
 
 # The largest n * ceil(log2 q) of a gauss run, and the largest n of a limits

@@ -80,23 +80,33 @@ every block is graded by submodule size, with d its only field parameter
 (component_lattice, order_lattice), and a submodule of size j has
 GF(2)-dimension d * j, so d is applied once: order_lattice raises the
 block lattice to the number of blocks, and that product enters a
-polynomial graded by dimension through the stride-aware kernel
-add_product, with stride d (convolve, for full stride-1 products,
-allocates and calls it).  A finite module's submodule lattice is
-self-dual, so every block lattice must read the same from either end, by
-size as by dimension: each one the walk makes is checked for its end
-counts and then for that symmetry (_checked_ends).  So every product of
-them is a palindrome too, and both callers keep only lower halves:
-half_product mirrors a half to full length and adds the product into
-its own D // 2 + 1 zeros with add_product, D its degree, so no other
-coefficient is made.  lattice_dim_poly takes one such step per odd
-order and mirrors the last half to length n + 1; the census DP
-(burnside) takes one per completed order, and adds each t+1 product
-straight into the lower half of its row with add_product.  A mirror
-would hide an asymmetric factor, so lattice_dim_poly checks that its
-counts sum to the product of its factors' totals.  The full-length
-reference is per_block_dim_poly in the tests, one plain convolution per
-block.
+polynomial graded by dimension with stride d, through the stride-aware
+kernel add_product (convolve, for full stride-1 products, allocates and
+calls it) or a lattice query's packed shift-adds.  A finite module's
+submodule lattice is self-dual, so every block lattice must read the
+same from either end, by size as by dimension: each one the walk makes
+is checked for its end counts and then for that symmetry
+(_checked_ends).  So every product of them is a palindrome too, and
+both callers keep only lower halves.  half_product mirrors a half to
+full length and adds the product into its own D // 2 + 1 zeros with
+add_product, D its degree, so no other coefficient is made; the census
+DP (burnside) takes one such step per completed order, and adds each
+t+1 product straight into the lower half of its row with add_product.
+
+lattice_dim_poly needs entries 0..n // 2 of its product, which depend
+only on the factors' entries below n // 2 + 1.  While the product's
+total fits PACKED_SLOT_CUTOFF bytes, the running product, truncated
+there with no mirror between orders, is one integer in the _pack
+format, a slot the byte width of the total: the first factor packed, each later one added in by one shift-add of the
+running integer per nonzero entry (_packed_half, whose docstring shows
+that no slot overflows).  Wide totals come from many equal cycles, where
+the packed product loses to the loop (measured at PACKED_SLOT_CUTOFF),
+so above the cutoff the query takes one half_product per order instead.
+Either way the half is mirrored to length n + 1.  A mirror would hide an
+asymmetric factor, so lattice_dim_poly checks each factor to be a
+palindrome before either path, and its counts to sum to the product of
+its factors' totals.  The full-length reference is per_block_dim_poly in
+the tests, one plain convolution per block.
 """
 
 from __future__ import annotations
@@ -296,24 +306,76 @@ def lattice_size(ct: CycleType) -> int:
     return result
 
 
+# The widest slot, in bytes, at which lattice_dim_poly makes its lower half
+# as one packed product; a wider total takes the half_product loop.  Wide
+# totals come from many equal cycles, where the packed product loses.  The
+# packed time over the loop's, in-process with cold block caches, best of 3
+# on a 2-vCPU VM, by the byte width of the total (the benchmark's query pool
+# has widths 2 to 25):
+#   c^k plus one 1023-cycle (n 1035 to 1359), c in 3..21: 0.52-0.81 at
+#     16-30 bytes, 0.77-1.28 at 34-73, 1.15-2.39 at 84-185;
+#   c^k alone (n <= 336): 0.89-1.06 at 8-25 bytes, 0.91-1.39 at 31-73,
+#     1.08-3.37 at 91-169;
+#   5^60 (563 bytes) 5-10 ms -> 16-17 ms, 21^20 7^10 (373) 10-18 ms ->
+#     43-47 ms, 9^100 (2814) 0.65-0.94 s -> 1.9-2.3 s.
+PACKED_SLOT_CUTOFF = 32
+
+
+def _packed_half(factors, keep: int, nbytes: int) -> list[int]:
+    """Entries 0..keep - 1 of the product of factor(t^stride) over the
+    (factor, stride) pairs, as one running integer in the _pack format,
+    nbytes bytes per entry.  The first factor is packed at stride * nbytes
+    bytes per entry, which puts its entry j in slot stride * j; each later
+    nonzero entry y = factor[j] adds the running integer times y, shifted
+    by stride * j slots, and each sum is masked to keep slots.  Entries
+    below keep of a product depend only on the factors' entries below
+    keep, so the truncation is exact.
+
+    No slot overflows when the product's total fits nbytes bytes: every
+    factor has nonnegative entries and constant term 1, so each entry of a
+    partial product, and of a partial sum of its shift-adds, is at most
+    that entry of the whole product, and so at most its total."""
+    (first, stride), *rest = factors
+    acc = _pack(first[:(keep - 1) // stride + 1], nbytes * stride)
+    slot, mask = 8 * nbytes, (1 << 8 * nbytes * keep) - 1
+    for factor, stride in rest:
+        acc = sum(acc * y << slot * stride * j
+                  for j, y in enumerate(factor[:(keep - 1) // stride + 1]) if y) & mask
+    return _unpack(acc, nbytes, keep)
+
+
 def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     """Invariant-subspace counts graded by dimension (index = dimension).
 
     Product over the odd orders of the cycle type of each order's block
-    product (order_lattice, graded by submodule size), each multiplied
-    into the running lower half once with stride d (half_product); the
-    last half is mirrored to length n + 1, and the entries must sum to the
-    product of the factors' totals, lattice_size(ct).
+    product (order_lattice, graded by submodule size), spread by stride d;
+    each must be a palindrome, and their degrees must sum to n.  Entries
+    0..n // 2 of the product are made and mirrored to length n + 1, and
+    the entries must sum to the product of the factors' totals,
+    lattice_size(ct).  While that total fits PACKED_SLOT_CUTOFF bytes the
+    lower half is one packed product (_packed_half); above it the
+    running lower half takes one half_product per order.
     """
-    half, degree, total = [1], 0, 1
-    for c in primary_components(ct):
-        factor = order_lattice(c.module_type, c.count, c.deg)
-        half, degree = half_product(half, degree, factor, c.deg)
+    comps = primary_components(ct)
+    factors = [(order_lattice(c.module_type, c.count, c.deg), c.deg) for c in comps]
+    degree, total = 0, 1
+    for c, (factor, stride) in zip(comps, factors):
+        if factor != factor[::-1]:
+            raise ArithmeticError(
+                f"block product of order {c.order} of cycle type {ct} is not a palindrome")
+        degree += stride * (len(factor) - 1)
         total *= sum(factor)
     if degree != ct.n:
         raise ArithmeticError(
             f"dimension polynomial of cycle type {ct} has length {degree + 1}, "
             f"expected n + 1 = {ct.n + 1}")
+    nbytes = (total.bit_length() + 7) // 8
+    if nbytes <= PACKED_SLOT_CUTOFF:
+        half = _packed_half(factors, degree // 2 + 1, nbytes)
+    else:
+        half, made = [1], 0
+        for factor, stride in factors:
+            half, made = half_product(half, made, factor, stride)
     poly = _mirror(half, degree)
     if sum(poly) != total:
         raise ArithmeticError(

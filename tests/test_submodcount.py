@@ -473,13 +473,22 @@ class TestLatticeDimPoly:
         with pytest.raises(ArithmeticError, match="3,1"):
             lattice_dim_poly(ct)
 
-    # the t+1 factor of 3,1,1 is [1, 7, 7, 1]; skewed to [1, 8, 7, 1] it
-    # keeps its length and end counts, and the mirrored lower half of the
-    # product sums to 36, where the factors' totals multiply to 17 * 2
-    SKEWED_MESSAGE = ("dimension polynomial of cycle type 3,1,1 sums to 36, "
-                      "not to the product 34 of its factors' totals")
+    # each factor is checked to be a palindrome before its product is
+    # made: the t+1 factor skewed by one in entry 1 raises on the packed
+    # path (3,1,1: [1, 7, 7, 1] -> [1, 8, 7, 1], whose mirrored product
+    # sums to 34, the factors' total) and on the half_product path (7^13)
+    SKEWED_TYPES = pytest.mark.parametrize("parts,packed", [
+        ((3, 1, 1), True), ((7,) * 13, False),
+    ], ids=["3,1,1", "7^13"])
 
-    def test_asymmetric_factor_raises(self, monkeypatch):
+    @staticmethod
+    def skewed_message(parts, packed):
+        ct = CycleType(parts)
+        assert takes_packed_path(ct) == packed
+        return f"block product of order 1 of cycle type {ct} is not a palindrome"
+
+    @SKEWED_TYPES
+    def test_asymmetric_factor_raises(self, monkeypatch, parts, packed):
         real = submodcount.order_lattice
 
         def skewed(lam, count, d):
@@ -490,10 +499,11 @@ class TestLatticeDimPoly:
 
         monkeypatch.setattr(submodcount, "order_lattice", skewed)
         with pytest.raises(ArithmeticError) as exc:
-            lattice_dim_poly(CycleType((3, 1, 1)))
-        assert str(exc.value) == self.SKEWED_MESSAGE
+            lattice_dim_poly(CycleType(parts))
+        assert str(exc.value) == self.skewed_message(parts, packed)
 
-    def test_asymmetric_factor_raises_without_asserts(self):
+    @SKEWED_TYPES
+    def test_asymmetric_factor_raises_without_asserts(self, parts, packed):
         script = (
             "from codecensus import submodcount as s\n"
             "from codecensus.cyclestruct import CycleType\n"
@@ -504,11 +514,11 @@ class TestLatticeDimPoly:
             "        poly[1] += 1\n"
             "    return poly\n"
             "s.order_lattice = skewed\n"
-            "s.lattice_dim_poly(CycleType((3, 1, 1)))\n"
+            f"s.lattice_dim_poly(CycleType({parts!r}))\n"
         )
         proc = run_without_asserts(script)
         assert proc.returncode == 1
-        assert f"ArithmeticError: {self.SKEWED_MESSAGE}" in proc.stderr
+        assert f"ArithmeticError: {self.skewed_message(parts, packed)}" in proc.stderr
 
     def test_kernel_of_t_plus_1_block_is_cycle_count(self):
         for n in range(1, 13):
@@ -523,6 +533,12 @@ def schoolbook(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def takes_packed_path(ct):
+    """Whether lattice_dim_poly makes ct's lower half as one packed product:
+    its lattice total fits PACKED_SLOT_CUTOFF bytes."""
+    return (lattice_size(ct).bit_length() + 7) // 8 <= submodcount.PACKED_SLOT_CUTOFF
 
 
 def per_block_dim_poly(ct):
@@ -574,12 +590,17 @@ class TestPerOrderProduct:
     """The per-order strided product against one plain convolution per
     block, on types whose orders carry several irreducibles."""
 
+    # the lattice total of WIDE is too wide for the packed product and the
+    # others' fit, so both paths of lattice_dim_poly meet the reference
+    WIDE = (21,) * 20 + (7,) * 10
+
     @pytest.mark.parametrize("parts", [
-        (7,), (14, 7), (31,), (21, 7, 3, 1), (127, 1), (255,), (1023,) + (1,) * 20,
+        (7,), (14, 7), (31,), (21, 7, 3, 1), (127, 1), (255,), (1023,) + (1,) * 20, WIDE,
     ], ids=lambda p: ",".join(map(str, p[:4])))
     def test_many_blocks_per_order(self, parts):
         ct = CycleType(parts)
         assert max(c.count for c in primary_components(ct)) > 1
+        assert takes_packed_path(ct) == (parts != self.WIDE)
         expected = per_block_dim_poly(ct)
         assert lattice_dim_poly(ct) == expected
         assert lattice_size(ct) == sum(expected)
