@@ -14,7 +14,8 @@ from math import comb, factorial
 
 from .burnside import census_rows, correction_report, count_codes, non_identity_sum
 from .cyclestruct import cycle_types_of, primary_components
-from .qarith import gauss_binomial, gauss_total, lemma1_tail_product, scaled_u
+from .qarith import (DEFAULT_PRECISION, _gauss_totals, _scaled, gauss_binomial, gauss_total,
+                     lemma1_tail_product)
 from .submodcount import component_total, lattice_size
 
 PASS = "pass"
@@ -55,21 +56,27 @@ class CheckResult(namedtuple("CheckResult", "name n_range status witnesses count
 
 def check_lemma1(n_max: int) -> CheckResult:
     """Sandwich bound on subspace counts: 2^(n^2/4) <= G(n,2) <= 23*2^(n^2/4),
-    checked as exact 4th-power integer comparisons, plus the tail-product
-    constant and the even/odd limit values."""
+    exact: each side is decided by the bit length of G(n,2) where that
+    suffices and by comparing 4th powers otherwise; plus the tail-product
+    constant and the even/odd limit values.  One upward sweep of qarith's
+    recurrence makes each G(n,2) once, and u_n is read off that same value."""
     if n_max < 10:
         raise ValueError(f"n_max must be >= 10, got {n_max}")
     us = []  # u_n for n = 0..n_max, each computed once
-    for n in range(n_max + 1):
-        g4 = gauss_total(n, 2) ** 4
-        two = 1 << (n * n)
-        if g4 < two:  # u_n < 1
+    for n, g in zip(range(n_max + 1), _gauss_totals(2)):
+        # With b the bit length of g, 2^(b-1) <= g < 2^b.  So 4(b - 1) >= n^2
+        # proves g^4 >= 2^(n^2), and 4b <= n^2 + 18 proves g^4 < 2^(n^2+18)
+        # <= 23^4 * 2^(n^2), as 2^18 = 262,144 <= 23^4 = 279,841.  Only a
+        # side the bit length leaves open takes the exact 4th power; for
+        # n <= 5000 there is none.
+        b = g.bit_length()
+        if 4 * (b - 1) < n * n and g ** 4 < 1 << n * n:  # u_n < 1
             return CheckResult("lemma1", (0, n_max), FAIL,
                                counterexample={"n": n, "side": "lower"})
-        if g4 > 23 ** 4 * two:  # u_n > 23
+        if 4 * b > n * n + 18 and g ** 4 > 23 ** 4 << n * n:  # u_n > 23
             return CheckResult("lemma1", (0, n_max), FAIL,
                                counterexample={"n": n, "side": "upper"})
-        us.append(scaled_u(n, 2))
+        us.append(_scaled(g, n, 2, DEFAULT_PRECISION))
     max_u = max(us)
     tail = lemma1_tail_product(1000)
     if not tail < 23:
@@ -195,23 +202,22 @@ def classify_D(n: int) -> CheckResult:
 def check_dimension_bounds(n: int) -> CheckResult:
     """Gauss-coefficient sandwich 2^(nd-d^2) <= G(n,2,d) <= 4*2^(nd-d^2)
     for all n' <= n, and the per-dimension orbit floor b(n',d)*n'! >=
-    G(n',2,d) for n' <= min(n, 40).  The matching upper bound on b(n,d) is
-    reported as an observed ratio near d = n/2, never asserted."""
+    G(n',2,d) for n' <= min(n, 40), in one pass over (n', d) that makes
+    each G(n',2,d) once; the first failing (n', d) is reported.  The
+    matching upper bound on b(n,d) is reported as an observed ratio near
+    d = n/2, never asserted."""
     if n > 100:
         raise ValueError(f"n must be <= 100, got {n}")
+    n31 = min(n, DIMS_MAX_N)
     for m in range(1, n + 1):
-        for d in range(1, m + 1):
+        row = count_codes(m) if m <= n31 else None
+        for d in range(m + 1):
             g = gauss_binomial(m, d, 2)
             low = 1 << (m * d - d * d)
             if not low <= g <= 4 * low:
                 return CheckResult("gauss_sandwich_27", (1, n), FAIL,
                                    counterexample={"n": m, "d": d, "G": g})
-    n31 = min(n, DIMS_MAX_N)
-    for m in range(1, n31 + 1):
-        row = count_codes(m)
-        mfact = factorial(m)
-        for d in range(m + 1):
-            if row.by_dim[d] * mfact < gauss_binomial(m, d, 2):
+            if row and row.by_dim[d] * factorial(m) < g:
                 return CheckResult("dim_floor_31", (1, n31), FAIL,
                                    counterexample={"n": m, "d": d})
     import mpmath

@@ -54,8 +54,11 @@ class CeilingError(Exception):
 #     ~3x the time and ~2x the memory per +10 in n;
 #   table --max-n, one census pass for all its rows: 40 1.0 s 24 MB,
 #     60 11.7 s 49 MB, 80 112 s 192 MB;
-#   verify --suite all: max-n 800 12 s, 1000 25 s, 1200 46 s, 30 MB each
-#     (check_lemma1 sweeps G(n, 2) and u_n over every n <= max-n).
+#   verify --suite all: max-n 800 0.8-1.2 s 22 MB, 1000 0.9-1.2 s 22 MB,
+#     1200 0.9-1.0 s 22 MB, 4000 2.9-3.5 s 27 MB.  Up to max-n ~2000 the
+#     census pass for rows 1..40 (~0.6 s) sets the time; check_lemma1's one
+#     sweep of G(n, 2) and u_n over n <= max-n takes 0.1 s at 1000 and 2 s
+#     at 4000, its integers growing as n^2 bits.
 CENSUS_CEILING = 80
 VERIFY_CEILING = 1000
 

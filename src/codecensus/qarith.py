@@ -1,14 +1,22 @@
 """Exact q-analog arithmetic: subspace counts, Gaussian binomials, scaled limits.
 
-All counts are plain Python ints (arbitrary precision).  The scaled
-quantities u_n = G(n,q) * q^(-n^2/4) and the tail product bounding them are
-carried as mpmath floats at a configurable decimal precision.  mpmath is
-imported by the two functions that make them, on first use, so the exact
-counts never load it.
+All counts are plain Python ints (arbitrary precision).  The subspace
+counts G(0, q), G(1, q), ... come from one upward sweep of the Goldman-Rota
+recurrence, _gauss_totals: gauss_total reads its n-th value,
+submodcount._total_bound reads it up to a block's longest column, and
+boundscheck.check_lemma1 walks it once over n = 0..n_max, deciding each
+side of Lemma 1's bound from the bit length of G(n, 2) where it can.
+
+The scaled quantities u_n = G(n,q) * q^(-n^2/4) and the tail product
+bounding them are carried as mpmath floats at a configurable decimal
+precision.  mpmath is imported by the two functions that make them, on
+first use, so the exact counts never load it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import count, islice
 from math import isqrt
 
 DEFAULT_PRECISION = 60
@@ -37,23 +45,23 @@ def gauss_total(n: int, q: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _validate_prime_power(q)
-    return _gauss_total(n, q)
+    return next(islice(_gauss_totals(q), n, None))
 
 
-def _gauss_total(n: int, q: int) -> int:
-    """gauss_total without the input check, so q may pass its 2^32 bound
-    (submodcount._total_bound's Q = 2^ord_e(2) reaches 2^28 at census
-    n = 36, 2^66 within CENSUS_CEILING, at e = 67, and 2^1530 for a
-    1531-cycle within LATTICE_CEILING), by the Goldman-Rota
+def _gauss_totals(q: int) -> Iterator[int]:
+    """G(0, q), G(1, q), G(2, q), ... without end, by the Goldman-Rota
     recurrence G(k+1) = 2 G(k) + (q^k - 1) G(k-1) with G(0) = 1, G(1) = 2,
-    iterated upward.  When q is a power of two the product q^k * G(k-1) is
-    a shift."""
+    iterated upward.  No input check, so q may pass gauss_total's 2^32
+    bound: submodcount._total_bound's Q = 2^ord_e(2) reaches 2^28 at
+    census n = 36, 2^66 within CENSUS_CEILING, at e = 67, and 2^1530 for a
+    1531-cycle within LATTICE_CEILING.  When q is a power of two the
+    product q^k * G(k-1) is a shift."""
     shift = q.bit_length() - 1 if q & (q - 1) == 0 else 0
-    prev, cur = 1, 2  # G(k-1), G(k) at k = 1
-    for k in range(1, n):
+    prev, cur = 0, 1  # G(k-1), G(k) at k = 0; G(-1) is multiplied by q^0 - 1 = 0
+    for k in count():
+        yield cur
         scaled = prev << (shift * k) if shift else q ** k * prev
         prev, cur = cur, 2 * cur + scaled - prev
-    return cur if n else prev
 
 
 def gauss_binomial(n: int, d: int, q: int) -> int:
@@ -78,9 +86,13 @@ def scaled_u(n: int, q: int, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """The scaled subspace count G(n,q) * q^(-n^2/4)."""
     if precision < 30:
         raise ValueError(f"precision must be >= 30, got {precision}")
+    return _scaled(gauss_total(n, q), n, q, precision)
+
+
+def _scaled(g: int, n: int, q: int, precision: int) -> mpmath.mpf:
+    """g * q^(-n^2/4) at precision digits: scaled_u given g = G(n, q)."""
     import mpmath
 
-    g = gauss_total(n, q)
     with mpmath.workdps(precision + _GUARD_DIGITS):
         u = mpmath.mpf(g) * mpmath.mpf(q) ** (-mpmath.mpf(n * n) / 4)
         return +u

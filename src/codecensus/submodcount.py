@@ -112,9 +112,11 @@ the tests, one plain convolution per block.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
+from math import prod
 
 from .cyclestruct import CycleType, primary_components
-from .qarith import _gauss_total
+from .qarith import _gauss_totals
 
 
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -172,10 +174,8 @@ def _total_bound(cols: tuple[int, ...], d: int) -> int:
     """An upper bound on the lattice total of the block with conjugate
     type cols over Q = 2^d: the product over its columns of G(l, Q), the
     most a column of length l multiplies the total by (module docstring)."""
-    bound = 1
-    for l in cols:
-        bound *= _gauss_total(l, 1 << d)
-    return bound
+    totals = list(islice(_gauss_totals(1 << d), max(cols, default=0) + 1))
+    return prod(totals[l] for l in cols)
 
 
 def _pack(entries, nbytes: int) -> int:

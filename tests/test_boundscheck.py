@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import log2
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +74,49 @@ class TestLemma1:
         assert result.status == FAIL and result.witnesses == {}
         assert main(["verify", "--suite", "lemma1", "--max-n", "10", "--json"]) == 1
         assert '"tail_product": "23"' in capsys.readouterr().out
+
+    # G(10, 2) replaced at the exact ends of 2^25 <= G <= 23 * 2^25: the
+    # bit length decides 2^25 alone; the exact 4th power decides the rest
+    EDGES = [(2 ** 25 - 1, "lower"), (2 ** 25, None), (23 * 2 ** 25, None),
+             (23 * 2 ** 25 + 1, "upper")]
+
+    @pytest.mark.parametrize("value, side", EDGES)
+    def test_sandwich_edges(self, capsys, monkeypatch, value, side):
+        real = boundscheck._gauss_totals
+        monkeypatch.setattr(boundscheck, "_gauss_totals", lambda q: (
+            value if n == 10 else g for n, g in enumerate(real(q))))
+        result = check_lemma1(12)
+        code = main(["verify", "--suite", "lemma1", "--max-n", "12", "--json"])
+        rec = json.loads(capsys.readouterr().out)["results"][0]
+        if side is None:
+            assert result.status == PASS and code == 0
+            assert rec["status"] == "pass" and rec["counterexample"] is None
+        else:
+            assert result.status == FAIL and result.counterexample == {"n": 10, "side": side}
+            assert code == 1
+            assert rec["counterexample"] == {"n": "10", "side": side}
+
+    @pytest.mark.parametrize("value, side", EDGES)
+    def test_sandwich_edges_without_asserts(self, value, side):
+        script = (
+            "from codecensus import boundscheck as b\n"
+            "from codecensus.cli import main\n"
+            "real = b._gauss_totals\n"
+            f"b._gauss_totals = lambda q: ({value} if n == 10 else g"
+            " for n, g in enumerate(real(q)))\n"
+            "raise SystemExit(main(['verify', '--suite', 'lemma1', '--max-n', '12', '--json']))\n"
+        )
+        src = Path(boundscheck.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        rec = json.loads(proc.stdout)["results"][0]
+        if side is None:
+            assert proc.returncode == 0 and rec["status"] == "pass"
+        else:
+            assert proc.returncode == 1
+            assert rec["counterexample"] == {"n": "10", "side": side}
 
 
 class TestCheckResult:

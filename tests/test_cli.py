@@ -174,8 +174,9 @@ class TestVerify:
 class TestOutputContract:
     """The stdout bytes of five census-heavy commands, two lattice queries
     (the second the slowest type of the benchmark's query pool, n = 1465)
-    and the lemma-1 suite past its limit checks at n = 200, 201, pinned by
-    sha256: the code may change how it computes, never what it prints.
+    and the lemma-1 suite past its limit checks at n = 200, 201 and at
+    VERIFY_CEILING, pinned by sha256: the code may change how it computes,
+    never what it prints.
     count at n = 45 is a single-row pass whose top stage, u = 45, spreads
     each choice over the six odd divisors of 45."""
 
@@ -196,8 +197,10 @@ class TestOutputContract:
          "77ed3b369f34cf281504bd9fecc27d6944ff3e7d27567235b2881dbd658682f8"),
         (("verify", "--suite", "lemma1", "--max-n", "201", "--json"),
          "f2fc8960d32689b1bd088950266fca5b88e23c29462c972ef06afbcd9816d941"),
+        (("verify", "--suite", "lemma1", "--max-n", "1000", "--json"),
+         "4d90200ec37d00a53d261576d1644bfe90c5aaeee8740bd2decfebcb5eb01b19"),
     ], ids=["count", "count-45", "verify", "table-40", "verify-40", "lattice", "lattice-1465",
-            "verify-lemma1"])
+            "verify-lemma1", "verify-lemma1-1000"])
     def test_stdout_digest(self, argv, digest):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
