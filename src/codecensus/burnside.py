@@ -137,8 +137,8 @@ from operator import add, mul
 
 from .cyclestruct import cyclotomic_split, odd_divisors
 from .qarith import DEFAULT_PRECISION, gauss_total
-from .submodcount import (_mirror, _pack, _unpack, add_product, fixed_point_walk, half_product,
-                          order_lattice)
+from .submodcount import (_mirror, _pack, _slot_bytes, _unpack, add_product, fixed_point_walk,
+                          half_product, order_lattice)
 
 
 # packed module types: W-bit fields, a SLOT of 16 of them per odd order (State above)
@@ -295,8 +295,7 @@ def _stage_one(top: int, states: dict):
     for value in states.values():
         peaks[_degree(value)] = max(peaks[_degree(value)], max(value))
     masses = accumulate((factorial(top) // factorial(used) for used in range(top, -1, -1)), add)
-    widths = [(mass * peak).bit_length() // 8 + 1
-              for mass, peak in zip(reversed(list(masses)), peaks)]
+    widths = [_slot_bytes(mass * peak) for mass, peak in zip(reversed(list(masses)), peaks)]
     by_part: dict = {}  # pending without its 1-field -> {used: [(f_p, packed value)]}
     for used, pending in list(states):
         value = states.pop((used, pending))

@@ -67,14 +67,18 @@ VERIFY_CEILING = 1000
 #   one cycle of length n: 1536 0.10-0.14 s 15 MB, 2048 0.8 s 17 MB, 4096
 #     5.4-6.1 s 24 MB; 8192 65 s (~10x per doubling; 16384 had not finished
 #     after 60 s);
-#   n fixed points, the largest lattice of S_n: 512 3.3 s 34 MB, 1024
-#     57 s 168 MB, 1536 267 s 520 MB (~15x per doubling);
+#   n fixed points, the largest lattice of S_n: 512 2.4-2.6 s 36 MB, 1024
+#     25-32 s 180 MB, 1536 113 s 515 MB (~10x per doubling; before the
+#     walk's pairwise fold 5.0 s, 57-63 s and 267 s).  Most of it is the
+#     decimal output: at 512 the lattice takes 0.5 s in-process, the
+#     decimal strings of its 513 counts 1.7 s;
 #   k 3-cycles, wide counts from many equal cycles: k = 200 (n = 600)
-#     1.9 s 20 MB, 300 (n = 900) 13.8 s 32 MB, 400 (n = 1200) 69 s 54 MB,
-#     512 (n = 1536) 232 s 96 MB (~5-7x per 300 more points);
-#   the benchmark's query pool, random types with n <= 1536: 1.7 ms median
-#     and 2.6 ms 90th percentile per query after start-up (the benchmark's
-#     host-scaled figures); its slowest type, n = 1465, 0.08-0.15 s 15 MB,
+#     1.9-2.3 s 20 MB, 300 (n = 900) 13.8-19 s 32 MB, 400 (n = 1200) 69 s
+#     54 MB, 512 (n = 1536) 232 s 96 MB (~5-7x per 300 more points), nearly
+#     all of it add_product's convolutions, which the fold does not touch;
+#   the benchmark's query pool, random types with n <= 1536: 1.4 ms median
+#     and 2.4 ms 90th percentile per query after start-up (the benchmark's
+#     host-scaled figures); its slowest type, n = 1465, 0.07-0.10 s 17 MB,
 #     mostly interpreter start.
 LATTICE_CEILING = 1536
 

@@ -53,7 +53,11 @@ one of the Q^(mu'_1) maps from a type-mu submodule of M to k.
 fixed_point_walk runs the DP once on the core of a type (its parts other
 than 1) and reaches core + (1,) * f by f more steps, so the census's t+1
 blocks, which differ mostly in their number of fixed points, share one
-core; component_lattice is the walk to one f.
+core; component_lattice is the walk to one f.  A block of one part (k,)
+is uniserial: its submodules form a chain, one of each size (L. M.
+Butler, Subgroup lattices and symmetric functions, Mem. AMS 539, 1994),
+so component_lattice returns (1,) * (k + 1) for it without the walk.
+Most blocks of a cycle type with few equal cycles have one part.
 
 The walk fixes the slot width of its packed heads before the DP, from a
 bound on the lattice total.  At x = 1 a column of length l takes the
@@ -65,11 +69,15 @@ S_{l-m}(Q^m) falls as m grows, and a column multiplies the total by at
 most S_l(1) = G(l, Q), the number of subspaces of GF(Q)^l.  So the
 lattice total of lam is at most prod_i G(lam'_i, Q) (_total_bound).
 
-One packed format serves the walk and the census's u = 1 values
-(burnside): a list of nonnegative entries as one integer, a fixed number
-of little-endian bytes per entry, the first lowest (_pack).  _unpack
-decodes it and raises when the value needs more entries than asked for,
-so one check guards every packed value.
+One packed format serves the walk, the lattice queries and the census's
+u = 1 values (burnside): a list of nonnegative entries as one integer, a
+fixed number of little-endian bytes per entry, the first lowest (_pack).
+_unpack decodes it and raises when the value needs more entries than
+asked for, so one check guards every packed value.  Every slot width is
+_slot_bytes of a bound on the entries: its whole bytes, rounded up to 1,
+2, 4 or 8 when it is 8 or fewer.  At those word widths _pack and _unpack
+convert through one array in C, byte-swapped on a big-endian host, where
+any other width takes one to_bytes or one slice per entry.
 
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
@@ -97,11 +105,12 @@ lattice_dim_poly needs entries 0..n // 2 of its product, which depend
 only on the factors' entries below n // 2 + 1.  While the product's
 total fits PACKED_SLOT_CUTOFF bytes, the running product, truncated
 there with no mirror between orders, is one integer in the _pack
-format, a slot the byte width of the total: the first factor packed, each later one added in by one shift-add of the
-running integer per nonzero entry (_packed_half, whose docstring shows
-that no slot overflows).  Wide totals come from many equal cycles, where
-the packed product loses to the loop (measured at PACKED_SLOT_CUTOFF),
-so above the cutoff the query takes one half_product per order instead.
+format, its slot _slot_bytes of the total: the first factor packed, each
+later one added in by one shift-add of the running integer per nonzero
+entry (_packed_half, whose docstring shows that no slot overflows).
+Wide totals come from many equal cycles, where the packed product loses
+to the loop (measured at PACKED_SLOT_CUTOFF), so above the cutoff the
+query takes one half_product per order instead.
 Either way the half is mirrored to length n + 1.  A mirror would hide an
 asymmetric factor, so lattice_dim_poly checks each factor to be a
 palindrome before either path, and its counts to sum to the product of
@@ -111,6 +120,8 @@ the tests, one plain convolution per block.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import islice
 from math import prod
@@ -178,18 +189,76 @@ def _total_bound(cols: tuple[int, ...], d: int) -> int:
     return prod(totals[l] for l in cols)
 
 
+# the array typecode of each word width, the slot widths _pack and _unpack
+# convert in C
+_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for entries at most bound: its whole bytes, a width of
+    8 bytes or less rounded up to the next word width, 1, 2, 4 or 8."""
+    nbytes = (bound.bit_length() + 7) // 8
+    return min((w for w in _WORD_CODES if w >= nbytes), default=nbytes)
+
+
+def _words(code: str, data) -> array:
+    """An array of typecode code from ints or from little-endian bytes,
+    holding the same values in little-endian byte order on every host."""
+    words = array(code, data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _pack(entries, nbytes: int) -> int:
-    """The entries as one integer, nbytes bytes each, the first lowest."""
-    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
+    """The entries as one integer, nbytes bytes each, the first lowest; an
+    entry that does not fit nbytes bytes raises OverflowError.  At a word
+    width the bytes come from one array (_words), at any other from one
+    to_bytes per entry."""
+    code = _WORD_CODES.get(nbytes)
+    if code is None:
+        raw = b"".join(x.to_bytes(nbytes, "little") for x in entries)
+    else:
+        raw = _words(code, entries).tobytes()
+    return int.from_bytes(raw, "little")
 
 
 def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
     """The count entries of nbytes bytes each that _pack packed; a packed
-    value that needs more than count entries raises."""
+    value that needs more than count entries raises.  At a word width the
+    bytes are read as one array (_words), at any other one slice per
+    entry."""
     if packed.bit_length() > 8 * nbytes * count:
         raise ArithmeticError(f"packed value does not fit {count} entries of {nbytes} bytes")
     raw = packed.to_bytes(nbytes * count, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    code = _WORD_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    return _words(code, raw).tolist()
+
+
+# The most heads fixed_point_walk folds with one sum; more are folded
+# pairwise.  Each partial sum of the one sum is a new integer up to the
+# whole packed lattice, so that fold is quadratic in the lattice's size,
+# and the pairwise one makes ~log2(heads) passes over it.  Fold times of
+# walked heads (cores (), (2,), (2, 2), (4, 2, 2), (8, 4, 4, 2, 2, 2)),
+# best of 5 on a 2-vCPU VM, pairwise over sum: 2.2-2.9 at 9-12 heads,
+# 1.1-1.5 at 25-29, 0.8-1.1 at 31-36, 0.5-0.9 at 41-55; n fixed points,
+# 513 heads 1.95 s -> 0.035 s, 1025 heads 29.6 s -> 0.42 s.  A census
+# row m folds at most m + 1 heads, so rows up to 39 keep the sum.
+FOLD_SUM_HEADS = 40
+
+
+def _fold(rows: list[int], slot: int) -> int:
+    """sum(row << slot * t for t, row in enumerate(rows)): by that sum for
+    up to FOLD_SUM_HEADS rows, else by adding neighbours, the right one
+    shifted by slot bits, and repeating at twice the slot."""
+    if len(rows) <= FOLD_SUM_HEADS:
+        return sum(row << slot * t for t, row in enumerate(rows))
+    while len(rows) > 1:
+        rows = [low + (high << slot) for low, high in zip(rows[::2], [*rows[1::2], 0])]
+        slot *= 2
+    return rows[0]
 
 
 def fixed_point_walk(core: tuple[int, ...], fs, d: int):
@@ -203,12 +272,11 @@ def fixed_point_walk(core: tuple[int, ...], fs, d: int):
     total of the largest type walked to, core + (1,) * max(fs), whose
     conjugate is that of core with the first column max(fs) longer;
     _total_bound of those columns is at least that total, so no entry
-    overflows its slot.  Folding shifts head t by t slots, and _unpack
-    decodes the sum once into size + 1 entries, raising if it needs more;
-    every lattice passes the end-count and palindrome check."""
+    overflows its slot.  Folding shifts head t by t slots (_fold), and
+    _unpack decodes the sum once into size + 1 entries, raising if it
+    needs more; every lattice passes the end-count and palindrome check."""
     Q = 1 << d
-    bound = _total_bound(conjugate(core + (1,) * max(fs, default=0)), d)
-    nbytes = (bound.bit_length() + 7) // 8
+    nbytes = _slot_bytes(_total_bound(conjugate(core + (1,) * max(fs, default=0)), d))
     rows = _packed_heads(conjugate(core), d, 8 * nbytes)
     ones = 0
     for f in fs:
@@ -218,8 +286,7 @@ def fixed_point_walk(core: tuple[int, ...], fs, d: int):
         for ones in range(ones + 1, f + 1):
             rows = fixed_point_step(rows, d)
         lam = core + (1,) * f
-        folded = sum(row << 8 * nbytes * t for t, row in enumerate(rows))
-        yield f, _checked_ends(_unpack(folded, nbytes, sum(lam) + 1), lam, Q)
+        yield f, _checked_ends(_unpack(_fold(rows, 8 * nbytes), nbytes, sum(lam) + 1), lam, Q)
 
 
 @lru_cache(maxsize=None)
@@ -228,9 +295,12 @@ def component_lattice(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
     2^d elements, graded by submodule size.
 
     Entry j counts submodules whose type mu has |mu| = j, so GF(2)-dimension
-    d * j; the last entry is j = |lam|.  The fixed-point walk of the core of
-    lam (its parts other than 1) to lam.
+    d * j; the last entry is j = |lam|.  A one-part type is a chain, one
+    submodule of each size; any other is the fixed-point walk of the core
+    of lam (its parts other than 1) to lam.
     """
+    if len(lam) == 1:
+        return (1,) * (lam[0] + 1)
     f = lam.count(1)
     [(_, lattice)] = fixed_point_walk(lam[:len(lam) - f], (f,), d)
     return tuple(lattice)
@@ -352,9 +422,10 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     each must be a palindrome, and their degrees must sum to n.  Entries
     0..n // 2 of the product are made and mirrored to length n + 1, and
     the entries must sum to the product of the factors' totals,
-    lattice_size(ct).  While that total fits PACKED_SLOT_CUTOFF bytes the
-    lower half is one packed product (_packed_half); above it the
-    running lower half takes one half_product per order.
+    lattice_size(ct).  While _slot_bytes of that total is at most
+    PACKED_SLOT_CUTOFF the lower half is one packed product
+    (_packed_half); above it the running lower half takes one
+    half_product per order.
     """
     comps = primary_components(ct)
     factors = [(order_lattice(c.module_type, c.count, c.deg), c.deg) for c in comps]
@@ -369,7 +440,7 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
         raise ArithmeticError(
             f"dimension polynomial of cycle type {ct} has length {degree + 1}, "
             f"expected n + 1 = {ct.n + 1}")
-    nbytes = (total.bit_length() + 7) // 8
+    nbytes = _slot_bytes(total)
     if nbytes <= PACKED_SLOT_CUTOFF:
         half = _packed_half(factors, degree // 2 + 1, nbytes)
     else:

@@ -372,6 +372,29 @@ class TestOnePass:
         with pytest.raises(ArithmeticError, match="does not fit 5 entries of 5 bytes"):
             submodcount._unpack(packed << 1, 5, 5)
 
+    # every word width (1, 2, 4, 8 bytes: the array path) and its neighbours
+    # (the slice path), at the smallest and the largest entry of the width
+    @pytest.mark.parametrize("nbytes", range(1, 18))
+    def test_packed_values_round_trip_and_overflow_raise_at_each_width(self, nbytes):
+        top = (1 << 8 * nbytes) - 1
+        entries = [0, top, 0, 1, top]
+        packed = submodcount._pack(entries, nbytes)
+        assert packed == sum(x << 8 * nbytes * i for i, x in enumerate(entries))
+        assert submodcount._unpack(packed, nbytes, 5) == entries
+        assert submodcount._unpack(packed, nbytes, 6) == [*entries, 0]
+        with pytest.raises(ArithmeticError, match=f"does not fit 5 entries of {nbytes} bytes"):
+            submodcount._unpack(packed << 1, nbytes, 5)
+        with pytest.raises(OverflowError):
+            submodcount._pack([0, top + 1], nbytes)
+
+    # whole bytes of the bound -> bytes per slot
+    @pytest.mark.parametrize("nbytes,slot", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8),
+                                             (9, 9), (17, 17)])
+    def test_slot_bytes_rounds_up_to_word_widths(self, nbytes, slot):
+        smallest, largest = 1 << 8 * nbytes - 8, (1 << 8 * nbytes) - 1
+        assert submodcount._slot_bytes(smallest) == submodcount._slot_bytes(largest) == slot
+        assert submodcount._slot_bytes(0) == 1
+
     def test_count_codes_is_the_single_row_pass(self, monkeypatch):
         calls = []
         real = burnside.census

@@ -112,9 +112,31 @@ class TestComponentLattice:
             assert coeffs == tuple(
                 gauss_binomial(m, k, 2) for k in range(m + 1)
             )
+        # m = 1024 packs its slots 32,769 bytes wide and folds its 1,025
+        # heads pairwise.  Its row comes from one pass of the ratio
+        # [m, k + 1]_2 / [m, k]_2 = (2^(m - k) - 1) / (2^(k + 1) - 1), where
+        # gauss_binomial would redo the product for each k; the middle
+        # entry is checked against gauss_binomial
+        m = 1024
+        row = [1]
+        for k in range(m):
+            row.append(row[-1] * ((1 << m - k) - 1) // ((1 << k + 1) - 1))
+        assert component_lattice((1,) * m, 1) == tuple(row)
+        assert row[m // 2] == gauss_binomial(m, m // 2, 2)
 
     def test_chain_module(self):
         assert component_lattice((4,), 1) == (1, 1, 1, 1, 1)
+
+    def test_one_part_blocks_are_walked_as_chains(self):
+        # component_lattice returns a one-part block's chain without the
+        # walk; the census walks the cores (2^a) and () itself, so the walk
+        # must give the same chains
+        for d in range(1, 13):
+            for a in range(7):
+                [(_, lattice)] = fixed_point_walk((1 << a,), (0,), d)
+                assert lattice == [1] * ((1 << a) + 1) == list(component_lattice((1 << a,), d))
+            [(_, lattice)] = fixed_point_walk((), (1,), d)
+            assert lattice == [1, 1] == list(component_lattice((1,), d))
 
     def test_jordan_2_1_dims(self):
         assert component_lattice((2, 1), 1) == (1, 3, 3, 1)
