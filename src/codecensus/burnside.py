@@ -73,7 +73,9 @@ below; a single row n is the pass with N = n):
   table is built (_ways), and a z that does not divide size! raises.
   The choices of size s at stage u, each binary partition mu of s with
   its packed step and ways, come from one table per (s, u)
-  (choice_table), built once per process.
+  (choice_table), built once per process; the u = 1 stage reads its nu
+  moves of size 2k from the table (k, 2), so every weight comes from
+  these tables.
 - Checks.  Every cycle type has one invariant subspace of dimension 0
   and one of dimension m, and the class sizes sum to m!, so the
   dimension-0 and dimension-m totals of row m must both equal m!.  A
@@ -89,18 +91,20 @@ below; a single row n is the pass with N = n):
   per-dimension total of row m to divide by m!.
 - Fixed points.  The last stage (u = 1) completes the t+1 block.  It
   chooses only nu, the cycles of length 2, 4, 8, ... (_stage_one), never
-  the fixed points, so its results hold every row at once: they are keyed
-  by (core, c, f_p), where c = used + |nu| is the number of points that
-  move, the core is lambda_1 without its 1-parts (the fields of
-  pending + nu above the lowest) and f_p is the count of 1-parts from the
-  odd cycles u >= 3 (the lowest field of pending).  They are grouped by
-  g = c - f_p, and every entry of group g has degree D = g - |core|: a
-  state's D is used - |lambda_1|, and nu adds |nu| to both c and the
-  core.  Its choices are weighed as every stage's are, so each value is
-  c!/z times the block lattices, z the z-product of the fixed-point-free
-  partial type on c points.  The stage runs core by core, each core pulling its choices
-  from the states whose pending types it contains, so it holds the
-  values of one core at a time.  Its values are packed, each into one
+  the fixed points: a nu of size 2k is a binary partition of k doubled,
+  with its step and ways from choice_table(k, 2).  So its results hold
+  every row at once: they are keyed by (core, c, f_p), where
+  c = used + |nu| is the number of points that move, the core is
+  lambda_1 without its 1-parts (the fields of pending + nu above the
+  lowest) and f_p is the count of 1-parts from the odd cycles u >= 3 (the
+  lowest field of pending).  They are grouped by g = c - f_p, and every
+  entry of group g has degree D = g - |core|: a state's D is
+  used - |lambda_1|, and nu adds |nu| to both c and the core.  Its
+  choices are weighed as every stage's are, so each value is c!/z times
+  the block lattices, z the z-product of the fixed-point-free partial
+  type on c points.  The stage runs core by core, each core pulling its
+  choices from the states whose pending types it contains, so it holds
+  the values of one core at a time.  Its values are packed, each into one
   integer with a fixed number of bytes per entry for each degree, wide
   enough for any sum a row makes of them, so a choice costs one
   multiplication and one addition, and a row's sum is unpacked once per
@@ -210,12 +214,17 @@ def _ways(size: int, z: int, fact: int) -> int:
 
 @lru_cache(maxsize=None)
 def choice_table(s: int, u: int) -> tuple[tuple[int, int], ...]:
-    """The stage-u choices of size s: the pairs (step, ways) for the
-    binary partitions mu of s, in _weighted_binary_partitions order, where
-    step is mu packed into the slot of every odd divisor of u and ways is
-    the number of permutations of s * u points with the cycles p * u for
-    p in mu (_ways)."""
-    spread, fact = sum(1 << SLOT * (e // 2) for e in odd_divisors(u)), factorial(s * u)
+    """The choices of size s of the cycles of length p * u, p a power of
+    two: the pairs (step, ways) for the binary partitions mu of s, in
+    _weighted_binary_partitions order, where ways is the number of
+    permutations of s * u points with the cycles p * u for p in mu
+    (_ways).  With u = 2^a * u', u' odd, each part p adds a part 2^a * p
+    to the type of every order dividing u', so step is mu shifted up a
+    fields into the slot of every odd divisor of u': the stage-u choices
+    for odd u, and at a = 1, u' = 1 the nu moves of the u = 1 stage."""
+    a = (u & -u).bit_length() - 1
+    spread = sum(1 << SLOT * (e // 2) + W * a for e in odd_divisors(u >> a))
+    fact = factorial(s * u)
     return tuple((mu * spread, _ways(s * u, z, fact))
                  for mu, z in _weighted_binary_partitions(s, u))
 
@@ -273,13 +282,13 @@ def _stage_one(top: int, states: dict):
     of pending, which row m reads at the same f = m - g; their degree is
     g - |core| (Fixed points), and widths[D] is the bytes per entry of the
     values of degree D, one list for every core.  A transition multiplies
-    the state's value by C(c, 2k) times the ways of nu (_ways), as every
-    stage does, so a value is the class size of the fixed-point-free
-    partial type on c points times its block lattices.  A core pulls its
-    transitions from the sources (f_p, packed value) of the states whose
-    pending part above the 1-field it contains, so the values of one core
-    at a time are held.  states is emptied as it is read, each state
-    popped as it is packed.
+    the state's value by C(c, 2k) times the ways of nu, read with its
+    step from choice_table(k, 2), as every stage does, so a value is the
+    class size of the fixed-point-free partial type on c points times its
+    block lattices.  A core pulls its transitions from the sources (f_p,
+    packed value) of the states whose pending part above the 1-field it
+    contains, so the values of one core at a time are held.  states is
+    emptied as it is read, each state popped as it is packed.
 
     Values are packed, widths[D] bytes per entry (submodcount._pack, the
     format of the block walk's lattices), so a transition is one
@@ -302,8 +311,8 @@ def _stage_one(top: int, states: dict):
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
             (pending & FIELD, _pack(value, widths[_degree(value)])))
     # packed nu -> (ways, |nu|), by size: nu of size 2k is a binary partition of k doubled
-    moves = {mu << W: (_ways(2 * k, z, fact), 2 * k) for k in range(top // 2 + 1)
-             for fact in [factorial(2 * k)] for mu, z in _weighted_binary_partitions(k, 2)}
+    moves = {step: (ways, 2 * k) for k in range(top // 2 + 1)
+             for step, ways in choice_table(k, 2)}
     pulls: dict = {}  # packed core -> the parts it pulls from
     for part, by_used in by_part.items():
         room = top - min(by_used)

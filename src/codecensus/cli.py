@@ -27,11 +27,12 @@ import decimal
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import boundscheck, burnside, qarith
 from .cyclestruct import CycleType
 from .qarith import DEFAULT_PRECISION
-from .submodcount import lattice_dim_poly
+from .submodcount import _mirror, lattice_dim_poly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,11 +68,13 @@ VERIFY_CEILING = 1000
 #   one cycle of length n: 1536 0.10-0.14 s 15 MB, 2048 0.8 s 17 MB, 4096
 #     5.4-6.1 s 24 MB; 8192 65 s (~10x per doubling; 16384 had not finished
 #     after 60 s);
-#   n fixed points, the largest lattice of S_n: 512 2.4-2.6 s 36 MB, 1024
-#     25-32 s 180 MB, 1536 113 s 515 MB (~10x per doubling; before the
-#     walk's pairwise fold 5.0 s, 57-63 s and 267 s).  Most of it is the
-#     decimal output: at 512 the lattice takes 0.5 s in-process, the
-#     decimal strings of its 513 counts 1.7 s;
+#   n fixed points, the largest lattice of S_n: 512 0.8 s 36 MB, 1024
+#     8.6 s 170 MB, 1536 39 s 515 MB (with the decimal strings made from
+#     shared powers of two, of the lower half only: 2.4-2.6 s, 25-32 s and
+#     113 s before; 5.0 s, 57-63 s and 267 s before the walk's pairwise
+#     fold).  The decimal output is still the larger part: in-process, at
+#     512 the lattice takes 0.24 s and its strings 0.47 s, at 1024 3.8 s
+#     and 5.2 s;
 #   k 3-cycles, wide counts from many equal cycles: k = 200 (n = 600)
 #     1.9-2.3 s 20 MB, 300 (n = 900) 13.8-19 s 32 MB, 400 (n = 1200) 69 s
 #     54 MB, 512 (n = 1536) 232 s 96 MB (~5-7x per 300 more points), nearly
@@ -87,11 +90,11 @@ LATTICE_CEILING = 1536
 # ceil(log2 q) bounds its size, and at a given value q = 2 with --d n/2 is
 # the slowest run.  Cold runs, one process each, on the same VM (raw wall
 # time and peak RSS):
-#   gauss at the value 4000: q = 2, n = 4000: 1.5 s 21 MB, --d 2000 30 s
-#     20 MB; q = 3, n = 2000: 2.7 s, --d 1000 5.2 s; q = 4, n = 2000: 0.7 s;
-#     q = 251, n = 500: 0.4 s, --d 250 0.8 s;
-#   gauss above it: G(n, 2) at n = 8000 15 s 34 MB; G(n, 3) at n = 4000
-#     41 s; G(n, 2, n/2) ~12x per doubling of n (2000 2.4 s, 3000 10 s);
+#   gauss at the value 4000: q = 2, n = 4000: 1.3 s 21 MB, --d 2000 27 s
+#     21 MB; q = 3, n = 2000: 2.6 s, --d 1000 4.6 s; q = 4, n = 2000: 0.5 s;
+#     q = 251, n = 500: 0.3 s, --d 250 0.5 s;
+#   gauss above it: G(n, 2) at n = 8000 10-11 s 39 MB; G(n, 3) at n = 4000
+#     33 s; G(n, 2, n/2) ~12x per doubling of n (2000 2.1 s, 3000 9.7 s);
 #   limits --n (G(n, 2), then u_n): 2000 0.2 s, 4000 1.0 s, 8000 8.7 s
 #     38 MB, 10000 19 s 48 MB (~9x per doubling).
 GAUSS_CEILING = 4000
@@ -126,21 +129,33 @@ def _mpf_str(value, precision: int) -> str:
     return mpmath.nstr(value, precision, strip_zeros=False)
 
 
+# the exact context of _decimal_str: every digit kept, no exponent bound
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
+@lru_cache(maxsize=None)
+def _two_to(bits: int) -> decimal.Decimal:
+    """2^bits as an exact Decimal, made once per process for each power
+    _decimal_str splits at."""
+    return _EXACT.power(2, bits)
+
+
 def _decimal_str(value: int) -> str:
     """Decimal digits of a nonnegative int of any size.  str() refuses ints
     of more than 4300 digits and takes quadratic time; splitting by powers
     of two and recombining in the decimal module (fast multiplication at
-    this size) takes a fraction of a second for a million digits."""
+    this size) takes a fraction of a second for a million digits.  Each
+    split is at 2^(2^k) bits, the largest power of two below the bit
+    length, so every count of a run shares the powers (_two_to)."""
     if value.bit_length() <= 4096:
         return str(value)
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
     def rec(v: int, bits: int) -> decimal.Decimal:
         if bits <= 4096:
             return decimal.Decimal(v)
-        half = bits // 2
-        high = ctx.multiply(rec(v >> half, bits - half), ctx.power(2, half))
-        return ctx.add(high, rec(v & ((1 << half) - 1), half))
+        half = 1 << (bits - 1).bit_length() - 1
+        high = _EXACT.multiply(rec(v >> half, bits - half), _two_to(half))
+        return _EXACT.add(high, rec(v & ((1 << half) - 1), half))
 
     return str(rec(value, value.bit_length()))
 
@@ -217,7 +232,8 @@ def cmd_lattice(args) -> int:
         "type": str(ct),
         "n": ct.n,
         "lattice_size": _decimal_str(sum(poly)),
-        "dim_poly": [_decimal_str(c) for c in poly],
+        # a palindrome: its lower half converted, the strings mirrored
+        "dim_poly": _mirror([_decimal_str(c) for c in poly[:ct.n // 2 + 1]], ct.n),
     })
     return EXIT_OK
 

@@ -97,25 +97,6 @@ def cycle_types_of(n: int) -> Iterator[CycleType]:
         yield CycleType(parts)
 
 
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (independent count),
-    filled upward from p(0) = 1."""
-    if n < 0:
-        return 0
-    p = [1]
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * p[m - k * (3 * k + 1) // 2]
-            k += 1
-        p.append(total)
-    return p[n]
-
-
 def z_product(lengths) -> int:
     """prod(l^m * m!) over the distinct cycle lengths l, with multiplicity m,
     of a multiset of cycle lengths: the order of the centralizer of any

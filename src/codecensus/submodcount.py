@@ -76,8 +76,9 @@ _unpack decodes it and raises when the value needs more entries than
 asked for, so one check guards every packed value.  Every slot width is
 _slot_bytes of a bound on the entries: its whole bytes, rounded up to 1,
 2, 4 or 8 when it is 8 or fewer.  At those word widths _pack and _unpack
-convert through one array in C, byte-swapped on a big-endian host, where
-any other width takes one to_bytes or one slice per entry.
+convert with one struct call in C, its format little-endian whatever
+the host's byte order, where any other width takes one to_bytes or one
+slice per entry.
 
 The paper-facing quantities are the lattice size of a cycle type (product
 over its primary blocks) and the same count graded by GF(2)-dimension.
@@ -120,8 +121,7 @@ the tests, one plain convolution per block.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from functools import lru_cache
 from itertools import islice
 from math import prod
@@ -189,9 +189,9 @@ def _total_bound(cols: tuple[int, ...], d: int) -> int:
     return prod(totals[l] for l in cols)
 
 
-# the array typecode of each word width, the slot widths _pack and _unpack
+# the struct code of each word width, the slot widths _pack and _unpack
 # convert in C
-_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _slot_bytes(bound: int) -> int:
@@ -201,40 +201,32 @@ def _slot_bytes(bound: int) -> int:
     return min((w for w in _WORD_CODES if w >= nbytes), default=nbytes)
 
 
-def _words(code: str, data) -> array:
-    """An array of typecode code from ints or from little-endian bytes,
-    holding the same values in little-endian byte order on every host."""
-    words = array(code, data)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
 def _pack(entries, nbytes: int) -> int:
     """The entries as one integer, nbytes bytes each, the first lowest; an
     entry that does not fit nbytes bytes raises OverflowError.  At a word
-    width the bytes come from one array (_words), at any other from one
-    to_bytes per entry."""
+    width the bytes come from one little-endian struct.pack, at any other
+    from one to_bytes per entry."""
     code = _WORD_CODES.get(nbytes)
     if code is None:
-        raw = b"".join(x.to_bytes(nbytes, "little") for x in entries)
-    else:
-        raw = _words(code, entries).tobytes()
-    return int.from_bytes(raw, "little")
+        return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
+    try:
+        return int.from_bytes(struct.pack(f"<{len(entries)}{code}", *entries), "little")
+    except struct.error as exc:
+        raise OverflowError(f"an entry does not fit {nbytes} bytes: {exc}") from None
 
 
 def _unpack(packed: int, nbytes: int, count: int) -> list[int]:
     """The count entries of nbytes bytes each that _pack packed; a packed
     value that needs more than count entries raises.  At a word width the
-    bytes are read as one array (_words), at any other one slice per
-    entry."""
+    bytes are read by one little-endian struct.unpack, at any other one
+    slice per entry."""
     if packed.bit_length() > 8 * nbytes * count:
         raise ArithmeticError(f"packed value does not fit {count} entries of {nbytes} bytes")
     raw = packed.to_bytes(nbytes * count, "little")
     code = _WORD_CODES.get(nbytes)
     if code is None:
         return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-    return _words(code, raw).tolist()
+    return list(struct.unpack(f"<{count}{code}", raw))
 
 
 # The most heads fixed_point_walk folds with one sum; more are folded
@@ -314,26 +306,22 @@ def add_product(out: list[int], a, b, stride: int = 1) -> list[int]:
     """Add the coefficients of a(t) * b(t^stride) into out, up to
     len(out), and return out: entry j of b is the coefficient of
     t^(stride * j), so the zeros between the strided entries are never
-    visited.  The shorter factor is walked outside, skipping its zero
-    entries: the census multiplies short state polynomials with many
-    zeros by longer blocks, a lattice query a long running polynomial by
-    short per-order products.  The one convolution kernel: the census
-    adds each t+1 product straight into the lower half of its row."""
-    if len(a) <= len(b):
-        for i, x in enumerate(a):
-            if x:
-                for k, y in zip(range(i, len(out), stride), b):
-                    out[k] += x * y
-    else:
-        for j, y in enumerate(b):
-            if y:
-                for k, x in zip(range(stride * j, len(out)), a):
-                    out[k] += x * y
+    visited.  a is walked outside, skipping its zero entries, which the
+    census's short state polynomials have many of.  The one convolution
+    kernel: the census adds each t+1 product straight into the lower half
+    of its row."""
+    for i, x in enumerate(a):
+        if x:
+            for k, y in zip(range(i, len(out), stride), b):
+                out[k] += x * y
     return out
 
 
 def convolve(a, b) -> list[int]:
-    """Coefficients of a(t) * b(t), by add_product into zeros."""
+    """Coefficients of a(t) * b(t), by add_product into zeros, the shorter
+    factor walked outside: at stride 1 the product is symmetric."""
+    if len(a) > len(b):
+        a, b = b, a
     return add_product([0] * (len(a) + len(b) - 1), a, b)
 
 

@@ -190,9 +190,11 @@ class TestOddPartDP:
                 assert sum(mu) == s and list(mu) == sorted(mu, reverse=True)
                 assert all(p & (p - 1) == 0 for p in mu)
 
-    # every class of S_4 is weighed 5 times over, through the empty stage-3
-    # choice or the 3-cycle: the dimension-0 total is 5 * 4!
-    WRONG_WAYS_MESSAGE = "dimension-0 orbit sum is 120 at n=4, expected 4!"
+    # every class of S_4 is weighed 25 times over: 5 times through its
+    # stage-3 choice (the empty one or the 3-cycle) and 5 times through its
+    # u = 1 move nu (the empty one included), both read from the choice
+    # tables: the dimension-0 total is 25 * 4!
+    WRONG_WAYS_MESSAGE = "dimension-0 orbit sum is 600 at n=4, expected 4!"
 
     def test_wrong_ways_fail_the_dimension_zero_total(self, monkeypatch):
         real = burnside.choice_table
@@ -225,10 +227,12 @@ class TestOddPartDP:
 
     def test_z_that_does_not_divide_raises_when_a_table_is_built(self, monkeypatch):
         # the cycles 3, 3 given the z-product 7 in place of 18: 7 does not
-        # divide 6!; the u = 1 stage builds its moves the same way
+        # divide 6!; the u = 1 stage reads its moves from the same tables,
+        # so with the cached tables cleared it builds them the same way
         monkeypatch.setattr(burnside, "_weighted_binary_partitions", lambda s, u: [(2, 7)])
         with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 6!$"):
             burnside.choice_table.__wrapped__(2, 3)  # uncached, so nothing wrong is kept
+        burnside.choice_table.cache_clear()
         with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 0!$"):
             next(burnside._stage_one(4, {(0, 0): [1]}))
 
@@ -241,6 +245,18 @@ class TestOddPartDP:
             assert mus == binary_partitions(s)
             assert [ways for _, ways in pairs] == \
                 [class_size(CycleType(tuple(p * u for p in mu))) if mu else 1 for mu in mus]
+
+    def test_nu_moves_are_the_stage_one_choices_doubled(self):
+        # choice_table(k, 2) is the u = 1 stage's nu moves of size 2k: the
+        # binary partitions mu of k as cycles 2p, each step mu shifted up
+        # one field in the slot of order 1, each ways their class size
+        for k in range(33):
+            pairs = burnside.choice_table(k, 2)
+            assert [step for step, _ in pairs] == \
+                [step << W for step, _ in burnside.choice_table(k, 1)]
+            assert [ways for _, ways in pairs] == \
+                [class_size(CycleType(tuple(2 * p for p in parts(step >> W)))) if k else 1
+                 for step, _ in pairs]
 
     @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
     def test_step_fills_the_slots_of_the_divisors_of_u(self, u):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from hashlib import sha256
@@ -67,6 +68,18 @@ class TestGauss:
         digits = out.strip()
         assert digits.isdigit() and len(digits) == 677319
         assert int(digits[-30:]) == gauss_total(3000, 2) % 10 ** 30
+
+    @pytest.mark.parametrize("bits", [4097, 8192, 8193, 20000, 65537])
+    def test_decimal_str_is_str(self, bits):
+        # around the 4096-bit leaf and at split points 2^(2^k) apart,
+        # against str() with the interpreter's digit limit lifted
+        value = random.Random(bits).getrandbits(bits) | 1 << bits - 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert cli._decimal_str(value) == str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bad_q_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "gauss", "--n", "2", "--q", "6")
@@ -172,11 +185,13 @@ class TestVerify:
 
 
 class TestOutputContract:
-    """The stdout bytes of five census-heavy commands, two lattice queries
-    (the second the slowest type of the benchmark's query pool, n = 1465)
-    and the lemma-1 suite past its limit checks at n = 200, 201 and at
-    VERIFY_CEILING, pinned by sha256: the code may change how it computes,
-    never what it prints.
+    """The stdout bytes of five census-heavy commands, three lattice
+    queries (the second the slowest type of the benchmark's query pool,
+    n = 1465; the third the identity on 300 points, whose counts pass
+    _decimal_str's splits), the lemma-1 suite past its limit checks at
+    n = 200, 201 and at VERIFY_CEILING, and each suite of verify all alone
+    at max-n 40, so a change to an all digest traces to one suite, pinned
+    by sha256: the code may change how it computes, never what it prints.
     count at n = 45 is a single-row pass whose top stage, u = 45, spreads
     each choice over the six odd divisors of 45."""
 
@@ -199,8 +214,21 @@ class TestOutputContract:
          "f2fc8960d32689b1bd088950266fca5b88e23c29462c972ef06afbcd9816d941"),
         (("verify", "--suite", "lemma1", "--max-n", "1000", "--json"),
          "4d90200ec37d00a53d261576d1644bfe90c5aaeee8740bd2decfebcb5eb01b19"),
+        (("verify", "--suite", "lemma1", "--max-n", "40", "--json"),
+         "8ba809c58aba796397ba88aa1ce15a784aea7f7c88e7121cf57356cf2cd0bfa1"),
+        (("verify", "--suite", "lemma23", "--max-n", "40", "--json"),
+         "f0a526cd09a3d0421dd3a8e66398cccdac3d82999278bc168b31a82b11475cb0"),
+        (("verify", "--suite", "bound4", "--max-n", "40", "--json"),
+         "e3d79a87d667b3b968e39fbeaf36d66528abeb9dec972c8e18fe79b3bac11d5f"),
+        (("verify", "--suite", "dims", "--max-n", "40", "--json"),
+         "4b3af70af41eaffd7859baa7ecb7d39532ef0394febf22c6a5dc7badf2080b06"),
+        (("verify", "--suite", "dclass", "--max-n", "40", "--json"),
+         "781570206db9bffc34ec9b894ae03255e3846eb9ebeea9069c107cfe8f42f377"),
+        (("lattice", "--type", ",".join(["1"] * 300)),
+         "e031531b33412c49eea53b66aa701f4c665ba22c8f2891e64b43a5b327fb923f"),
     ], ids=["count", "count-45", "verify", "table-40", "verify-40", "lattice", "lattice-1465",
-            "verify-lemma1", "verify-lemma1-1000"])
+            "verify-lemma1", "verify-lemma1-1000", "verify-lemma1-40", "verify-lemma23-40",
+            "verify-bound4-40", "verify-dims-40", "verify-dclass-40", "lattice-1x300"])
     def test_stdout_digest(self, argv, digest):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
