@@ -13,6 +13,8 @@ minimal polynomial of a permutation operator.  _reduce and _k_rank are the
 GF(Q) elimination of the nilpotent census.  A permutation acts through its
 image tuple, and its operator's powers are the powers of the permutation;
 general matrices appear only in _gl_cycle_lengths, which walks GL(d,2).
+Nothing is random: factor_cyclic splits t^u - 1 by gcds with the sums of
+t^i over the 2-cyclotomic cosets mod u, in one deterministic pass.
 
 The one shortcut is in the nilpotent submodule census: it fills each
 echelon basis row by row, from the last pivot to the first, and drops a
@@ -23,7 +25,6 @@ moves each coordinate down by one, so no invariant subspace is dropped.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -192,10 +193,11 @@ def classify(n: int) -> OrbitReport:
 
 
 # ---------------------------------------------------------------------------
-# GF(2)[t] arithmetic and the factoring of t^u - 1: the reference that the
-# cyclotomic split of the fast path (cyclestruct.cyclotomic_split) is tested
-# against.  A polynomial is an int whose bit i is the coefficient of t^i, so
-# t+1 is 0b11 and the zero polynomial is 0.
+# GF(2)[t] arithmetic (product, division, gcd) and the factoring of t^u - 1
+# by gcds with the cyclotomic coset sums: the reference that the cyclotomic
+# split of the fast path (cyclestruct.cyclotomic_split) is tested against.
+# A polynomial is an int whose bit i is the coefficient of t^i, so t+1 is
+# 0b11 and the zero polynomial is 0.
 
 
 def degree(p: int) -> int:
@@ -235,32 +237,6 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def poly_mulmod(a: int, b: int, m: int) -> int:
-    return poly_mod(poly_mul(a, b), m)
-
-
-def poly_powmod(a: int, e: int, m: int) -> int:
-    result = poly_mod(1, m)
-    a = poly_mod(a, m)
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, a, m)
-        a = poly_mulmod(a, a, m)
-        e >>= 1
-    return result
-
-
-def poly_str(p: int) -> str:
-    """Human-readable form, e.g. 't^3 + t + 1'."""
-    if p == 0:
-        return "0"
-    terms = []
-    for i in range(degree(p), -1, -1):
-        if (p >> i) & 1:
-            terms.append("1" if i == 0 else ("t" if i == 1 else f"t^{i}"))
-    return " + ".join(terms)
-
-
 def cyclotomic_cosets(u: int) -> list[frozenset[int]]:
     """The 2-cyclotomic cosets mod u (u odd), sorted by smallest member."""
     if u < 1 or u % 2 == 0:
@@ -280,60 +256,38 @@ def cyclotomic_cosets(u: int) -> list[frozenset[int]]:
     return cosets
 
 
-def _trace_poly(h: int, d: int, m: int) -> int:
-    # h + h^2 + h^4 + ... + h^(2^(d-1)) mod m
-    acc = 0
-    term = poly_mod(h, m)
-    for _ in range(d):
-        acc ^= term
-        term = poly_mulmod(term, term, m)
-    return acc
-
-
-def _equal_degree_split(f: int, d: int, rng: random.Random) -> list[int]:
-    # f is squarefree, all irreducible factors of degree exactly d
-    if degree(f) == d:
-        return [f]
-    while True:
-        h = rng.getrandbits(degree(f))
-        g = poly_gcd(f, _trace_poly(h, d, f))
-        if 0 < degree(g) < degree(f):
-            left = _equal_degree_split(g, d, rng)
-            right = _equal_degree_split(poly_divmod(f, g)[0], d, rng)
-            return left + right
-
-
 @lru_cache(maxsize=None)
 def factor_cyclic(u: int) -> tuple[int, ...]:
-    """Distinct irreducible factors of t^u - 1 over GF(2), u odd, by
-    distinct-degree and Cantor-Zassenhaus equal-degree splitting.
+    """Distinct irreducible factors of t^u - 1 over GF(2), u odd, by gcds
+    with the 2-cyclotomic coset sums (E. R. Berlekamp, "Factoring
+    polynomials over finite fields", Bell Syst. Tech. J. 46, 1967).
+
+    For u odd, t^u - 1 is squarefree, so GF(2)[t] / (t^u - 1) is the
+    product of the fields GF(2)[t] / (f) over its irreducible factors f, and
+    v is idempotent (v^2 = v) exactly when v mod f is 0 or 1 for every f.
+    Squaring sends v = sum a_i t^i to sum a_i t^(2i mod u), so v^2 = v
+    exactly when a_i = a_(2i mod u): the idempotents are the sums of the
+    coset sums v_C = sum_{i in C} t^i.  For two distinct factors f and g,
+    some idempotent is 0 mod f and 1 mod g; if every v_C took one value
+    mod both, so would every sum of them, so some v_C separates f from g.
+    Every factor h found so far is split into gcd(h, v_C), the product of
+    the f | h with v_C = 0 mod f, and h / gcd(h, v_C); after one pass over
+    the cosets no factor holds two irreducibles, so each is irreducible.
 
     Returned sorted by (degree, bit pattern); t+1 is always present.  The
     result is verified by re-multiplication and against the degree multiset
-    of the 2-cyclotomic cosets mod u, and memoized.
+    of the cosets, and memoized.
     """
-    if u < 1 or u % 2 == 0:
-        raise ValueError(f"u must be odd and >= 1, got {u}")
+    cosets = cyclotomic_cosets(u)  # raises ValueError unless u is odd
     target = (1 << u) | 1  # t^u + 1 = t^u - 1 in characteristic 2
-    degrees = sorted(len(c) for c in cyclotomic_cosets(u))
-    rng = random.Random(u)  # deterministic per u
-    factors: list[int] = []
-    remaining = target
-    d = 0
-    x = 0b10
-    power = x  # t^(2^d) mod remaining, rebuilt as remaining shrinks
-    while degree(remaining) > 0:
-        d += 1
-        if degree(remaining) < 2 * d:
-            factors.append(remaining)  # remaining is itself irreducible
-            remaining = 1
-            break
-        power = poly_powmod(power, 2, remaining)
-        g = poly_gcd(remaining, power ^ x)
-        if degree(g) > 0:
-            factors.extend(_equal_degree_split(g, d, rng))
-            remaining = poly_divmod(remaining, g)[0]
-            power = poly_mod(power, remaining)
+    factors = [target]
+    for coset in cosets:
+        v = sum(1 << i for i in coset)
+        split = []
+        for h in factors:
+            g = poly_gcd(h, v)
+            split.extend(p for p in (g, poly_divmod(h, g)[0]) if degree(p) > 0)
+        factors = split
 
     factors.sort(key=lambda p: (degree(p), p))
     prod = 1
@@ -341,7 +295,7 @@ def factor_cyclic(u: int) -> tuple[int, ...]:
         prod = poly_mul(prod, p)
     if prod != target:
         raise ArithmeticError(f"factorization of t^{u} - 1 failed verification")
-    if sorted(degree(p) for p in factors) != degrees:
+    if sorted(degree(p) for p in factors) != sorted(len(c) for c in cosets):
         raise ArithmeticError(f"factor degrees disagree with cosets for u={u}")
     return tuple(factors)
 
@@ -417,24 +371,16 @@ def minimal_polynomial(perm):
     while degree(rest) > 0:
         quo, rem = poly_divmod(rest, p)
         if rem == 0:
-            exp = 0
+            exp, q = 0, 1  # q = p^exp
             while rem == 0:
                 rest = quo
-                exp += 1
+                exp, q = exp + 1, poly_mul(q, p)
                 quo, rem = poly_divmod(rest, p)
-            q = _pow_poly(p, exp)
             cols = [map_apply([1 << pw[i] for pw in powers], q) for i in range(n)]
             factors.append((p, exp, n - len(rref(cols, n))))
         else:
             p += 1
     return factors
-
-
-def _pow_poly(p, e):
-    result = 1
-    for _ in range(e):
-        result = poly_mul(result, p)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """GF(2)[t]: the cyclotomic split of the fast path (cyclestruct) and the
-factoring of t^u - 1 that the oracle keeps as its reference."""
+oracle's reference factoring of t^u - 1, by gcds with the 2-cyclotomic
+coset sums, with its exact factors pinned and its verification checked to
+fire."""
 
+import hashlib
 from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codecensus import cyclestruct
+from codecensus import cyclestruct, oracle
 from codecensus.cyclestruct import cyclotomic_split, mult_order_of_2
 from codecensus.oracle import (
     cyclotomic_cosets,
@@ -19,9 +22,6 @@ from codecensus.oracle import (
     poly_gcd,
     poly_mod,
     poly_mul,
-    poly_mulmod,
-    poly_powmod,
-    poly_str,
 )
 
 
@@ -104,12 +104,36 @@ class TestFactorCyclic:
         for p in seen:
             for q in range(2, 1 << (degree(p) // 2 + 1)):
                 if degree(q) >= 1 and poly_divmod(p, q)[1] == 0:
-                    assert q == p, f"{poly_str(p)} divisible by {poly_str(q)}"
+                    assert q == p, f"{p:b} divisible by {q:b}"
 
     def test_deterministic(self):
         first = factor_cyclic(93)
         factor_cyclic.cache_clear()
         assert factor_cyclic(93) == first
+
+    def test_factors_up_to_255_are_pinned(self):
+        # every factor and its place in the sorted tuple, for odd u < 256
+        factors = repr([factor_cyclic(u) for u in range(1, 256, 2)])
+        assert hashlib.sha256(factors.encode()).hexdigest() == (
+            "81da4e63d479fb4e489338c60ccc7f225e12197a43fc4e81c14c4d2001087893")
+
+    @pytest.mark.parametrize("name, broken, message", [
+        # no gcd splits anything: t^7 - 1 stays one factor of degree 7
+        pytest.param("poly_gcd", lambda a, b: 1,
+                     "factor degrees disagree with cosets for u=7", id="degrees"),
+        # a product that is not the carry-less one
+        pytest.param("poly_mul", lambda a, b: a ^ b,
+                     r"factorization of t\^7 - 1 failed verification",
+                     id="remultiplication"),
+    ])
+    def test_verification_fires(self, monkeypatch, name, broken, message):
+        monkeypatch.setattr(oracle, name, broken)
+        factor_cyclic.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match=message):
+                factor_cyclic(7)
+        finally:
+            factor_cyclic.cache_clear()
 
 
 class TestIrreduciblesOfOrder:
@@ -169,16 +193,6 @@ class TestProperties:
         g = poly_gcd(a, b)
         assert poly_mod(a, g) == 0 and poly_mod(b, g) == 0
         assert poly_gcd(poly_mul(a, c), poly_mul(b, c)) == poly_mul(g, c)
-
-    @settings(derandomize=True, max_examples=200)
-    @given(polys, st.integers(min_value=0, max_value=40),
-           st.integers(min_value=1, max_value=(1 << 64) - 1))
-    @example(a=5, e=0, m=1)  # modulo a constant every power is 0
-    def test_powmod_is_repeated_mulmod(self, a, e, m):
-        acc = poly_mod(1, m)
-        for _ in range(e):
-            acc = poly_mulmod(acc, a, m)
-        assert poly_powmod(a, e, m) == acc
 
     @settings(derandomize=True, max_examples=200)
     @given(odd_u)
