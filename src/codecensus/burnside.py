@@ -15,10 +15,12 @@ product over odd e of the block lattice of lambda_e, taken once for each
 irreducible of order e.  There are phi(e) / ord_e(2) of them, of degree
 ord_e(2) (cyclestruct.cyclotomic_split), so no polynomial is factored.
 
-Rather than visit the p(n) cycle types one by one, sums_by_t1_type runs a
-dynamic program over the odd parts u of the cycle lengths, from the largest
-odd u <= N down to 1, once for all the rows m <= N it is asked for (Rows
-below; a single row n is the pass with N = n):
+Rather than visit the p(n) cycle types one by one, census runs a dynamic
+program over the odd parts u of the cycle lengths, from the largest odd
+u <= N down to 1, once for all the rows m <= N it is asked for (Rows
+below; a single row n is the pass with N = n).  sums_by_t1_type runs the
+same pass in one process and yields its t+1 factors (Rows) for tests to
+read:
 
 - Transition.  At stage u, choose mu, the multiset of 2-power parts 2^a of
   the cycles of length 2^a * u, and add mu to the pending module type of
@@ -102,9 +104,11 @@ below; a single row n is the pass with N = n):
   used - |lambda_1|, and nu adds |nu| to both c and the core.  Its
   choices are weighed as every stage's are, so each value is c!/z times
   the block lattices, z the z-product of the fixed-point-free partial
-  type on c points.  The stage runs core by core, each core pulling its
-  choices from the states whose pending types it contains, so it holds
-  the values of one core at a time.  Its values are packed, each into one
+  type on c points.  Its setup (_stage_one) files the states by their
+  pending part and lists, for each core, the parts it pulls its choices
+  from, those whose pending types it contains; then each core is made
+  on its own (_core_groups), so a process holds the values of one core
+  at a time.  Its values are packed, each into one
   integer with a fixed number of bytes per entry for each degree, wide
   enough for any sum a row makes of them, so a choice costs one
   multiplication and one addition, and a row's sum is unpacked once per
@@ -128,13 +132,36 @@ below; a single row n is the pass with N = n):
   kept.  A type's weight, which boundscheck.classify_D reads, is the sum
   of its product, sum(V) * sum(lattice): the sum of a product is the
   product of the sums.  A row lists its t+1 types sorted by lambda_1.
+- Workers.  The odd stages and the u = 1 setup run in one process; they
+  are a quarter of a pass.  The rest, each core's groups, walk and t+1
+  products (_t1_sums, _row_sums), is independent per core, so census
+  deals the cores round-robin, cores[k::K], to K processes: itself and,
+  at K = 2, one worker forked after the setup, which shares its memory.
+  K is 2 where the affinity set has two CPUs or more and the pass is
+  large enough that the fork costs less than the half it takes off
+  (_workers: from a pass of top = 21); else 1, as where os.fork does not
+  exist and while another thread runs.  K stays at 2 on a host of more
+  CPUs: only that split has been timed, and each worker adds its own
+  copy of the setup's pages it reads.  A pipe or fork that fails leaves
+  the share in census's own process.  A worker sends its per-row lower
+  halves, dimension-m totals and weights back as one marshal blob
+  through a pipe, or the type name and message of what it raised, which
+  census raises again; one that sends nothing raises ChildProcessError,
+  and every worker is reaped.  Each lattice's end-count and palindrome
+  checks and each product's length check run in the process that walks
+  its core; the row totals and the division by m! run in census, on the
+  merged sums.  Those are sums of exact integers, the same whatever
+  process adds which core, and each lambda_1 is listed once per row and
+  sorted, so every row is the same at every K.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul
@@ -171,6 +198,10 @@ class CensusRow(namedtuple("CensusRow", "n b G by_dim t1_weights")):
 
         with mpmath.workdps(DEFAULT_PRECISION):
             return mpmath.mpf(factorial(self.n) * self.b - self.G) / mpmath.mpf(self.G)
+
+
+# the setup of the u = 1 stage at top, which every core's values are made from (_stage_one)
+StageOne = namedtuple("StageOne", "top widths by_part moves pulls")
 
 
 def _check_n(n: int) -> None:
@@ -271,35 +302,32 @@ def _stage(n: int, u: int, states: dict) -> dict:
     return done
 
 
-def _stage_one(top: int, states: dict):
-    """The u = 1 stage at top, without fixed points: each state (used,
-    pending) chooses nu, the cycles of length 2, 4, 8, ..., of every size
-    2k <= top - used, so c = used + 2k points move, and reaches the core
-    (pending + nu) >> W, its t+1 type without the 1-field.
+def _stage_one(top: int, states: dict) -> StageOne:
+    """The setup of the u = 1 stage at top, without fixed points: each
+    state (used, pending) chooses nu, the cycles of length 2, 4, 8, ...,
+    of every size 2k <= top - used, so c = used + 2k points move, and
+    reaches the core (pending + nu) >> W, its t+1 type without the
+    1-field.  Returns the StageOne whose _core_groups makes the values of
+    one core; states is emptied as it is read, each state popped as it is
+    packed.
 
-    Yields (packed core, widths, groups) core by core: groups[g] is
-    {c: value} for the entries (c, f_p) with c - f_p = g, f_p the 1-field
-    of pending, which row m reads at the same f = m - g; their degree is
-    g - |core| (Fixed points), and widths[D] is the bytes per entry of the
-    values of degree D, one list for every core.  A transition multiplies
-    the state's value by C(c, 2k) times the ways of nu, read with its
-    step from choice_table(k, 2), as every stage does, so a value is the
-    class size of the fixed-point-free partial type on c points times its
-    block lattices.  A core pulls its transitions from the sources (f_p,
-    packed value) of the states whose pending part above the 1-field it
-    contains, so the values of one core at a time are held.  states is
-    emptied as it is read, each state popped as it is packed.
+    by_part files the states by their pending part above the 1-field,
+    then by used, as sources (f_p, packed value), f_p the 1-field;
+    moves maps each packed nu to (ways, |nu|), read with its step from
+    choice_table(k, 2), by size; pulls maps each packed core, in the
+    order the cores are first reached, to the parts that reach it.
 
-    Values are packed, widths[D] bytes per entry (submodcount._pack, the
-    format of the block walk's lattices), so a transition is one
-    multiplication and one addition.  Row m sums, over the (used, nu)
-    it reads for one group, one state's value each, times C(m, c) *
-    C(c, 2k) * ways.  Those weights count distinct permutations of m
-    points (which m - used points move, and in which cycles of length 2,
-    4, 8, ...), at most m!/used! for each used, and used >= D, the
-    degree.  So no entry of a sum, nor of a partial one, exceeds peak
-    times the sum of top!/used! over used >= D, peak the largest entry of
-    the state values of degree D; that sets widths[D]."""
+    Values are packed, widths[D] bytes per entry for the values of
+    degree D (submodcount._pack, the format of the block walk's
+    lattices), so a transition is one multiplication and one addition.
+    Row m sums, over the (used, nu) it reads for one group, one state's
+    value each, times C(m, c) * C(c, 2k) * ways.  Those weights count
+    distinct permutations of m points (which m - used points move, and in
+    which cycles of length 2, 4, 8, ...), at most m!/used! for each used,
+    and used >= D, the degree.  So no entry of a sum, nor of a partial
+    one, exceeds peak times the sum of top!/used! over used >= D, peak
+    the largest entry of the state values of degree D; that sets
+    widths[D]."""
     peaks = [0] * (top + 1)
     for value in states.values():
         peaks[_degree(value)] = max(peaks[_degree(value)], max(value))
@@ -320,40 +348,42 @@ def _stage_one(top: int, states: dict):
             if size > room:
                 break
             pulls.setdefault((part + nu) >> W, []).append(part)
-    for core in list(pulls):
-        groups: dict = {}
-        for part in pulls.pop(core):
-            nu = (core << W) - part
-            ways, size = moves[nu]
-            for used, sources in by_part[part].items():
-                c = used + size
-                if c > top:
-                    continue
-                weight = comb(c, size) * ways
-                for f_p, value in sources:
-                    halves = groups.setdefault(c - f_p, {})
-                    halves[c] = halves.get(c, 0) + value * weight
-        yield core, widths, groups
+    return StageOne(top, widths, by_part, moves, pulls)
 
 
-def sums_by_t1_type(rows):
+def _core_groups(stage: StageOne, core: int) -> dict:
+    """The u = 1 values of the packed core: groups[g] is {c: value} for
+    the entries (c, f_p) with c - f_p = g, which row m reads at the same
+    f = m - g; their degree is g - |core| (Fixed points).  The core pulls
+    its transitions from the sources of the parts it contains.  A
+    transition multiplies the state's value by C(c, 2k) times the ways of
+    nu, as every stage does, so a value is the class size of the
+    fixed-point-free partial type on c points times its block
+    lattices."""
+    groups: dict = {}
+    for part in stage.pulls[core]:
+        ways, size = stage.moves[(core << W) - part]
+        for used, sources in stage.by_part[part].items():
+            c = used + size
+            if c > stage.top:
+                continue
+            weight = comb(c, size) * ways
+            for f_p, value in sources:
+                halves = groups.setdefault(c - f_p, {})
+                halves[c] = halves.get(c, 0) + value * weight
+    return groups
+
+
+def _t1_sums(rows: list, stage: StageOne, cores):
     """Yield (m, lambda_1, V, lattice) for each row m of rows and each t+1
-    type lambda_1 at m, by one pass of the odd-part DP of the module
-    docstring at max(rows): a fold of _stage over the odd u from the
-    largest down to 3, then _stage_one.  The sum of class_size(ct) *
-    lattice_dim_poly(ct) over the cycle types ct of S_m with t+1 module
-    type lambda_1 is V(t) * lattice(t), where V is a palindrome of degree
-    D = g - |core|, read off the group key, mirrored from its lower half,
-    and lattice is the t+1 block lattice of lambda_1; each lattice's
-    length is checked against that D before the pair is yielded."""
-    rows = sorted(set(rows))
-    for m in rows:
-        _check_n(m)
-    top = rows[-1]
-    states: dict = {(0, 0): [1]}
-    for u in range(top - 1 + top % 2, 1, -2):
-        states = _stage(top, u, states)
-    for packed, widths, groups in _stage_one(top, states):
+    type lambda_1 at m whose core is one of the packed cores, core by
+    core: V is the weighted sum of the core's group g = m - f, mirrored
+    from its lower half, and lattice the t+1 block lattice of lambda_1,
+    from one fixed-point walk up to the largest f any row reads; each
+    lattice's length is checked against V's degree before the pair is
+    yielded."""
+    for packed in cores:
+        groups = _core_groups(stage, packed)
         reads: dict = {}  # f -> [(m, g)]
         for g, halves in groups.items():
             for m in rows[bisect_left(rows, min(halves)):]:
@@ -371,37 +401,196 @@ def sums_by_t1_type(rows):
                     raise ArithmeticError(
                         f"t+1 type {lam_1} at n={m}: dimension polynomial has length "
                         f"{degree + len(lattice)}, expected n + 1 = {m + 1}")
-                yield m, lam_1, _mirror(_unpack(value, widths[degree], degree // 2 + 1),
+                yield m, lam_1, _mirror(_unpack(value, stage.widths[degree], degree // 2 + 1),
                                         degree), lattice
+
+
+def _odd_stages(rows) -> tuple[list, StageOne]:
+    """rows sorted without repeats, each checked, and the setup of the u = 1
+    stage at their largest, after the fold of _stage over the odd u from
+    the largest down to 3."""
+    rows = sorted(set(rows))
+    for m in rows:
+        _check_n(m)
+    top = rows[-1]
+    states: dict = {(0, 0): [1]}
+    for u in range(top - 1 + top % 2, 1, -2):
+        states = _stage(top, u, states)
+    return rows, _stage_one(top, states)
+
+
+def sums_by_t1_type(rows):
+    """Yield (m, lambda_1, V, lattice) for each row m of rows and each t+1
+    type lambda_1 at m, by one pass of the odd-part DP of the module
+    docstring at max(rows), in this process: _odd_stages, then _t1_sums
+    over every core.  census reads the same pairs share by share
+    (_row_sums); this whole-pass form is where tests read them.  The sum
+    of class_size(ct) * lattice_dim_poly(ct) over the cycle types ct of
+    S_m with t+1 module type lambda_1 is V(t) * lattice(t)."""
+    rows, stage = _odd_stages(rows)
+    yield from _t1_sums(rows, stage, stage.pulls)
+
+
+def _row_sums(rows: list, stage: StageOne, cores) -> dict:
+    """{m: [lower half, dimension-m total, [(lambda_1, weight)]]} over the
+    t+1 types of the given cores: each product V * lattice from _t1_sums
+    is added straight into the lower half, entries 0..m // 2, of row m's
+    per-dimension sum; the dimension-m total is the product of the top
+    entries, and a type's weight sum(V) * sum(lattice), the sum of the
+    product."""
+    sums: dict = {}
+    for m, lam_1, value, lattice in _t1_sums(rows, stage, cores):
+        row = sums.setdefault(m, [[0] * (m // 2 + 1), 0, []])
+        add_product(row[0], value, lattice)
+        row[1] += value[-1] * lattice[-1]
+        row[2].append((lam_1, sum(value) * sum(lattice)))
+    return sums
+
+
+# A pass's u = 1 cores take about 3.5 us per unit of work, top times the
+# parts their cores pull from, and a forked worker costs its parent about
+# 4 ms, FORK_WORK units (cold census passes on a 2-vCPU VM, Python 3.11;
+# two processes break even at top = 20, 2,200 units).  See _workers.
+FORK_WORK = 1100
+
+
+def _cpus() -> int:
+    """The CPUs of this process's affinity set; 1 where the OS keeps none.
+    A CPU quota (a cgroup's cpu.max) is not read."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _workers(stage: StageOne) -> int:
+    """K, the processes that share the u = 1 cores of a pass (Workers): 2
+    where the affinity set has two CPUs or more and the pass's work is more
+    than 2 * FORK_WORK, so the fork costs less than the half of the work
+    it takes off (from top = 21); else 1, also where os.fork does not
+    exist or while another thread runs, since a fork copies only the
+    calling thread.  K is never more than 2: only K = 2 has been timed,
+    and each worker adds its own copy of the by_part pages it reads."""
+    import sys
+
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
+        return 1
+    work = stage.top * sum(map(len, stage.pulls.values()))
+    return 2 if _cpus() >= 2 and work > 2 * FORK_WORK else 1
+
+
+def _received(blob: bytes, status: int):
+    """The sums a worker sent, or raise what it sent instead: its
+    exception's type, where a builtin has that name, with its message.  A
+    worker that sent nothing raises naming its exit status."""
+    import builtins
+
+    if not blob:
+        raise ChildProcessError(
+            f"a census worker sent no sums and exited with status "
+            f"{os.waitstatus_to_exitcode(status)}")
+    error, sums = marshal.loads(blob)
+    if error is None:
+        return sums
+    name, message = error
+    kind = getattr(builtins, name, None)
+    if not (isinstance(kind, type) and issubclass(kind, BaseException)):
+        kind, message = RuntimeError, f"{name}: {message}"
+    raise kind(message)
+
+
+def _worker(job, share, write: int):
+    """The forked worker's whole life: job(share), or the type name and
+    message of the exception it raised, marshalled to the write end of its
+    pipe.  It leaves only through os._exit, so no exit handler runs and no
+    stdio buffer it shares with its parent is flushed twice; an interrupt
+    ends it with status 1 and nothing sent."""
+    status = 1
+    try:
+        try:
+            reply = (None, job(share))
+        except Exception as exc:
+            reply = ((type(exc).__name__, str(exc)), None)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(marshal.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(job, shares) -> list:
+    """[job(share) for share in shares]: shares[0] in this process, each
+    other in a worker forked for it, whose result comes back marshalled
+    through a pipe.  A share whose pipe or fork fails (OSError: no process,
+    file or memory left) runs in this process too, so the split never
+    fails a pass that one process could make.  Every worker is reaped,
+    also when this process or a worker raises; a worker left running then
+    is killed first."""
+    workers = []  # (pid, read end) of the workers not yet reaped
+    here = shares[:1]
+    try:
+        for share in shares[1:]:
+            try:
+                read, write = os.pipe()
+            except OSError:
+                here.append(share)
+                continue
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                here.append(share)
+                continue
+            if pid == 0:
+                _worker(job, share, write)
+            os.close(write)
+            workers.append((pid, os.fdopen(read, "rb")))
+        results = [job(share) for share in here]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            results.append(_received(blob, status))
+        return results
+    finally:
+        if workers:
+            import signal
+
+            for pid, pipe in workers:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def census(rows) -> dict[int, CensusRow]:
     """The census rows m of rows, from one pass at max(rows): orbit count,
     total subspace count, per-dimension orbit counts and t+1 type weights.
-    Each t+1 product V * lattice from sums_by_t1_type is added straight
-    into the lower half, entries 0..m // 2, of its row's per-dimension
-    sum, which is mirrored once, after the pass; a type's weight is
-    sum(V) * sum(lattice), the sum of the product, and a row's t+1 types
-    are sorted by lambda_1.  The dimension-0, dimension-1 and dimension-m
-    totals of each row are checked, the last summed from the top entries
-    of the products, then each per-dimension sum must divide exactly by
-    m!; b is their total.  Uncached: count_codes and census_rows keep
-    what it returns."""
-    halves: dict = {}
-    tops: dict = {}  # m -> the dimension-m total
-    weights: dict = {}
-    for m, lam_1, value, lattice in sums_by_t1_type(rows):
-        if m not in halves:
-            halves[m], tops[m], weights[m] = [0] * (m // 2 + 1), 0, []
-        add_product(halves[m], value, lattice)
-        tops[m] += value[-1] * lattice[-1]
-        weights[m].append((lam_1, sum(value) * sum(lattice)))
+    After _odd_stages, the u = 1 cores are dealt round-robin to the
+    _workers processes, each making the _row_sums of its share, and the
+    shares are added (Workers).  Each row's lower half is then mirrored
+    and its t+1 types sorted by lambda_1.  The dimension-0, dimension-1
+    and dimension-m totals of each row are checked, the last summed from
+    the top entries of the products, then each per-dimension sum must
+    divide exactly by m!; b is their total.  Uncached: count_codes and
+    census_rows keep what it returns."""
+    rows, stage = _odd_stages(rows)
+    cores = list(stage.pulls)
+    k = _workers(stage)
+    sums: dict = {}
+    for share in _forked(partial(_row_sums, rows, stage), [cores[i::k] for i in range(k)]):
+        for m, (half, top, weights) in share.items():
+            row = sums.setdefault(m, [[0] * len(half), 0, []])
+            row[0] = list(map(add, row[0], half))
+            row[1] += top
+            row[2] += weights
     made = {}
-    for m in sorted(halves):
+    for m in sorted(sums):
+        half, top, weights = sums.pop(m)
         mfact = factorial(m)
-        dim_sums = _mirror(halves.pop(m), m)
+        dim_sums = _mirror(half, m)
         checks = ((0, dim_sums[0], mfact, f"{m}!"), (1, dim_sums[1], m * mfact, f"{m} * {m}!"),
-                  (m, tops.pop(m), mfact, f"{m}!"))
+                  (m, top, mfact, f"{m}!"))
         for d, got, expected, name in checks:
             if got != expected:
                 raise ArithmeticError(
@@ -414,7 +603,7 @@ def census(rows) -> dict[int, CensusRow]:
                     f"dimension-{d} orbit sum not divisible by {m}! at n={m}")
             by_dim.append(bd)
         made[m] = CensusRow(n=m, b=sum(by_dim), G=gauss_total(m, 2), by_dim=tuple(by_dim),
-                            t1_weights=tuple(sorted(weights.pop(m))))
+                            t1_weights=tuple(sorted(weights)))
     return made
 
 

@@ -49,12 +49,21 @@ class CeilingError(Exception):
 
 
 # The largest count --n and table --max-n, and the largest verify --max-n,
-# run without --no-ceiling.  Cold runs, one process each, on a 2-vCPU VM
-# (Python 3.11, raw wall time and peak RSS):
-#   count --n: 60 3.0-4.3 s 44 MB, 70 9.8 s 84 MB, 80 26-35 s 179 MB;
-#     ~3x the time and ~2x the memory per +10 in n;
-#   table --max-n, one census pass for all its rows: 40 1.0 s 24 MB,
-#     60 11.7 s 49 MB, 80 112 s 192 MB;
+# run without --no-ceiling.  Cold runs on a 2-vCPU VM (Python 3.11, raw
+# wall time; peak RSS of the census process + its one forked worker = the
+# sum, which counts the pages they share twice: at count --n 80 each holds
+# ~33 MB of its own and ~73 MB shared when its share of the u = 1 stage ends):
+#   count --n: 60 1.3-2.5 s 39 + 36 = 75 MB, 70 7.4 s 79 + 62 = 141 MB,
+#     80 18 s 169 + 117 = 286 MB; ~3x the time and ~2x the memory per
+#     +10 in n;
+#   table --max-n, one census pass for all its rows: 40 0.7 s 22 + 16 =
+#     38 MB, 60 5.8 s 47 + 41 = 87 MB, 80 51 s 179 + 143 = 322 MB.
+#   On one CPU (taskset -c 0) count --n 60 takes 2.0-3.9 s and 39 MB (2.0
+#   s where two took 1.3 s), 80 26-35 s and 179 MB, table --max-n 80 112 s
+#   and 192 MB.  The host's speed swings ~1.5x for minutes.  The census
+#   forks at most one worker on any host (burnside._workers), so the
+#   two-CPU sums are the worst case: 286 MB at count --n 80, 322 MB at
+#   table --max-n 80.  The ceiling stays at 80.
 #   verify --suite all: max-n 800 0.8-1.2 s 22 MB, 1000 0.9-1.2 s 22 MB,
 #     1200 0.9-1.0 s 22 MB, 4000 2.9-3.5 s 27 MB.  Up to max-n ~2000 the
 #     census pass for rows 1..40 (~0.6 s) sets the time; check_lemma1's one

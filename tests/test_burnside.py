@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from hashlib import sha256
@@ -234,7 +235,7 @@ class TestOddPartDP:
             burnside.choice_table.__wrapped__(2, 3)  # uncached, so nothing wrong is kept
         burnside.choice_table.cache_clear()
         with pytest.raises(ArithmeticError, match=r"^z-product 7 does not divide 0!$"):
-            next(burnside._stage_one(4, {(0, 0): [1]}))
+            burnside._stage_one(4, {(0, 0): [1]})
 
     @pytest.mark.parametrize("u", [1, 3, 5, 7, 9, 15, 21])
     def test_choice_table_matches_z_product(self, u):
@@ -291,9 +292,11 @@ class TestOddPartDP:
             states = burnside._stage(n, u, states)
             for (used, pending), half in states.items():
                 assert burnside._degree(half) == open_degree(used, pending, range(1, u, 2))
-        for packed, widths, groups in burnside._stage_one(n, states):
+        stage = burnside._stage_one(n, states)
+        widths = stage.widths
+        for packed in stage.pulls:
             core = parts(packed << W)
-            for g, halves in groups.items():
+            for g, halves in burnside._core_groups(stage, packed).items():
                 degree = g - sum(core)
                 for c, value in halves.items():
                     assert c <= n
@@ -425,6 +428,161 @@ class TestOnePass:
         assert count_codes(9) is count_codes(9)
         assert census_rows(9)[8] is count_codes(9)
         assert calls == [(9,), tuple(range(1, 9))]
+
+
+# a lattice one entry short fails the length check of the single-row pass
+# at 30 in the process that walks it: the lattice should have 31 entries
+SHORT_LATTICE_AT_30 = r"^t\+1 type \(.*\) at n=30: dimension polynomial has length 30, " \
+    r"expected n \+ 1 = 31$"
+
+
+class TestWorkers:
+    """census deals the u = 1 cores to K processes, K at most 2, the worker
+    forked after the odd stages, and adds their row sums; K follows the
+    CPU count, set here by patching burnside._cpus."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def with_cpus(monkeypatch, cpus):
+        """Set the CPU count to cpus and return the list that records the
+        number of processes of each census pass."""
+        splits = []
+        real = burnside._forked
+
+        def counted(job, shares):
+            splits.append(len(shares))
+            return real(job, shares)
+
+        monkeypatch.setattr(burnside, "_cpus", lambda: cpus)
+        monkeypatch.setattr(burnside, "_forked", counted)
+        return splits
+
+    @pytest.mark.parametrize("rows", [range(1, 41), (36,), (45,)], ids=["1-40", "36", "45"])
+    def test_rows_equal_at_each_worker_count(self, monkeypatch, rows):
+        made = {}
+        for cpus in (1, 2):
+            splits = self.with_cpus(monkeypatch, cpus)
+            made[cpus] = census(rows)
+            assert splits == [cpus]
+        assert list(made[2]) == list(made[1])
+        for m, row in made[2].items():
+            assert row == made[1][m], m  # t1_weights order included
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_1_to_40_pinned_at_each_worker_count(self, monkeypatch, cpus):
+        splits = self.with_cpus(monkeypatch, cpus)
+        TestOnePass().test_rows_1_to_40_pinned()
+        assert splits == [cpus]
+
+    @pytest.mark.parametrize("top,cpus,k", [(20, 64, 1), (22, 64, 2), (36, 64, 2), (36, 2, 2),
+                                            (36, 1, 1), (60, 64, 2)])
+    def test_two_processes_once_the_fork_pays(self, monkeypatch, top, cpus, k):
+        monkeypatch.setattr(burnside, "_cpus", lambda: cpus)
+        _, stage = burnside._odd_stages((top,))
+        assert burnside._workers(stage) == k
+
+    def test_one_process_while_a_thread_runs(self, monkeypatch):
+        import threading
+
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        _, stage = burnside._odd_stages((36,))
+        assert burnside._workers(stage) == 2
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert burnside._workers(stage) == 1
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert burnside._workers(stage) == 2
+
+    def test_check_failing_in_a_worker_raises_its_type_and_message(self, monkeypatch):
+        pid, real = os.getpid(), burnside.fixed_point_walk
+
+        def short_in_a_worker(core, fs, d):
+            for f, lattice in real(core, fs, d):
+                yield f, lattice[:-1] if os.getpid() != pid else lattice
+
+        monkeypatch.setattr(burnside, "fixed_point_walk", short_in_a_worker)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30) as exc:
+            census((30,))
+        assert type(exc.value) is ArithmeticError
+
+    def test_check_failing_in_a_worker_under_optimize(self):
+        script = (
+            "import os\n"
+            "from codecensus import burnside\n"
+            "pid, real = os.getpid(), burnside.fixed_point_walk\n"
+            "def short_in_a_worker(core, fs, d):\n"
+            "    for f, lattice in real(core, fs, d):\n"
+            "        yield f, lattice[:-1] if os.getpid() != pid else lattice\n"
+            "burnside.fixed_point_walk = short_in_a_worker\n"
+            "burnside._cpus = lambda: 2\n"
+            "try:\n"
+            "    burnside.census((30,))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+            "    print(exc)\n"
+        )
+        src = Path(burnside.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        name, message = proc.stdout.splitlines()
+        assert name == "ArithmeticError"
+        assert re.match(SHORT_LATTICE_AT_30, message)
+
+    def test_worker_that_dies_without_sums_raises_naming_its_status(self, monkeypatch):
+        pid, real = os.getpid(), burnside._core_groups
+
+        def exit_in_a_worker(stage, core):
+            if os.getpid() != pid:
+                os._exit(3)
+            return real(stage, core)
+
+        monkeypatch.setattr(burnside, "_core_groups", exit_in_a_worker)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError, match="exited with status 3$"):
+            census((30,))
+
+    def test_check_failing_in_this_process_reaps_the_workers(self, monkeypatch):
+        # the workers are still running when this process's share fails
+        pid, real = os.getpid(), burnside.fixed_point_walk
+
+        def short_here(core, fs, d):
+            for f, lattice in real(core, fs, d):
+                yield f, lattice[:-1] if os.getpid() == pid else lattice
+
+        monkeypatch.setattr(burnside, "fixed_point_walk", short_here)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30):
+            census((30,))
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_worker_that_cannot_start_leaves_its_share_here(self, monkeypatch, call):
+        serial = census((30,))
+        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+        def fails(*args):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        splits = self.with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, call, fails)
+        rows = census((30,))
+        assert splits == [2]
+        assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
+        if fds is not None:
+            assert set(os.listdir("/proc/self/fd")) == fds  # no end of a pipe left open
 
 
 class TestByDim:
