@@ -18,9 +18,7 @@ ord_e(2) (cyclestruct.cyclotomic_split), so no polynomial is factored.
 Rather than visit the p(n) cycle types one by one, census runs a dynamic
 program over the odd parts u of the cycle lengths, from the largest odd
 u <= N down to 1, once for all the rows m <= N it is asked for (Rows
-below; a single row n is the pass with N = n).  sums_by_t1_type runs the
-same pass in one process and yields its t+1 factors (Rows) for tests to
-read:
+below; a single row n is the pass with N = n):
 
 - Transition.  At stage u, choose mu, the multiset of 2-power parts 2^a of
   the cycles of length 2^a * u, and add mu to the pending module type of
@@ -135,24 +133,26 @@ read:
 - Workers.  The odd stages and the u = 1 setup run in one process; they
   are a quarter of a pass.  The rest, each core's groups, walk and t+1
   products (_t1_sums, _row_sums), is independent per core, so census
-  deals the cores round-robin, cores[k::K], to K processes: itself and,
-  at K = 2, one worker forked after the setup, which shares its memory.
-  K is 2 where the affinity set has two CPUs or more and the pass is
-  large enough that the fork costs less than the half it takes off
-  (_workers: from a pass of top = 21); else 1, as where os.fork does not
-  exist and while another thread runs.  K stays at 2 on a host of more
-  CPUs: only that split has been timed, and each worker adds its own
-  copy of the setup's pages it reads.  A pipe or fork that fails leaves
-  the share in census's own process.  A worker sends its per-row lower
-  halves, dimension-m totals and weights back as one marshal blob
-  through a pipe, or the type name and message of what it raised, which
-  census raises again; one that sends nothing raises ChildProcessError,
-  and every worker is reaped.  Each lattice's end-count and palindrome
-  checks and each product's length check run in the process that walks
-  its core; the row totals and the division by m! run in census, on the
-  merged sums.  Those are sums of exact integers, the same whatever
-  process adds which core, and each lambda_1 is listed once per row and
-  sorted, so every row is the same at every K.
+  may split the cores round-robin between itself, which makes every
+  other core, and one worker forked after the setup, which shares its
+  memory and makes the rest.  It splits where the affinity set has two
+  CPUs or more and the pass is large enough that the fork costs less
+  than the half it takes off (_split: from a pass of top = 21); never
+  where os.fork does not exist or while another thread runs.  It forks
+  no second worker on a host of more CPUs: only that split has been
+  timed, and each worker adds its own copy of the setup's pages it
+  reads.  A pipe or fork that fails leaves the worker's share in
+  census's own process.  The worker sends its per-row lower halves,
+  dimension-m totals and weights back as one marshal blob through a
+  pipe, or the type name and message of what it raised, which census
+  raises again; a worker that sends nothing raises ChildProcessError,
+  and the worker is always reaped.  Each lattice's end-count and
+  palindrome checks and each product's length check run in the process
+  that walks its core; the row totals and the division by m! run in
+  census, on the merged sums.  Those are sums of exact integers, the
+  same whatever process adds which core, and each lambda_1 is listed
+  once per row and sorted, so every row is the same in one process and
+  in two.
 """
 
 from __future__ import annotations
@@ -419,18 +419,6 @@ def _odd_stages(rows) -> tuple[list, StageOne]:
     return rows, _stage_one(top, states)
 
 
-def sums_by_t1_type(rows):
-    """Yield (m, lambda_1, V, lattice) for each row m of rows and each t+1
-    type lambda_1 at m, by one pass of the odd-part DP of the module
-    docstring at max(rows), in this process: _odd_stages, then _t1_sums
-    over every core.  census reads the same pairs share by share
-    (_row_sums); this whole-pass form is where tests read them.  The sum
-    of class_size(ct) * lattice_dim_poly(ct) over the cycle types ct of
-    S_m with t+1 module type lambda_1 is V(t) * lattice(t)."""
-    rows, stage = _odd_stages(rows)
-    yield from _t1_sums(rows, stage, stage.pulls)
-
-
 def _row_sums(rows: list, stage: StageOne, cores) -> dict:
     """{m: [lower half, dimension-m total, [(lambda_1, weight)]]} over the
     t+1 types of the given cores: each product V * lattice from _t1_sums
@@ -447,11 +435,10 @@ def _row_sums(rows: list, stage: StageOne, cores) -> dict:
     return sums
 
 
-# A pass's u = 1 cores take about 3.5 us per unit of work, top times the
-# parts their cores pull from, and a forked worker costs its parent about
-# 4 ms, FORK_WORK units (cold census passes on a 2-vCPU VM, Python 3.11;
-# two processes break even at top = 20, 2,200 units).  See _workers.
-FORK_WORK = 1100
+# A forked worker costs its parent about 4 ms, and from a pass of top = 21
+# the u = 1 cores it takes off save more (cold census passes on a 2-vCPU VM,
+# Python 3.11; two processes break even at top = 20).  See _split.
+SPLIT_TOP = 21
 
 
 def _cpus() -> int:
@@ -460,21 +447,19 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers(stage: StageOne) -> int:
-    """K, the processes that share the u = 1 cores of a pass (Workers): 2
-    where the affinity set has two CPUs or more and the pass's work is more
-    than 2 * FORK_WORK, so the fork costs less than the half of the work
-    it takes off (from top = 21); else 1, also where os.fork does not
+def _split(top: int) -> bool:
+    """Whether census splits the u = 1 cores of a pass at top between
+    itself and one forked worker (Workers): from top = SPLIT_TOP, where
+    the affinity set has two CPUs or more; never where os.fork does not
     exist or while another thread runs, since a fork copies only the
-    calling thread.  K is never more than 2: only K = 2 has been timed,
-    and each worker adds its own copy of the by_part pages it reads."""
+    calling thread.  It never forks more than one worker: only that split
+    has been timed, and each worker adds its own copy of the by_part pages
+    it reads."""
     import sys
 
     threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
-        return 1
-    work = stage.top * sum(map(len, stage.pulls.values()))
-    return 2 if _cpus() >= 2 and work > 2 * FORK_WORK else 1
+    return (top >= SPLIT_TOP and _cpus() >= 2 and hasattr(os, "fork")
+            and (threading is None or threading.active_count() == 1))
 
 
 def _received(blob: bytes, status: int):
@@ -516,69 +501,58 @@ def _worker(job, share, write: int):
         os._exit(status)
 
 
-def _forked(job, shares) -> list:
-    """[job(share) for share in shares]: shares[0] in this process, each
-    other in a worker forked for it, whose result comes back marshalled
-    through a pipe.  A share whose pipe or fork fails (OSError: no process,
-    file or memory left) runs in this process too, so the split never
-    fails a pass that one process could make.  Every worker is reaped,
-    also when this process or a worker raises; a worker left running then
-    is killed first."""
-    workers = []  # (pid, read end) of the workers not yet reaped
-    here = shares[:1]
+def _forked(job, here, there) -> list:
+    """[job(here), job(there)]: here in this process, there in a worker
+    forked for it, whose result comes back marshalled through a pipe.
+    Where the pipe or the fork fails (OSError: no process, file or memory
+    left), there runs in this process too, so the split never fails a
+    pass that one process could make.  The worker is reaped, also when
+    this process or the worker raises; if this process raises while the
+    worker runs, the worker is killed first."""
     try:
-        for share in shares[1:]:
-            try:
-                read, write = os.pipe()
-            except OSError:
-                here.append(share)
-                continue
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                here.append(share)
-                continue
-            if pid == 0:
-                _worker(job, share, write)
-            os.close(write)
-            workers.append((pid, os.fdopen(read, "rb")))
-        results = [job(share) for share in here]
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                blob = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            workers.pop(0)
-            results.append(_received(blob, status))
-        return results
-    finally:
-        if workers:
+        read, write = os.pipe()
+    except OSError:
+        return [job(here), job(there)]
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return [job(here), job(there)]
+    if pid == 0:
+        _worker(job, there, write)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        try:
+            mine = job(here)
+            blob = pipe.read()
+        except BaseException:
             import signal
 
-            for pid, pipe in workers:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    return [mine, _received(blob, status)]
 
 
 def census(rows) -> dict[int, CensusRow]:
     """The census rows m of rows, from one pass at max(rows): orbit count,
     total subspace count, per-dimension orbit counts and t+1 type weights.
-    After _odd_stages, the u = 1 cores are dealt round-robin to the
-    _workers processes, each making the _row_sums of its share, and the
-    shares are added (Workers).  Each row's lower half is then mirrored
-    and its t+1 types sorted by lambda_1.  The dimension-0, dimension-1
+    After _odd_stages, this process makes the _row_sums of the u = 1
+    cores, or, where _split allows, of every other core while one forked
+    worker makes those of the rest, and the two shares are added
+    (Workers).  Each row's lower half is then mirrored and its t+1 types
+    sorted by lambda_1.  The dimension-0, dimension-1
     and dimension-m totals of each row are checked, the last summed from
     the top entries of the products, then each per-dimension sum must
     divide exactly by m!; b is their total.  Uncached: count_codes and
     census_rows keep what it returns."""
     rows, stage = _odd_stages(rows)
     cores = list(stage.pulls)
-    k = _workers(stage)
+    job = partial(_row_sums, rows, stage)
     sums: dict = {}
-    for share in _forked(partial(_row_sums, rows, stage), [cores[i::k] for i in range(k)]):
+    for share in _forked(job, cores[::2], cores[1::2]) if _split(stage.top) else [job(cores)]:
         for m, (half, top, weights) in share.items():
             row = sums.setdefault(m, [[0] * len(half), 0, []])
             row[0] = list(map(add, row[0], half))

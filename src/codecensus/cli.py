@@ -61,7 +61,7 @@ class CeilingError(Exception):
 #   On one CPU (taskset -c 0) count --n 60 takes 2.0-3.9 s and 39 MB (2.0
 #   s where two took 1.3 s), 80 26-35 s and 179 MB, table --max-n 80 112 s
 #   and 192 MB.  The host's speed swings ~1.5x for minutes.  The census
-#   forks at most one worker on any host (burnside._workers), so the
+#   forks at most one worker on any host (burnside._split), so the
 #   two-CPU sums are the worst case: 286 MB at count --n 80, 322 MB at
 #   table --max-n 80.  The ceiling stays at 80.
 #   verify --suite all: max-n 800 0.8-1.2 s 22 MB, 1000 0.9-1.2 s 22 MB,

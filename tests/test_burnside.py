@@ -19,7 +19,6 @@ from codecensus.burnside import (
     count_codes_by_dim,
     non_identity_sum,
     parts,
-    sums_by_t1_type,
     transposition_class_sum,
 )
 from codecensus.cyclestruct import (
@@ -35,6 +34,15 @@ from codecensus.submodcount import convolve, lattice_dim_poly
 
 
 IDENTITY_T1_TYPE_N4 = (1, 1, 1, 1)  # only the identity has four odd cycles at n = 4
+
+
+def sums_by_t1_type(rows):
+    """(m, lambda_1, V, lattice) for each row m of rows and each t+1 type
+    lambda_1 at m, from one whole pass at max(rows) in this process:
+    V(t) * lattice(t) is the sum of class_size(ct) * lattice_dim_poly(ct)
+    over the cycle types ct of S_m with t+1 type lambda_1."""
+    rows, stage = burnside._odd_stages(rows)
+    return burnside._t1_sums(rows, stage, stage.pulls)
 
 
 def patch_identity_block(monkeypatch, change):
@@ -437,9 +445,9 @@ SHORT_LATTICE_AT_30 = r"^t\+1 type \(.*\) at n=30: dimension polynomial has leng
 
 
 class TestWorkers:
-    """census deals the u = 1 cores to K processes, K at most 2, the worker
-    forked after the odd stages, and adds their row sums; K follows the
-    CPU count, set here by patching burnside._cpus."""
+    """census makes the u = 1 cores in one process or splits them with one
+    worker forked after the odd stages, and adds their row sums; the split
+    follows the CPU count, set here by patching burnside._cpus."""
 
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
@@ -448,18 +456,24 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
+    def open_fds():
+        """This process's open file descriptors, or None where /proc has none."""
+        return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    @staticmethod
     def with_cpus(monkeypatch, cpus):
         """Set the CPU count to cpus and return the list that records the
         number of processes of each census pass."""
         splits = []
-        real = burnside._forked
+        real = burnside._split
 
-        def counted(job, shares):
-            splits.append(len(shares))
-            return real(job, shares)
+        def counted(top):
+            split = real(top)
+            splits.append(2 if split else 1)
+            return split
 
         monkeypatch.setattr(burnside, "_cpus", lambda: cpus)
-        monkeypatch.setattr(burnside, "_forked", counted)
+        monkeypatch.setattr(burnside, "_split", counted)
         return splits
 
     @pytest.mark.parametrize("rows", [range(1, 41), (36,), (45,)], ids=["1-40", "36", "45"])
@@ -479,29 +493,29 @@ class TestWorkers:
         TestOnePass().test_rows_1_to_40_pinned()
         assert splits == [cpus]
 
-    @pytest.mark.parametrize("top,cpus,k", [(20, 64, 1), (22, 64, 2), (36, 64, 2), (36, 2, 2),
-                                            (36, 1, 1), (60, 64, 2)])
+    @pytest.mark.parametrize("top,cpus,k", [(20, 2, 1), (21, 2, 2), (20, 64, 1), (22, 64, 2),
+                                            (36, 64, 2), (36, 2, 2), (36, 1, 1), (60, 64, 2)])
     def test_two_processes_once_the_fork_pays(self, monkeypatch, top, cpus, k):
-        monkeypatch.setattr(burnside, "_cpus", lambda: cpus)
-        _, stage = burnside._odd_stages((top,))
-        assert burnside._workers(stage) == k
+        # a pass at top splits from SPLIT_TOP = 21 on, where two CPUs or more
+        splits = self.with_cpus(monkeypatch, cpus)
+        assert burnside._split(top) is (k == 2)
+        assert splits == [k]
 
     def test_one_process_while_a_thread_runs(self, monkeypatch):
         import threading
 
         monkeypatch.setattr(burnside, "_cpus", lambda: 2)
-        _, stage = burnside._odd_stages((36,))
-        assert burnside._workers(stage) == 2
+        assert burnside._split(36)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert burnside._workers(stage) == 1
+            assert not burnside._split(36)
         finally:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert burnside._workers(stage) == 2
+        assert burnside._split(36)
 
     def test_check_failing_in_a_worker_raises_its_type_and_message(self, monkeypatch):
         pid, real = os.getpid(), burnside.fixed_point_walk
@@ -512,9 +526,11 @@ class TestWorkers:
 
         monkeypatch.setattr(burnside, "fixed_point_walk", short_in_a_worker)
         monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        fds = self.open_fds()
         with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30) as exc:
             census((30,))
         assert type(exc.value) is ArithmeticError
+        assert self.open_fds() == fds  # no end of a pipe left open
 
     def test_check_failing_in_a_worker_under_optimize(self):
         script = (
@@ -556,7 +572,7 @@ class TestWorkers:
             census((30,))
 
     def test_check_failing_in_this_process_reaps_the_workers(self, monkeypatch):
-        # the workers are still running when this process's share fails
+        # the worker is still running when this process's share fails
         pid, real = os.getpid(), burnside.fixed_point_walk
 
         def short_here(core, fs, d):
@@ -565,13 +581,15 @@ class TestWorkers:
 
         monkeypatch.setattr(burnside, "fixed_point_walk", short_here)
         monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        fds = self.open_fds()
         with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30):
             census((30,))
+        assert self.open_fds() == fds  # the worker's read end is closed
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
     def test_worker_that_cannot_start_leaves_its_share_here(self, monkeypatch, call):
         serial = census((30,))
-        fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        fds = self.open_fds()
 
         def fails(*args):
             raise OSError(11, "Resource temporarily unavailable")
@@ -581,8 +599,7 @@ class TestWorkers:
         rows = census((30,))
         assert splits == [2]
         assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
-        if fds is not None:
-            assert set(os.listdir("/proc/self/fd")) == fds  # no end of a pipe left open
+        assert self.open_fds() == fds  # no end of a pipe left open
 
 
 class TestByDim:
