@@ -30,6 +30,9 @@ DIMS_MAX_N = 40
 DCLASS_MAX_N = 40
 THEOREM_N = (20, 30, 40)
 
+# the suites run_suite runs, in the order the CLI lists them
+SUITES = ("all", "lemma1", "lemma23", "bound4", "dims", "dclass")
+
 
 class CheckResult(namedtuple("CheckResult", "name n_range status witnesses counterexample")):
     __slots__ = ()
@@ -209,8 +212,9 @@ def check_dimension_bounds(n: int) -> CheckResult:
     if n > 100:
         raise ValueError(f"n must be <= 100, got {n}")
     n31 = min(n, DIMS_MAX_N)
+    rows = census_rows(n31)  # every row read below, from one pass
     for m in range(1, n + 1):
-        row = count_codes(m) if m <= n31 else None
+        row = rows[m - 1] if m <= n31 else None
         for d in range(m + 1):
             g = gauss_binomial(m, d, 2)
             low = 1 << (m * d - d * d)
@@ -256,8 +260,11 @@ def theorem_constants_report(n_values=THEOREM_N) -> CheckResult:
 
 
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
-    """Run one named suite (or all); deterministic result order.  Every
-    census row the suite reads comes from one pass, made first."""
+    """Run one suite of SUITES (all runs every other); deterministic result
+    order.  Every census row the suite reads comes from one pass, made
+    first.  Any other name raises ValueError."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; the suites are {', '.join(SUITES)}")
     top = {"all": max(BOUND4_MAX_N, DIMS_MAX_N, DCLASS_MAX_N, *THEOREM_N),
            "bound4": BOUND4_MAX_N, "dims": DIMS_MAX_N,
            "dclass": DCLASS_MAX_N}.get(suite)

@@ -144,9 +144,9 @@ below; a single row n is the pass with N = n):
   reads.  A pipe or fork that fails leaves the worker's share in
   census's own process.  The worker sends its per-row lower halves,
   dimension-m totals and weights back as one marshal blob through a
-  pipe, or the type name and message of what it raised, which census
-  raises again; a worker that sends nothing raises ChildProcessError,
-  and the worker is always reaped.  Each lattice's end-count and
+  pipe, or the exception it raised, pickled, which census raises again
+  with its type and arguments (_forked); a worker that sends nothing
+  raises ChildProcessError, and the worker is always reaped.  Each lattice's end-count and
   palindrome checks and each product's length check run in the process
   that walks its core; the row totals and the division by m! run in
   census, on the merged sums.  Those are sums of exact integers, the
@@ -462,65 +462,43 @@ def _split(top: int) -> bool:
             and (threading is None or threading.active_count() == 1))
 
 
-def _received(blob: bytes, status: int):
-    """The sums a worker sent, or raise what it sent instead: its
-    exception's type, where a builtin has that name, with its message.  A
-    worker that sent nothing raises naming its exit status."""
-    import builtins
-
-    if not blob:
-        raise ChildProcessError(
-            f"a census worker sent no sums and exited with status "
-            f"{os.waitstatus_to_exitcode(status)}")
-    error, sums = marshal.loads(blob)
-    if error is None:
-        return sums
-    name, message = error
-    kind = getattr(builtins, name, None)
-    if not (isinstance(kind, type) and issubclass(kind, BaseException)):
-        kind, message = RuntimeError, f"{name}: {message}"
-    raise kind(message)
-
-
-def _worker(job, share, write: int):
-    """The forked worker's whole life: job(share), or the type name and
-    message of the exception it raised, marshalled to the write end of its
-    pipe.  It leaves only through os._exit, so no exit handler runs and no
-    stdio buffer it shares with its parent is flushed twice; an interrupt
-    ends it with status 1 and nothing sent."""
-    status = 1
-    try:
-        try:
-            reply = (None, job(share))
-        except Exception as exc:
-            reply = ((type(exc).__name__, str(exc)), None)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(marshal.dumps(reply))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _forked(job, here, there) -> list:
     """[job(here), job(there)]: here in this process, there in a worker
-    forked for it, whose result comes back marshalled through a pipe.
-    Where the pipe or the fork fails (OSError: no process, file or memory
-    left), there runs in this process too, so the split never fails a
-    pass that one process could make.  The worker is reaped, also when
-    this process or the worker raises; if this process raises while the
-    worker runs, the worker is killed first."""
+    forked for it.  The worker marshals (None, job(there)) to the write end
+    of a pipe, or, where its share raised, (the pickled exception, None),
+    which this process raises again with its type and arguments; pickle is
+    imported only then.  The worker leaves only through os._exit, so no
+    exit handler runs and no stdio buffer it shares with this process is
+    flushed twice; an interrupt, or an exception that does not pickle,
+    ends it with status 1 and nothing sent, and a worker that sends nothing
+    raises ChildProcessError naming its exit status.  Where the pipe or the
+    fork fails (OSError: no process, file or memory left), there runs in
+    this process too, so the split never fails a pass that one process
+    could make.  The worker is reaped, also when this process or the
+    worker raises; if this process raises while the worker runs, the
+    worker is killed first."""
+    fds = ()
     try:
-        read, write = os.pipe()
-    except OSError:
-        return [job(here), job(there)]
-    try:
+        read, write = fds = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read)
-        os.close(write)
+        for fd in fds:
+            os.close(fd)
         return [job(here), job(there)]
     if pid == 0:
-        _worker(job, there, write)
+        status = 1
+        try:
+            try:
+                reply = (None, job(there))
+            except Exception as exc:
+                import pickle
+
+                reply = (pickle.dumps(exc), None)
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(marshal.dumps(reply))
+            status = 0
+        finally:
+            os._exit(status)
     os.close(write)
     with os.fdopen(read, "rb") as pipe:
         try:
@@ -533,7 +511,16 @@ def _forked(job, here, there) -> list:
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    return [mine, _received(blob, status)]
+    if not blob:
+        raise ChildProcessError(
+            f"a census worker sent no sums and exited with status "
+            f"{os.waitstatus_to_exitcode(status)}")
+    error, sums = marshal.loads(blob)
+    if error is not None:
+        import pickle
+
+        raise pickle.loads(error)
+    return [mine, sums]
 
 
 def census(rows) -> dict[int, CensusRow]:

@@ -339,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("verify", parents=[ceiling], help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("all", "lemma1", "lemma23", "bound4", "dims",
-                            "dclass"))
+    p.add_argument("--suite", required=True, choices=boundscheck.SUITES)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -259,6 +259,19 @@ class TestDimensionBounds:
         with pytest.raises(ValueError):
             check_dimension_bounds(101)
 
+    def test_one_census_pass_when_called_directly(self, monkeypatch):
+        # with a cold cache, the rows it reads come from one pass, not one each
+        passes, real = [], burnside.census
+
+        def counted(rows):
+            passes.append(tuple(rows))
+            return real(rows)
+
+        monkeypatch.setattr(burnside, "census", counted)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        assert check_dimension_bounds(30).status == PASS
+        assert passes == [tuple(range(1, 31))]
+
 
 class TestTheoremConstants:
     def test_report_only(self):
@@ -307,6 +320,22 @@ class TestRunSuite:
         capsys.readouterr()
         assert passes == [tuple(range(1, top + 1))]
         assert stages == [(top, u) for u in range(top - 1, 1, -2)]
+
+    @pytest.mark.parametrize("suite", ["bogus", "ALL", ""])
+    def test_unknown_suite_raises_listing_the_suites(self, suite):
+        with pytest.raises(ValueError, match=r"the suites are all, lemma1, lemma23, "
+                                             r"bound4, dims, dclass$"):
+            run_suite(suite, 10)
+
+    def test_cli_suite_choices_are_the_suites(self):
+        import argparse
+
+        from codecensus.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices is boundscheck.SUITES
 
     def test_suites_without_census_rows_make_no_pass(self, monkeypatch):
         def no_census(rows):

@@ -571,6 +571,46 @@ class TestWorkers:
         with pytest.raises(ChildProcessError, match="exited with status 3$"):
             census((30,))
 
+    @pytest.mark.parametrize("make", [
+        lambda: KeyError("x"),
+        lambda: OSError(11, "Resource temporarily unavailable"),
+        lambda: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+    ], ids=["KeyError", "OSError", "UnicodeDecodeError"])
+    def test_worker_exception_is_the_one_process_exception(self, monkeypatch, make):
+        # what the worker raises comes back with its type, arguments and message
+        pid, real = os.getpid(), burnside._core_groups
+
+        def raise_in_a_worker(stage, core):
+            if os.getpid() != pid:
+                raise make()
+            return real(stage, core)
+
+        monkeypatch.setattr(burnside, "_core_groups", raise_in_a_worker)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        expected = make()
+        with pytest.raises(type(expected)) as exc:
+            census((30,))
+        assert type(exc.value) is type(expected)
+        assert exc.value.args == expected.args
+        assert str(exc.value) == str(expected)
+
+    def test_split_pass_that_raises_nothing_leaves_pickle_unloaded(self):
+        script = (
+            "import sys\n"
+            "from codecensus import burnside\n"
+            "burnside._cpus = lambda: 2\n"
+            "assert burnside._split(30)\n"
+            "burnside.census((30,))\n"
+            "print('pickle' in sys.modules)\n"
+        )
+        src = Path(burnside.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_check_failing_in_this_process_reaps_the_workers(self, monkeypatch):
         # the worker is still running when this process's share fails
         pid, real = os.getpid(), burnside.fixed_point_walk
