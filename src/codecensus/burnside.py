@@ -138,21 +138,24 @@ below; a single row n is the pass with N = n):
   memory and makes the rest.  It splits where the affinity set has two
   CPUs or more and the pass is large enough that the fork costs less
   than the half it takes off (_split: from a pass of top = 21); never
-  where os.fork does not exist or while another thread runs.  It forks
-  no second worker on a host of more CPUs: only that split has been
-  timed, and each worker adds its own copy of the setup's pages it
-  reads.  A pipe or fork that fails leaves the worker's share in
-  census's own process.  The worker sends its per-row lower halves,
+  where os.fork does not exist, while another thread runs, or while
+  SIGCHLD is ignored, since the kernel then reaps the worker before
+  census can.  It forks no second worker on a host of more CPUs: only
+  that split has been timed, and each worker adds its own copy of the
+  setup's pages it reads.  The worker sends its per-row lower halves,
   dimension-m totals and weights back as one marshal blob through a
-  pipe, or the exception it raised, pickled, which census raises again
-  with its type and arguments (_forked); a worker that sends nothing
-  raises ChildProcessError, and the worker is always reaped.  Each lattice's end-count and
-  palindrome checks and each product's length check run in the process
-  that walks its core; the row totals and the division by m! run in
-  census, on the merged sums.  Those are sums of exact integers, the
-  same whatever process adds which core, and each lambda_1 is listed
-  once per row and sorted, so every row is the same in one process and
-  in two.
+  pipe and exits 0, and the split keeps one rule (_forked): whatever
+  census does not get as a complete blob from a worker that exited 0,
+  it makes in its own process.  So a pipe or fork that fails, or a
+  worker that raises, is killed or runs out of memory, costs time, not
+  the pass, and a check that fails in the worker's share raises in
+  census's own run of it, with its type and traceback.  The worker is
+  always reaped.  Each lattice's end-count and palindrome checks and
+  each product's length check run in the process that walks its core;
+  the row totals and the division by m! run in census, on the merged
+  sums.  Those are sums of exact integers, the same whatever process
+  adds which core, and each lambda_1 is listed once per row and sorted,
+  so every row is the same in one process and in two.
 """
 
 from __future__ import annotations
@@ -204,11 +207,12 @@ class CensusRow(namedtuple("CensusRow", "n b G by_dim t1_weights")):
 StageOne = namedtuple("StageOne", "top widths by_part moves pulls")
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n >= 1 << W:
         raise ValueError(f"n must be below 2^{W} = {1 << W}, got {n}")
+    return n
 
 
 def _weighted_binary_partitions(s: int, u: int, a: int | None = None):
@@ -408,10 +412,10 @@ def _t1_sums(rows: list, stage: StageOne, cores):
 def _odd_stages(rows) -> tuple[list, StageOne]:
     """rows sorted without repeats, each checked, and the setup of the u = 1
     stage at their largest, after the fold of _stage over the odd u from
-    the largest down to 3."""
-    rows = sorted(set(rows))
-    for m in rows:
-        _check_n(m)
+    the largest down to 3.  No rows raise ValueError."""
+    rows = [_check_n(m) for m in sorted(set(rows))]
+    if not rows:
+        raise ValueError("census needs at least one n")
     top = rows[-1]
     states: dict = {(0, 0): [1]}
     for u in range(top - 1 + top % 2, 1, -2):
@@ -451,32 +455,38 @@ def _split(top: int) -> bool:
     """Whether census splits the u = 1 cores of a pass at top between
     itself and one forked worker (Workers): from top = SPLIT_TOP, where
     the affinity set has two CPUs or more; never where os.fork does not
-    exist or while another thread runs, since a fork copies only the
-    calling thread.  It never forks more than one worker: only that split
-    has been timed, and each worker adds its own copy of the by_part pages
-    it reads."""
+    exist, while another thread runs, since a fork copies only the calling
+    thread, or while SIGCHLD is ignored, since the kernel then reaps the
+    worker before os.waitpid can (a setting a process inherits across
+    exec); signal is imported only past the cheaper checks.  It never forks
+    more than one worker: only that split has been timed, and each worker
+    adds its own copy of the by_part pages it reads."""
     import sys
 
     threading = sys.modules.get("threading")
-    return (top >= SPLIT_TOP and _cpus() >= 2 and hasattr(os, "fork")
-            and (threading is None or threading.active_count() == 1))
+    if not (top >= SPLIT_TOP and _cpus() >= 2 and hasattr(os, "fork")
+            and (threading is None or threading.active_count() == 1)):
+        return False
+    import signal
+
+    return signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
 
 
 def _forked(job, here, there) -> list:
     """[job(here), job(there)]: here in this process, there in a worker
-    forked for it.  The worker marshals (None, job(there)) to the write end
-    of a pipe, or, where its share raised, (the pickled exception, None),
-    which this process raises again with its type and arguments; pickle is
-    imported only then.  The worker leaves only through os._exit, so no
-    exit handler runs and no stdio buffer it shares with this process is
-    flushed twice; an interrupt, or an exception that does not pickle,
-    ends it with status 1 and nothing sent, and a worker that sends nothing
-    raises ChildProcessError naming its exit status.  Where the pipe or the
-    fork fails (OSError: no process, file or memory left), there runs in
-    this process too, so the split never fails a pass that one process
-    could make.  The worker is reaped, also when this process or the
-    worker raises; if this process raises while the worker runs, the
-    worker is killed first."""
+    forked for it where it can.  One rule: the worker marshals job(there)
+    to the write end of a pipe and exits 0, and whatever this process does
+    not get as a complete blob from a worker that exited 0, it makes itself
+    with job(there).  That covers a pipe or fork that fails (OSError: no
+    process, file or memory left), a share that raises in the worker, and
+    a worker that is interrupted, killed or out of memory: a failure of the
+    worker alone costs time, not the pass, and a failure that is in the
+    share raises here, from this process's own run, with its own type and
+    traceback.  The worker leaves only through os._exit, so no exit
+    handler runs and no stdio buffer it shares with this process is
+    flushed twice; it exits 1 unless it has sent its blob.  The worker is
+    reaped, also when this process raises; if this process raises while
+    the worker runs, the worker is killed first."""
     fds = ()
     try:
         read, write = fds = os.pipe()
@@ -486,19 +496,12 @@ def _forked(job, here, there) -> list:
             os.close(fd)
         return [job(here), job(there)]
     if pid == 0:
-        status = 1
         try:
-            try:
-                reply = (None, job(there))
-            except Exception as exc:
-                import pickle
-
-                reply = (pickle.dumps(exc), None)
             with os.fdopen(write, "wb") as pipe:
-                pipe.write(marshal.dumps(reply))
-            status = 0
+                pipe.write(marshal.dumps(job(there)))
+            os._exit(0)
         finally:
-            os._exit(status)
+            os._exit(1)
     os.close(write)
     with os.fdopen(read, "rb") as pipe:
         try:
@@ -511,16 +514,7 @@ def _forked(job, here, there) -> list:
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    if not blob:
-        raise ChildProcessError(
-            f"a census worker sent no sums and exited with status "
-            f"{os.waitstatus_to_exitcode(status)}")
-    error, sums = marshal.loads(blob)
-    if error is not None:
-        import pickle
-
-        raise pickle.loads(error)
-    return [mine, sums]
+    return [mine, marshal.loads(blob) if status == 0 else job(there)]
 
 
 def census(rows) -> dict[int, CensusRow]:
@@ -528,23 +522,22 @@ def census(rows) -> dict[int, CensusRow]:
     total subspace count, per-dimension orbit counts and t+1 type weights.
     After _odd_stages, this process makes the _row_sums of the u = 1
     cores, or, where _split allows, of every other core while one forked
-    worker makes those of the rest, and the two shares are added
-    (Workers).  Each row's lower half is then mirrored and its t+1 types
-    sorted by lambda_1.  The dimension-0, dimension-1
-    and dimension-m totals of each row are checked, the last summed from
-    the top entries of the products, then each per-dimension sum must
-    divide exactly by m!; b is their total.  Uncached: count_codes and
-    census_rows keep what it returns."""
+    worker makes those of the rest (or this process, where the worker does
+    not deliver them), and the two shares are added (Workers).  Each row's
+    lower half is then mirrored and its t+1 types sorted by lambda_1.  The
+    dimension-0, dimension-1 and dimension-m totals of each row are
+    checked, the last summed from the top entries of the products, then
+    each per-dimension sum must divide exactly by m!; b is their total.
+    Empty rows raise ValueError.  Uncached: count_codes and census_rows
+    keep what it returns."""
     rows, stage = _odd_stages(rows)
     cores = list(stage.pulls)
     job = partial(_row_sums, rows, stage)
     sums: dict = {}
     for share in _forked(job, cores[::2], cores[1::2]) if _split(stage.top) else [job(cores)]:
         for m, (half, top, weights) in share.items():
-            row = sums.setdefault(m, [[0] * len(half), 0, []])
-            row[0] = list(map(add, row[0], half))
-            row[1] += top
-            row[2] += weights
+            have_half, have_top, have_weights = sums.get(m, ([0] * len(half), 0, []))
+            sums[m] = list(map(add, have_half, half)), have_top + top, have_weights + weights
     made = {}
     for m in sorted(sums):
         half, top, weights = sums.pop(m)

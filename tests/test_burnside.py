@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import subprocess
 import sys
 from hashlib import sha256
@@ -135,6 +136,10 @@ class TestCountCodes:
                 run(1 << 16)
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             next(sums_by_t1_type((0,)))
+
+    def test_rejects_empty_rows(self):
+        with pytest.raises(ValueError, match="^census needs at least one n$"):
+            census(())
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_row_invariants(self, n):
@@ -449,12 +454,6 @@ class TestWorkers:
     worker forked after the odd stages, and adds their row sums; the split
     follows the CPU count, set here by patching burnside._cpus."""
 
-    @pytest.fixture(autouse=True)
-    def no_worker_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @staticmethod
     def open_fds():
         """This process's open file descriptors, or None where /proc has none."""
@@ -517,30 +516,101 @@ class TestWorkers:
         assert not thread.is_alive()
         assert burnside._split(36)
 
-    def test_check_failing_in_a_worker_raises_its_type_and_message(self, monkeypatch):
-        pid, real = os.getpid(), burnside.fixed_point_walk
+    @staticmethod
+    def worker_shares(rows):
+        """The u = 1 cores of a pass at rows, as census deals them: this
+        process's share and the worker's."""
+        cores = list(burnside._odd_stages(rows)[1].pulls)
+        return cores[::2], cores[1::2]
 
-        def short_in_a_worker(core, fs, d):
+    @staticmethod
+    def run_script(script, *flags):
+        """Run script in a fresh interpreter with the package on its path;
+        return its stdout."""
+        src = Path(burnside.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("fail", ["raises", "raises-unpicklable", "exits-3", "sigkill"])
+    def test_worker_that_fails_leaves_its_share_here(self, monkeypatch, fail):
+        serial = census((30,))
+        pid, real = os.getpid(), burnside._core_groups
+
+        def fail_in_a_worker(stage, core):
+            if os.getpid() != pid:
+                if fail == "raises":
+                    raise KeyError(core)
+                if fail == "raises-unpicklable":
+                    raise ValueError(lambda: core)  # a lambda does not pickle
+                if fail == "exits-3":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(stage, core)
+
+        fds = self.open_fds()
+        splits = self.with_cpus(monkeypatch, 2)
+        monkeypatch.setattr(burnside, "_core_groups", fail_in_a_worker)
+        rows = census((30,))
+        assert splits == [2]
+        assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
+        assert self.open_fds() == fds  # no end of a pipe left open
+
+    @pytest.mark.parametrize("worker", ["delivers", "fails"])
+    def test_each_core_is_made_here_once_or_as_the_worker_share(self, monkeypatch, worker):
+        # this process makes its own share, and the worker's only where the
+        # worker does not deliver it
+        mine, theirs = self.worker_shares((30,))
+        pid, real = os.getpid(), burnside._core_groups
+        made = []
+
+        def counted(stage, core):
+            if os.getpid() == pid:
+                made.append(core)
+            elif worker == "fails":
+                os._exit(3)
+            return real(stage, core)
+
+        monkeypatch.setattr(burnside, "_core_groups", counted)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        census((30,))
+        assert made == (mine + theirs if worker == "fails" else mine)
+
+    def test_check_failing_in_the_worker_share_raises_here(self, monkeypatch):
+        # short in every process, so the worker fails, and this process's
+        # run of the worker's share raises the check's own error
+        _, theirs = self.worker_shares((30,))
+        short_core, real = burnside.parts(theirs[0] << W), burnside.fixed_point_walk
+        pid, walked_here = os.getpid(), []
+
+        def short_on_one_core(core, fs, d):
+            if core == short_core and os.getpid() == pid:
+                walked_here.append(core)
             for f, lattice in real(core, fs, d):
-                yield f, lattice[:-1] if os.getpid() != pid else lattice
+                yield f, lattice[:-1] if core == short_core else lattice
 
-        monkeypatch.setattr(burnside, "fixed_point_walk", short_in_a_worker)
+        monkeypatch.setattr(burnside, "fixed_point_walk", short_on_one_core)
         monkeypatch.setattr(burnside, "_cpus", lambda: 2)
         fds = self.open_fds()
         with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30) as exc:
             census((30,))
         assert type(exc.value) is ArithmeticError
-        assert self.open_fds() == fds  # no end of a pipe left open
+        assert walked_here == [short_core]  # once, in this process's run of the worker's share
+        assert self.open_fds() == fds
 
-    def test_check_failing_in_a_worker_under_optimize(self):
+    def test_check_failing_in_the_worker_share_under_optimize(self):
         script = (
-            "import os\n"
             "from codecensus import burnside\n"
-            "pid, real = os.getpid(), burnside.fixed_point_walk\n"
-            "def short_in_a_worker(core, fs, d):\n"
+            "cores = list(burnside._odd_stages((30,))[1].pulls)\n"
+            "short_core = burnside.parts(cores[1] << burnside.W)\n"
+            "real = burnside.fixed_point_walk\n"
+            "def short_on_one_core(core, fs, d):\n"
             "    for f, lattice in real(core, fs, d):\n"
-            "        yield f, lattice[:-1] if os.getpid() != pid else lattice\n"
-            "burnside.fixed_point_walk = short_in_a_worker\n"
+            "        yield f, lattice[:-1] if core == short_core else lattice\n"
+            "burnside.fixed_point_walk = short_on_one_core\n"
             "burnside._cpus = lambda: 2\n"
             "try:\n"
             "    burnside.census((30,))\n"
@@ -548,68 +618,42 @@ class TestWorkers:
             "    print(type(exc).__name__)\n"
             "    print(exc)\n"
         )
-        src = Path(burnside.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        name, message = proc.stdout.splitlines()
+        name, message = self.run_script(script, "-O").splitlines()
         assert name == "ArithmeticError"
         assert re.match(SHORT_LATTICE_AT_30, message)
 
-    def test_worker_that_dies_without_sums_raises_naming_its_status(self, monkeypatch):
-        pid, real = os.getpid(), burnside._core_groups
-
-        def exit_in_a_worker(stage, core):
-            if os.getpid() != pid:
-                os._exit(3)
-            return real(stage, core)
-
-        monkeypatch.setattr(burnside, "_core_groups", exit_in_a_worker)
-        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
-        with pytest.raises(ChildProcessError, match="exited with status 3$"):
-            census((30,))
-
-    @pytest.mark.parametrize("make", [
-        lambda: KeyError("x"),
-        lambda: OSError(11, "Resource temporarily unavailable"),
-        lambda: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
-    ], ids=["KeyError", "OSError", "UnicodeDecodeError"])
-    def test_worker_exception_is_the_one_process_exception(self, monkeypatch, make):
-        # what the worker raises comes back with its type, arguments and message
-        pid, real = os.getpid(), burnside._core_groups
-
-        def raise_in_a_worker(stage, core):
-            if os.getpid() != pid:
-                raise make()
-            return real(stage, core)
-
-        monkeypatch.setattr(burnside, "_core_groups", raise_in_a_worker)
-        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
-        expected = make()
-        with pytest.raises(type(expected)) as exc:
-            census((30,))
-        assert type(exc.value) is type(expected)
-        assert exc.value.args == expected.args
-        assert str(exc.value) == str(expected)
-
     def test_split_pass_that_raises_nothing_leaves_pickle_unloaded(self):
+        # neither a pass whose worker delivers nor one whose worker raises
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "from codecensus import burnside\n"
             "burnside._cpus = lambda: 2\n"
             "assert burnside._split(30)\n"
-            "burnside.census((30,))\n"
+            "serial = burnside.census((30,))\n"
+            "print('pickle' in sys.modules)\n"
+            "pid, real = os.getpid(), burnside._core_groups\n"
+            "def raise_in_a_worker(stage, core):\n"
+            "    if os.getpid() != pid:\n"
+            "        raise KeyError(core)\n"
+            "    return real(stage, core)\n"
+            "burnside._core_groups = raise_in_a_worker\n"
+            "print(burnside.census((30,)) == serial)\n"
             "print('pickle' in sys.modules)\n"
         )
-        src = Path(burnside.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-S", "-c", script],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert self.run_script(script, "-S") == "False\nTrue\nFalse\n"
+
+    def test_one_process_while_sigchld_is_ignored(self, monkeypatch):
+        # the kernel would reap the worker before census could
+        serial = census((30,))
+        splits = self.with_cpus(monkeypatch, 2)
+        before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            rows = census((30,))
+        finally:
+            signal.signal(signal.SIGCHLD, before)
+        assert splits == [1]
+        assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
+        assert burnside._split(30)
 
     def test_check_failing_in_this_process_reaps_the_workers(self, monkeypatch):
         # the worker is still running when this process's share fails

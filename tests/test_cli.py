@@ -50,6 +50,22 @@ class TestCount:
         assert isinstance(rec["b"], str) and isinstance(rec["G"], str)
         int(rec["b"]), int(rec["G"])  # parse back losslessly
 
+    def test_count_started_with_sigchld_ignored(self, capsys):
+        # an ignored SIGCHLD is inherited across exec; census then makes the
+        # pass in one process, since the kernel would reap a worker first
+        import signal
+
+        _, expected = run_cli(capsys, "count", "--n", "30")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "codecensus.cli", "count", "--n", "30"],
+            preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN),
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == expected
+
 
 class TestGauss:
     def test_total(self, capsys):
