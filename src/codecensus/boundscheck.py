@@ -10,13 +10,15 @@ Asymptotic-constant checks are report-only, never asserted.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from math import comb, factorial
 
-from .burnside import census_rows, correction_report, count_codes, non_identity_sum
+from .burnside import (census_rows, census_rows_beside, correction_report, count_codes,
+                       non_identity_sum)
 from .cyclestruct import cycle_types_of, primary_components
 from .qarith import (DEFAULT_PRECISION, _gauss_totals, _scaled, gauss_binomial, gauss_total,
                      lemma1_tail_product)
-from .submodcount import component_total, lattice_size
+from .submodcount import component_total, components_size
 
 PASS = "pass"
 FAIL = "fail"
@@ -104,18 +106,21 @@ def check_lemma1(n_max: int) -> CheckResult:
 
 def check_lemma2_3(n: int) -> CheckResult:
     """For every cycle type of S_n: the two bounds on the t+1 block and the
-    whole-lattice bound via that block, all exact."""
+    whole-lattice bound via that block, all exact.  Each G(k, 2), k <= n,
+    comes from one upward sweep, and L from the primary components the
+    t+1 block is read from."""
     if n > 12:
         raise ValueError(f"n must be <= 12, got {n}")
+    G = list(islice(_gauss_totals(2), n + 1))
     worst = None
     for ct in cycle_types_of(n):
         comps = primary_components(ct)
         t1 = comps[0]  # the t+1 block (order 1, degree 1)
         L1, n1, mu1 = component_total(t1.module_type, 1), t1.dim, t1.max_exponent
         r = ct.r
-        L = lattice_size(ct)
-        bound3a = gauss_total(r, 2) * gauss_total(n1 - r, 2)
-        bound3b = gauss_total(r, 2) ** mu1
+        L = components_size(comps)
+        bound3a = G[r] * G[n1 - r]
+        bound3b = G[r] ** mu1
         if L1 > bound3a:
             return CheckResult("lemma3a", (n, n), FAIL,
                                counterexample={"type": str(ct), "L1": L1,
@@ -262,20 +267,29 @@ def theorem_constants_report(n_values=THEOREM_N) -> CheckResult:
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
     """Run one suite of SUITES (all runs every other); deterministic result
     order.  Every census row the suite reads comes from one pass, made
-    first.  Any other name raises ValueError."""
+    before the checks that read rows.  Suite all runs lemma1 and lemma23,
+    which read none, beside that pass: on two CPUs, where
+    burnside._split allows, a forked worker makes the pass meanwhile
+    (census_rows_beside); elsewhere, and in every other suite, the pass
+    comes first.  Any other name raises ValueError."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; the suites are {', '.join(SUITES)}")
     top = {"all": max(BOUND4_MAX_N, DIMS_MAX_N, DCLASS_MAX_N, *THEOREM_N),
            "bound4": BOUND4_MAX_N, "dims": DIMS_MAX_N,
            "dclass": DCLASS_MAX_N}.get(suite)
-    if top:
-        census_rows(min(max_n, top))
-    results: list[CheckResult] = []
-    if suite in ("all", "lemma1"):
-        results.append(check_lemma1(max(max_n, 10)))
-    if suite in ("all", "lemma23"):
-        for n in range(1, min(max_n, 12) + 1):
-            results.append(check_lemma2_3(n))
+
+    def lemmas() -> list[CheckResult]:
+        results = [check_lemma1(max(max_n, 10))] if suite in ("all", "lemma1") else []
+        if suite in ("all", "lemma23"):
+            results += map(check_lemma2_3, range(1, min(max_n, 12) + 1))
+        return results
+
+    if suite == "all":
+        results = census_rows_beside(min(max_n, top), lemmas)
+    else:
+        if top:
+            census_rows(min(max_n, top))
+        results = lemmas()
     if suite in ("all", "bound4"):
         for n in range(2, min(max_n, BOUND4_MAX_N) + 1):
             results.append(check_lower_bound_4(n))

@@ -155,7 +155,13 @@ below; a single row n is the pass with N = n):
   the row totals and the division by m! run in census, on the merged
   sums.  Those are sums of exact integers, the same whatever process
   adds which core, and each lambda_1 is listed once per row and sorted,
-  so every row is the same in one process and in two.
+  so every row is the same in one process and in two.  _forked has a
+  second caller, census_rows_beside, where the same _split allows:
+  boundscheck's suite all forks one worker that makes the whole pass,
+  its cores split as above with a worker of its own, while the suite's
+  process runs the checks that read no census row.  For a while three
+  processes share two CPUs.  The rows come back as plain tuples, and
+  rows that do not come back are made in the suite's process.
 """
 
 from __future__ import annotations
@@ -453,14 +459,16 @@ def _cpus() -> int:
 
 def _split(top: int) -> bool:
     """Whether census splits the u = 1 cores of a pass at top between
-    itself and one forked worker (Workers): from top = SPLIT_TOP, where
+    itself and one forked worker (Workers), and census_rows_beside forks
+    that pass beside its caller's work: from top = SPLIT_TOP, where
     the affinity set has two CPUs or more; never where os.fork does not
     exist, while another thread runs, since a fork copies only the calling
     thread, or while SIGCHLD is ignored, since the kernel then reaps the
     worker before os.waitpid can (a setting a process inherits across
-    exec); signal is imported only past the cheaper checks.  It never forks
-    more than one worker: only that split has been timed, and each worker
-    adds its own copy of the by_part pages it reads."""
+    exec); signal is imported only past the cheaper checks.  A pass never
+    splits its cores with more than one worker: only that split has been
+    timed, and each worker adds its own copy of the by_part pages it
+    reads."""
     import sys
 
     threading = sys.modules.get("threading")
@@ -472,21 +480,28 @@ def _split(top: int) -> bool:
     return signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
 
 
-def _forked(job, here, there) -> list:
-    """[job(here), job(there)]: here in this process, there in a worker
-    forked for it where it can.  One rule: the worker marshals job(there)
-    to the write end of a pipe and exits 0, and whatever this process does
-    not get as a complete blob from a worker that exited 0, it makes itself
-    with job(there).  That covers a pipe or fork that fails (OSError: no
-    process, file or memory left), a share that raises in the worker, and
-    a worker that is interrupted, killed or out of memory: a failure of the
-    worker alone costs time, not the pass, and a failure that is in the
-    share raises here, from this process's own run, with its own type and
-    traceback.  The worker leaves only through os._exit, so no exit
-    handler runs and no stdio buffer it shares with this process is
-    flushed twice; it exits 1 unless it has sent its blob.  The worker is
-    reaped, also when this process raises; if this process raises while
-    the worker runs, the worker is killed first."""
+def _forked(here, there) -> list:
+    """[here(), there()]: here in this process, there in a worker forked
+    for it where it can.  One rule: the worker marshals there() to the
+    write end of a pipe and exits 0, and whatever this process does not get
+    as a complete blob from a worker that exited 0, it makes itself with
+    there().  That covers a pipe or fork that fails (OSError: no process,
+    file or memory left), a there() that raises in the worker or returns
+    what marshal cannot send, and a worker that is interrupted, killed or
+    out of memory: a failure of the worker alone costs time, not the
+    result, and a failure that is in there() raises here, from this
+    process's own run, with its own type and traceback.  The worker leaves
+    only through os._exit, so no exit handler runs and no stdio buffer it
+    shares with this process is flushed twice; it exits 1 unless it has
+    sent its blob.  The worker is reaped, also when this process raises;
+    if this process raises while the worker runs, the worker is killed
+    first.  The worker closes the pipe's read end, so where this process
+    dies before it reads, the worker's write fails and it exits instead of
+    blocking on a full pipe for good: a pass worker killed in
+    census_rows_beside leaves its own core worker to end its share and
+    exit.  Two callers: census splits the u = 1 cores of a pass with it,
+    and census_rows_beside makes a whole pass in the worker, which may
+    split its own cores the same way (Workers)."""
     fds = ()
     try:
         read, write = fds = os.pipe()
@@ -494,18 +509,19 @@ def _forked(job, here, there) -> list:
     except OSError:
         for fd in fds:
             os.close(fd)
-        return [job(here), job(there)]
+        return [here(), there()]
     if pid == 0:
         try:
+            os.close(read)
             with os.fdopen(write, "wb") as pipe:
-                pipe.write(marshal.dumps(job(there)))
+                pipe.write(marshal.dumps(there()))
             os._exit(0)
         finally:
             os._exit(1)
     os.close(write)
     with os.fdopen(read, "rb") as pipe:
         try:
-            mine = job(here)
+            mine = here()
             blob = pipe.read()
         except BaseException:
             import signal
@@ -514,7 +530,7 @@ def _forked(job, here, there) -> list:
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    return [mine, marshal.loads(blob) if status == 0 else job(there)]
+    return [mine, marshal.loads(blob) if status == 0 else there()]
 
 
 def census(rows) -> dict[int, CensusRow]:
@@ -533,8 +549,10 @@ def census(rows) -> dict[int, CensusRow]:
     rows, stage = _odd_stages(rows)
     cores = list(stage.pulls)
     job = partial(_row_sums, rows, stage)
+    shares = (_forked(partial(job, cores[::2]), partial(job, cores[1::2]))
+              if _split(stage.top) else [job(cores)])
     sums: dict = {}
-    for share in _forked(job, cores[::2], cores[1::2]) if _split(stage.top) else [job(cores)]:
+    for share in shares:
         for m, (half, top, weights) in share.items():
             have_half, have_top, have_weights = sums.get(m, ([0] * len(half), 0, []))
             sums[m] = list(map(add, have_half, half)), have_top + top, have_weights + weights
@@ -578,6 +596,22 @@ def census_rows(max_n: int) -> list[CensusRow]:
     if missing:
         _ROWS.update(census(missing))
     return [_ROWS[m] for m in range(1, max_n + 1)]
+
+
+def census_rows_beside(max_n: int, work):
+    """census_rows(max_n), run beside work(), whose result it returns.
+    Where _split allows the pass for the rows not in the cache, a worker
+    forked for it makes them while this process runs work; they come back
+    as plain tuples, since marshal cannot send a CensusRow, and _forked's
+    rule holds: rows the worker does not deliver are made here, after
+    work.  Elsewhere the rows come first, then work runs."""
+    missing = [m for m in range(1, max_n + 1) if m not in _ROWS]
+    if not (missing and _split(missing[-1])):
+        census_rows(max_n)
+        return work()
+    done, rows = _forked(work, lambda: [tuple(row) for row in census(missing).values()])
+    _ROWS.update((row[0], CensusRow(*row)) for row in rows)
+    return done
 
 
 def count_codes_by_dim(n: int, d: int) -> int:

@@ -64,11 +64,18 @@ class CeilingError(Exception):
 #   forks at most one worker on any host (burnside._split), so the
 #   two-CPU sums are the worst case: 286 MB at count --n 80, 322 MB at
 #   table --max-n 80.  The ceiling stays at 80.
-#   verify --suite all: max-n 800 0.8-1.2 s 22 MB, 1000 0.9-1.2 s 22 MB,
-#     1200 0.9-1.0 s 22 MB, 4000 2.9-3.5 s 27 MB.  Up to max-n ~2000 the
-#     census pass for rows 1..40 (~0.6 s) sets the time; check_lemma1's one
-#     sweep of G(n, 2) and u_n over n <= max-n takes 0.1 s at 1000 and 2 s
-#     at 4000, its integers growing as n^2 bits.
+#   verify --suite all, three processes on two CPUs: a forked worker makes
+#     the census pass for rows 1..40, splitting its u = 1 cores with a
+#     worker of its own, while the verify process runs Lemma 1 and Lemmas
+#     2-3.  Median wall time, peak RSS of the verify process + the pass
+#     worker + its core worker: max-n 800 0.49 s 23 + 18 + 16 MB, 1000
+#     0.53 s 23 + 18 + 16 MB, 1200 0.74 s 23 + 18 + 16 MB, 4000 2.3 s
+#     24 + 18 + 16 MB (the pass made first, in the verify process: 0.53,
+#     0.54, 0.75 and 2.5 s, 23 + 16 MB, and 28 + 16 MB at 4000).  Up to
+#     max-n ~1200 the pass (~0.4 s) sets the time; check_lemma1's one sweep
+#     of G(n, 2) and u_n over n <= max-n takes 0.1 s at 1000 and 2 s at
+#     4000, its integers growing as n^2 bits; beyond ~1200 the pass worker
+#     waits, holding its rows, until the verify process reads them.
 CENSUS_CEILING = 80
 VERIFY_CEILING = 1000
 

@@ -354,14 +354,20 @@ def order_lattice(lam: tuple[int, ...], count: int, d: int):
     return poly
 
 
-def lattice_size(ct: CycleType) -> int:
-    """Number of invariant subspaces of (any permutation with) this cycle
-    type: product of the per-block submodule counts, one power per odd
-    order."""
+def components_size(comps) -> int:
+    """The product of the per-block submodule counts of the primary
+    components comps of a cycle type, one power per odd order: the
+    number of its invariant subspaces."""
     result = 1
-    for c in primary_components(ct):
+    for c in comps:
         result *= component_total(c.module_type, c.deg) ** c.count
     return result
+
+
+def lattice_size(ct: CycleType) -> int:
+    """Number of invariant subspaces of (any permutation with) this cycle
+    type, from its primary components (components_size)."""
+    return components_size(primary_components(ct))
 
 
 # The widest slot, in bytes, at which lattice_dim_poly makes its lower half

@@ -1,8 +1,11 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from hashlib import sha256
 from math import log2
 from pathlib import Path
 
@@ -28,6 +31,11 @@ from codecensus.cli import main
 from codecensus.cyclestruct import class_size, cycle_types_of, primary_components
 from codecensus.qarith import gauss_total
 from codecensus.submodcount import component_total, lattice_size
+
+
+# sha256 of the stdout of verify --suite all --max-n 30 --json, pinned with
+# the CLI's other digests in test_cli
+VERIFY_ALL_30 = "904e1d9b35e8e72aeef567547ba673746522e52adb8dace417e72c21ec9c0331"
 
 
 def float_d_ranges(n, n1, r):
@@ -298,19 +306,19 @@ class TestRunSuite:
     @pytest.mark.parametrize("suite, max_n, top", [("all", 30, 30), ("dims", 30, 30),
                                                    ("dclass", 30, 30), ("bound4", 30, 20),
                                                    ("all", 41, 40)])
-    def test_one_census_pass_for_every_row_read(self, capsys, monkeypatch, suite,
-                                                max_n, top):
+    def test_one_census_pass_for_every_row_read(self, capsys, monkeypatch, process_log,
+                                                suite, max_n, top):
         # the odd stages u = 29, 27, ..., 3 (or 19, ..., 3) run once, at the
-        # largest row the suite reads, whatever rows it reads below it
-        passes, stages = [], []
+        # largest row the suite reads, whatever rows it reads below it, in
+        # whichever process makes the pass: suite all may make it in a worker
         real_census, real_stage = burnside.census, burnside._stage
 
         def counted_census(rows):
-            passes.append(tuple(rows))
+            process_log(("pass", tuple(rows)))
             return real_census(rows)
 
         def counted_stage(n, u, states):
-            stages.append((n, u))
+            process_log(("stage", n, u))
             return real_stage(n, u, states)
 
         monkeypatch.setattr(burnside, "census", counted_census)
@@ -318,8 +326,96 @@ class TestRunSuite:
         monkeypatch.setattr(burnside, "_ROWS", {})
         assert main(["verify", "--suite", suite, "--max-n", str(max_n), "--json"]) == 0
         capsys.readouterr()
+        records = process_log.read()
+        passes = [r[1] for r in records if r[0] == "pass"]
+        stages = [r[1:] for r in records if r[0] == "stage"]
         assert passes == [tuple(range(1, top + 1))]
         assert stages == [(top, u) for u in range(top - 1, 1, -2)]
+
+    @pytest.mark.parametrize("fails", [None, "pipe", "fork"])
+    def test_suite_all_uses_the_pass_of_whatever_process_makes_it(
+            self, capsys, monkeypatch, process_log, open_fds, fails):
+        # at two CPUs a forked worker makes the pass and splits its cores
+        # with a worker of its own, and the rows and sums they send are
+        # used: each is made once, none again here.  Where no worker can
+        # start, this process makes the pass and both shares of its cores.
+        # The stdout is the pinned one either way, and no end of a pipe is
+        # left open.
+        real_census, real_row_sums = burnside.census, burnside._row_sums
+
+        def census_pid(rows):
+            process_log(("pass", os.getpid()))
+            return real_census(rows)
+
+        def row_sums_pid(rows, stage, cores):
+            process_log(("cores", os.getpid()))
+            return real_row_sums(rows, stage, cores)
+
+        def cannot_start(*args):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(burnside, "census", census_pid)
+        monkeypatch.setattr(burnside, "_row_sums", row_sums_pid)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        if fails:
+            monkeypatch.setattr(os, fails, cannot_start)
+        fds = open_fds()
+        assert main(["verify", "--suite", "all", "--max-n", "30", "--json"]) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_30
+        assert open_fds() == fds
+        records = process_log.read()
+        passes = [pid for kind, pid in records if kind == "pass"]
+        cores = [pid for kind, pid in records if kind == "cores"]
+        here = os.getpid()
+        if fails:
+            assert passes == [here] and cores == [here, here]
+        else:
+            assert len(passes) == 1 and passes[0] != here
+            assert len(cores) == len(set(cores)) == 2 and passes[0] in cores
+            assert here not in cores
+
+    def test_core_worker_of_a_killed_pass_worker_exits(self, monkeypatch, process_log):
+        # this process raises while the pass worker splits its cores, so the
+        # pass worker is killed; its own core worker, whose sums (over the
+        # 64 KB a pipe holds) no process will read, must exit, not block
+        here, real_row_sums = os.getpid(), burnside._row_sums
+
+        def row_sums_pid(rows, stage, cores):
+            process_log((os.getpid(), os.getppid()))
+            return real_row_sums(rows, stage, cores)
+
+        def core_worker():
+            return next((pid for pid, ppid in process_log.read() if ppid != here), None)
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        def fails_once_the_cores_split(n_max):
+            deadline = time.monotonic() + 30
+            while core_worker() is None and time.monotonic() < deadline:
+                time.sleep(0.005)
+            raise RuntimeError("lemma1 fails")
+
+        monkeypatch.setattr(burnside, "_row_sums", row_sums_pid)
+        monkeypatch.setattr(burnside, "_cpus", lambda: 2)
+        monkeypatch.setattr(burnside, "_ROWS", {})
+        monkeypatch.setattr(boundscheck, "check_lemma1", fails_once_the_cores_split)
+        with pytest.raises(RuntimeError, match="lemma1 fails"):
+            run_suite("all", 30)
+        pid = core_worker()
+        assert pid is not None
+        deadline = time.monotonic() + 10
+        while alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        blocked = alive(pid)
+        if blocked:  # it would hold the test run's stdout open for good
+            os.kill(pid, signal.SIGKILL)
+        assert not blocked
 
     @pytest.mark.parametrize("suite", ["bogus", "ALL", ""])
     def test_unknown_suite_raises_listing_the_suites(self, suite):

@@ -455,11 +455,6 @@ class TestWorkers:
     follows the CPU count, set here by patching burnside._cpus."""
 
     @staticmethod
-    def open_fds():
-        """This process's open file descriptors, or None where /proc has none."""
-        return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-    @staticmethod
     def with_cpus(monkeypatch, cpus):
         """Set the CPU count to cpus and return the list that records the
         number of processes of each census pass."""
@@ -536,7 +531,7 @@ class TestWorkers:
         return proc.stdout
 
     @pytest.mark.parametrize("fail", ["raises", "raises-unpicklable", "exits-3", "sigkill"])
-    def test_worker_that_fails_leaves_its_share_here(self, monkeypatch, fail):
+    def test_worker_that_fails_leaves_its_share_here(self, monkeypatch, open_fds, fail):
         serial = census((30,))
         pid, real = os.getpid(), burnside._core_groups
 
@@ -551,13 +546,13 @@ class TestWorkers:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(stage, core)
 
-        fds = self.open_fds()
+        fds = open_fds()
         splits = self.with_cpus(monkeypatch, 2)
         monkeypatch.setattr(burnside, "_core_groups", fail_in_a_worker)
         rows = census((30,))
         assert splits == [2]
         assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
-        assert self.open_fds() == fds  # no end of a pipe left open
+        assert open_fds() == fds  # no end of a pipe left open
 
     @pytest.mark.parametrize("worker", ["delivers", "fails"])
     def test_each_core_is_made_here_once_or_as_the_worker_share(self, monkeypatch, worker):
@@ -579,7 +574,7 @@ class TestWorkers:
         census((30,))
         assert made == (mine + theirs if worker == "fails" else mine)
 
-    def test_check_failing_in_the_worker_share_raises_here(self, monkeypatch):
+    def test_check_failing_in_the_worker_share_raises_here(self, monkeypatch, open_fds):
         # short in every process, so the worker fails, and this process's
         # run of the worker's share raises the check's own error
         _, theirs = self.worker_shares((30,))
@@ -594,12 +589,12 @@ class TestWorkers:
 
         monkeypatch.setattr(burnside, "fixed_point_walk", short_on_one_core)
         monkeypatch.setattr(burnside, "_cpus", lambda: 2)
-        fds = self.open_fds()
+        fds = open_fds()
         with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30) as exc:
             census((30,))
         assert type(exc.value) is ArithmeticError
         assert walked_here == [short_core]  # once, in this process's run of the worker's share
-        assert self.open_fds() == fds
+        assert open_fds() == fds
 
     def test_check_failing_in_the_worker_share_under_optimize(self):
         script = (
@@ -655,7 +650,7 @@ class TestWorkers:
         assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
         assert burnside._split(30)
 
-    def test_check_failing_in_this_process_reaps_the_workers(self, monkeypatch):
+    def test_check_failing_in_this_process_reaps_the_workers(self, monkeypatch, open_fds):
         # the worker is still running when this process's share fails
         pid, real = os.getpid(), burnside.fixed_point_walk
 
@@ -665,15 +660,15 @@ class TestWorkers:
 
         monkeypatch.setattr(burnside, "fixed_point_walk", short_here)
         monkeypatch.setattr(burnside, "_cpus", lambda: 2)
-        fds = self.open_fds()
+        fds = open_fds()
         with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30):
             census((30,))
-        assert self.open_fds() == fds  # the worker's read end is closed
+        assert open_fds() == fds  # the worker's read end is closed
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
-    def test_worker_that_cannot_start_leaves_its_share_here(self, monkeypatch, call):
+    def test_worker_that_cannot_start_leaves_its_share_here(self, monkeypatch, open_fds, call):
         serial = census((30,))
-        fds = self.open_fds()
+        fds = open_fds()
 
         def fails(*args):
             raise OSError(11, "Resource temporarily unavailable")
@@ -683,7 +678,7 @@ class TestWorkers:
         rows = census((30,))
         assert splits == [2]
         assert rows == serial and rows[30].t1_weights == serial[30].t1_weights
-        assert self.open_fds() == fds  # no end of a pipe left open
+        assert open_fds() == fds  # no end of a pipe left open
 
 
 class TestByDim:
