@@ -210,10 +210,10 @@ def classify_D(n: int) -> CheckResult:
 def check_dimension_bounds(n: int) -> CheckResult:
     """Gauss-coefficient sandwich 2^(nd-d^2) <= G(n,2,d) <= 4*2^(nd-d^2)
     for all n' <= n, and the per-dimension orbit floor b(n',d)*n'! >=
-    G(n',2,d) for n' <= min(n, 40), in one pass over (n', d) that makes
-    each G(n',2,d) once; the first failing (n', d) is reported.  The
-    matching upper bound on b(n,d) is reported as an observed ratio near
-    d = n/2, never asserted."""
+    G(n',2,d) for n' <= min(n, 40), in one pass over (n', d); the first
+    failing (n', d) is reported.  The matching upper bound on b(n,d) is
+    reported as an observed ratio near d = n/2, never asserted; it reads
+    row min(n, 40) again and makes those G(n',2,d) a second time."""
     if n > 100:
         raise ValueError(f"n must be <= 100, got {n}")
     n31 = min(n, DIMS_MAX_N)

@@ -149,19 +149,24 @@ below; a single row n is the pass with N = n):
   it makes in its own process.  So a pipe or fork that fails, or a
   worker that raises, is killed or runs out of memory, costs time, not
   the pass, and a check that fails in the worker's share raises in
-  census's own run of it, with its type and traceback.  The worker is
-  always reaped.  Each lattice's end-count and palindrome checks and
-  each product's length check run in the process that walks its core;
-  the row totals and the division by m! run in census, on the merged
-  sums.  Those are sums of exact integers, the same whatever process
-  adds which core, and each lambda_1 is listed once per row and sorted,
-  so every row is the same in one process and in two.  _forked has a
+  census's own run of it, with its type and traceback.  A worker stops
+  one way: census closes the pipe, then reaps it, so a worker whose
+  census has raised makes its share, finds no reader and exits 1; the
+  worker is always reaped, and before census's error reaches its caller.
+  Each lattice's end-count and palindrome checks and each product's
+  length check run in the process that walks its core; the row totals
+  and the division by m! run in census, on the merged sums.  Those are
+  sums of exact integers, the same whatever process adds which core, and
+  each lambda_1 is listed once per row and sorted, so every row is the
+  same in one process and in two.  _forked has a
   second caller, census_rows_beside, where the same _split allows:
   boundscheck's suite all forks one worker that makes the whole pass,
   its cores split as above with a worker of its own, while the suite's
   process runs the checks that read no census row.  For a while three
-  processes share two CPUs.  The rows come back as plain tuples, and
-  rows that do not come back are made in the suite's process.
+  processes share two CPUs.  The pass worker reaps its own core worker
+  before it exits, so no worker outlives a suite that raises.  The rows
+  come back as plain tuples, and rows that do not come back are made in
+  the suite's process.
 """
 
 from __future__ import annotations
@@ -210,7 +215,7 @@ class CensusRow(namedtuple("CensusRow", "n b G by_dim t1_weights")):
 
 
 # the setup of the u = 1 stage at top, which every core's values are made from (_stage_one)
-StageOne = namedtuple("StageOne", "top widths by_part moves pulls")
+StageOne = namedtuple("StageOne", "top widths by_part pulls")
 
 
 def _check_n(n: int) -> int:
@@ -323,9 +328,10 @@ def _stage_one(top: int, states: dict) -> StageOne:
 
     by_part files the states by their pending part above the 1-field,
     then by used, as sources (f_p, packed value), f_p the 1-field;
-    moves maps each packed nu to (ways, |nu|), read with its step from
-    choice_table(k, 2), by size; pulls maps each packed core, in the
-    order the cores are first reached, to the parts that reach it.
+    pulls maps each packed core, in the order the cores are first
+    reached, to a (part, ways, |nu|) for each part that reaches it, nu
+    the move from that part to the core, read with its step and ways
+    from choice_table(k, 2).
 
     Values are packed, widths[D] bytes per entry for the values of
     degree D (submodcount._pack, the format of the block walk's
@@ -348,17 +354,16 @@ def _stage_one(top: int, states: dict) -> StageOne:
         value = states.pop((used, pending))
         by_part.setdefault(pending - (pending & FIELD), {}).setdefault(used, []).append(
             (pending & FIELD, _pack(value, widths[_degree(value)])))
-    # packed nu -> (ways, |nu|), by size: nu of size 2k is a binary partition of k doubled
-    moves = {step: (ways, 2 * k) for k in range(top // 2 + 1)
-             for step, ways in choice_table(k, 2)}
-    pulls: dict = {}  # packed core -> the parts it pulls from
+    # (packed nu, ways, |nu|), by size: nu of size 2k is a binary partition of k doubled
+    moves = [(nu, ways, 2 * k) for k in range(top // 2 + 1) for nu, ways in choice_table(k, 2)]
+    pulls: dict = {}  # packed core -> (part, ways, |nu|) for each part it pulls from
     for part, by_used in by_part.items():
         room = top - min(by_used)
-        for nu, (_, size) in moves.items():  # by size, ascending
+        for nu, ways, size in moves:  # by size, ascending
             if size > room:
                 break
-            pulls.setdefault((part + nu) >> W, []).append(part)
-    return StageOne(top, widths, by_part, moves, pulls)
+            pulls.setdefault((part + nu) >> W, []).append((part, ways, size))
+    return StageOne(top, widths, by_part, pulls)
 
 
 def _core_groups(stage: StageOne, core: int) -> dict:
@@ -371,8 +376,7 @@ def _core_groups(stage: StageOne, core: int) -> dict:
     fixed-point-free partial type on c points times its block
     lattices."""
     groups: dict = {}
-    for part in stage.pulls[core]:
-        ways, size = stage.moves[(core << W) - part]
+    for part, ways, size in stage.pulls[core]:
         for used, sources in stage.by_part[part].items():
             c = used + size
             if c > stage.top:
@@ -493,15 +497,17 @@ def _forked(here, there) -> list:
     process's own run, with its own type and traceback.  The worker leaves
     only through os._exit, so no exit handler runs and no stdio buffer it
     shares with this process is flushed twice; it exits 1 unless it has
-    sent its blob.  The worker is reaped, also when this process raises;
-    if this process raises while the worker runs, the worker is killed
-    first.  The worker closes the pipe's read end, so where this process
-    dies before it reads, the worker's write fails and it exits instead of
-    blocking on a full pipe for good: a pass worker killed in
-    census_rows_beside leaves its own core worker to end its share and
-    exit.  Two callers: census splits the u = 1 cores of a pass with it,
-    and census_rows_beside makes a whole pass in the worker, which may
-    split its own cores the same way (Workers)."""
+    sent its blob.  A worker stops one way: this process closes the read
+    end, then reaps it, whether here() returned or raised.  The worker
+    closes its own copy of the read end, so where this process has raised
+    or died before it reads, the worker makes its share, its write finds
+    no reader and fails, and it exits 1.  So an error here reaches the
+    caller once the worker's share is made, as one in there() does, and a
+    pass worker of census_rows_beside reaps its own core worker before it
+    exits.  The close comes first: a worker whose blob outgrows the pipe
+    blocks on its write until then.  Two callers: census splits the u = 1
+    cores of a pass with it, and census_rows_beside makes a whole pass in
+    the worker, which may split its own cores the same way (Workers)."""
     fds = ()
     try:
         read, write = fds = os.pipe()
@@ -519,17 +525,12 @@ def _forked(here, there) -> list:
         finally:
             os._exit(1)
     os.close(write)
-    with os.fdopen(read, "rb") as pipe:
-        try:
+    try:
+        with os.fdopen(read, "rb") as pipe:
             mine = here()
             blob = pipe.read()
-        except BaseException:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
+    finally:
+        status = os.waitpid(pid, 0)[1]  # after the close, which a blocked write waits for
     return [mine, marshal.loads(blob) if status == 0 else there()]
 
 

@@ -211,17 +211,13 @@ def cmd_table(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     try:
-        rows = burnside.census_rows(args.max_n)
+        records = [_census_record(row, False) for row in burnside.census_rows(args.max_n)]
         if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(["n", "b", "G", "correction"])
-            for row in rows:
-                writer.writerow([row.n, row.b, row.G,
-                                 _mpf_str(row.correction(), 15)])
+            writer = csv.DictWriter(out, ("n", "b", "G", "correction"), extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(records)
         else:
-            json.dump({"schema": SCHEMA_VERSION,
-                       "rows": [_census_record(r, False) for r in rows]},
-                      out, indent=2)
+            json.dump({"schema": SCHEMA_VERSION, "rows": records}, out, indent=2)
             out.write("\n")
     finally:
         if args.out:

@@ -1,3 +1,4 @@
+import marshal
 import os
 import re
 import signal
@@ -664,6 +665,33 @@ class TestWorkers:
         with pytest.raises(ArithmeticError, match=SHORT_LATTICE_AT_30):
             census((30,))
         assert open_fds() == fds  # the worker's read end is closed
+
+    def test_check_failing_in_this_process_past_a_full_pipe(self):
+        # the worker's blob outgrows the 64 KB a pipe holds, so it blocks on
+        # its write until this process closes the read end; reaping it
+        # first would hang, which a fresh interpreter turns into a timeout
+        rows, stage = burnside._odd_stages(range(1, 31))
+        theirs = list(stage.pulls)[1::2]
+        assert len(marshal.dumps(burnside._row_sums(rows, stage, theirs))) > 1 << 16
+        script = (
+            "import os\n"
+            "from codecensus import burnside\n"
+            "pid, real = os.getpid(), burnside.fixed_point_walk\n"
+            "def short_here(core, fs, d):\n"
+            "    for f, lattice in real(core, fs, d):\n"
+            "        yield f, lattice[:-1] if os.getpid() == pid else lattice\n"
+            "burnside.fixed_point_walk = short_here\n"
+            "burnside._cpus = lambda: 2\n"
+            "try:\n"
+            "    burnside.census(range(1, 31))\n"
+            "except ArithmeticError as exc:\n"
+            "    print(type(exc).__name__)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no worker left')\n"
+        )
+        assert self.run_script(script) == "ArithmeticError\nno worker left\n"
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
     def test_worker_that_cannot_start_leaves_its_share_here(self, monkeypatch, open_fds, call):
