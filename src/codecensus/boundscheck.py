@@ -177,13 +177,17 @@ def classify_D(n: int) -> CheckResult:
     first-match in order D1..D4 (the raw D2/D4 ranges overlap at small n);
     only the cover-everything property is asserted.  n1 and r are read off
     the t+1 module type lambda_1 (|lambda_1| and its number of parts), so
-    the census row's t1_weights carry the weights."""
+    the census row's t1_weights carry the weights, summed per (n1, r) pair
+    with the pair's first lambda_1 kept for the counterexample; the pairs
+    are classified in first-seen order."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sums = {k: 0 for k in ("D1", "D2", "D3", "D4")}
     overlap_weight = 0
+    pairs = {}
     for lam_1, weight in count_codes(n).t1_weights:
-        n1, r = sum(lam_1), len(lam_1)
+        pairs.setdefault((sum(lam_1), len(lam_1)), [lam_1, 0])[1] += weight
+    for (n1, r), (lam_1, weight) in pairs.items():
         if r == n:  # identity
             continue
         in_d = d_ranges(n, n1, r)

@@ -300,3 +300,10 @@ class TestIndependence:
     def test_oracle_import_loads_no_dataclasses_inspect_or_typing(self):
         assert self._loaded_after("codecensus.oracle",
                                   ("dataclasses", "inspect", "typing")) == []
+
+    def test_oracle_import_loads_no_fast_path_module(self):
+        # the package's __init__ is the oracle's parent, so it runs first:
+        # it must load none of the code the oracle is the reference for
+        assert self._loaded_after("codecensus.oracle", tuple(
+            f"codecensus.{name}" for name in ("burnside", "cyclestruct", "qarith",
+                                              "submodcount", "boundscheck", "cli"))) == []
