@@ -216,12 +216,15 @@ def check_dimension_bounds(n: int) -> CheckResult:
     for all n' <= n, and the per-dimension orbit floor b(n',d)*n'! >=
     G(n',2,d) for n' <= min(n, 40), in one pass over (n', d); the first
     failing (n', d) is reported.  The matching upper bound on b(n,d) is
-    reported as an observed ratio near d = n/2, never asserted; it reads
-    row min(n, 40) again and makes those G(n',2,d) a second time."""
-    if n > 100:
-        raise ValueError(f"n must be <= 100, got {n}")
+    reported as an observed ratio near d = n/2, never asserted; the same
+    pass takes it from the row and the G(n',2,d) it holds at n' = min(n, 40)."""
+    if not 1 <= n <= 100:
+        raise ValueError(f"n must be in [1, 100], got {n}")
+    import mpmath
+
     n31 = min(n, DIMS_MAX_N)
     rows = census_rows(n31)  # every row read below, from one pass
+    ratios = {}
     for m in range(1, n + 1):
         row = rows[m - 1] if m <= n31 else None
         for d in range(m + 1):
@@ -230,22 +233,14 @@ def check_dimension_bounds(n: int) -> CheckResult:
             if not low <= g <= 4 * low:
                 return CheckResult("gauss_sandwich_27", (1, n), FAIL,
                                    counterexample={"n": m, "d": d, "G": g})
-            if row and row.by_dim[d] * factorial(m) < g:
-                return CheckResult("dim_floor_31", (1, n31), FAIL,
-                                   counterexample={"n": m, "d": d})
-    import mpmath
-
-    ratios = {}
-    row = count_codes(n31)
-    nfact = factorial(n31)
-    for c in (0, 1, 2):
-        d = n31 // 2 + c
-        if d <= n31:
-            with mpmath.workdps(30):
-                ratios[f"d={d}"] = +(
-                    mpmath.mpf(row.by_dim[d] * nfact)
-                    / mpmath.mpf(gauss_binomial(n31, d, 2))
-                )
+            if row:
+                orbits = row.by_dim[d] * factorial(m)
+                if orbits < g:
+                    return CheckResult("dim_floor_31", (1, n31), FAIL,
+                                       counterexample={"n": m, "d": d})
+                if m == n31 and d - n31 // 2 in (0, 1, 2):
+                    with mpmath.workdps(30):
+                        ratios[f"d={d}"] = +(mpmath.mpf(orbits) / mpmath.mpf(g))
     return CheckResult("dimension_bounds", (1, n), PASS,
                        {"ratio_upper_31_at_n": n31, "observed_ratios": ratios})
 

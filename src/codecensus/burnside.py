@@ -623,8 +623,11 @@ def count_codes_by_dim(n: int, d: int) -> int:
 
 
 def non_identity_sum(n: int) -> int:
-    """Sum of invariant-subspace counts over all non-identity permutations."""
-    return factorial(n) * count_codes(n).b - gauss_total(n, 2)
+    """Sum of invariant-subspace counts over all non-identity permutations:
+    n! * b(n), the sum over all of them, less G(n, 2), the identity's
+    count, both read off the census row of n."""
+    row = count_codes(n)
+    return factorial(n) * row.b - row.G
 
 
 def transposition_class_sum(n: int) -> int:

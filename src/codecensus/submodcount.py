@@ -114,9 +114,11 @@ to the loop (measured at PACKED_SLOT_CUTOFF), so above the cutoff the
 query takes one half_product per order instead.
 Either way the half is mirrored to length n + 1.  A mirror would hide an
 asymmetric factor, so lattice_dim_poly checks each factor to be a
-palindrome before either path, and its counts to sum to the product of
-its factors' totals.  The full-length reference is per_block_dim_poly in
-the tests, one plain convolution per block.
+palindrome before either path, and its counts to sum to components_size,
+the product of the block totals: a check against the totals of the
+factors the product was made from cannot see a wrong factor.  The
+full-length reference is per_block_dim_poly in the tests, one plain
+convolution per block.
 """
 
 from __future__ import annotations
@@ -415,21 +417,21 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     product (order_lattice, graded by submodule size), spread by stride d;
     each must be a palindrome, and their degrees must sum to n.  Entries
     0..n // 2 of the product are made and mirrored to length n + 1, and
-    the entries must sum to the product of the factors' totals,
-    lattice_size(ct).  While _slot_bytes of that total is at most
-    PACKED_SLOT_CUTOFF the lower half is one packed product
-    (_packed_half); above it the running lower half takes one
-    half_product per order.
+    the entries must sum to the lattice size, components_size of the
+    primary components: the block totals, not the sums of the order
+    products, since a sum of a wrong product would match its own total.
+    While _slot_bytes of that size is at most PACKED_SLOT_CUTOFF the lower
+    half is one packed product (_packed_half); above it the running lower
+    half takes one half_product per order.
     """
     comps = primary_components(ct)
     factors = [(order_lattice(c.module_type, c.count, c.deg), c.deg) for c in comps]
-    degree, total = 0, 1
+    degree, total = 0, components_size(comps)
     for c, (factor, stride) in zip(comps, factors):
         if factor != factor[::-1]:
             raise ArithmeticError(
                 f"block product of order {c.order} of cycle type {ct} is not a palindrome")
         degree += stride * (len(factor) - 1)
-        total *= sum(factor)
     if degree != ct.n:
         raise ArithmeticError(
             f"dimension polynomial of cycle type {ct} has length {degree + 1}, "
@@ -445,5 +447,5 @@ def lattice_dim_poly(ct: CycleType) -> tuple[int, ...]:
     if sum(poly) != total:
         raise ArithmeticError(
             f"dimension polynomial of cycle type {ct} sums to {sum(poly)}, "
-            f"not to the product {total} of its factors' totals")
+            f"not to its lattice size {total} (components_size)")
     return tuple(poly)

@@ -6,9 +6,10 @@ import sys
 import time
 from fractions import Fraction
 from hashlib import sha256
-from math import log2
+from math import factorial, log2
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from codecensus import boundscheck, burnside
@@ -29,7 +30,7 @@ from codecensus.boundscheck import (
 from codecensus.burnside import count_codes
 from codecensus.cli import main
 from codecensus.cyclestruct import class_size, cycle_types_of, primary_components
-from codecensus.qarith import gauss_total
+from codecensus.qarith import gauss_binomial, gauss_total
 from codecensus.submodcount import component_total, lattice_size
 
 
@@ -266,6 +267,36 @@ class TestDimensionBounds:
     def test_rejects_large(self):
         with pytest.raises(ValueError):
             check_dimension_bounds(101)
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            check_dimension_bounds(0)
+
+    def test_ratios_from_the_one_pass(self, monkeypatch):
+        # the observed ratios b(12, d) * 12! / G(12, 2, d), d = 6, 7, 8, come
+        # from the row and the G(12, 2, d) of the pass: one Gaussian binomial
+        # per (n', d), sum over n' <= 12 of n' + 1 = 90, and no second read
+        # of row 12
+        row = count_codes(12)
+        with mpmath.workdps(30):
+            expected = {f"d={d}": +(mpmath.mpf(row.by_dim[d] * factorial(12))
+                                    / mpmath.mpf(gauss_binomial(12, d, 2)))
+                        for d in (6, 7, 8)}
+        calls, real = [], boundscheck.gauss_binomial
+
+        def counted(n, k, q):
+            calls.append((n, k))
+            return real(n, k, q)
+
+        def unread(n):
+            raise AssertionError(f"count_codes({n}) read again")
+
+        monkeypatch.setattr(boundscheck, "gauss_binomial", counted)
+        monkeypatch.setattr(boundscheck, "count_codes", unread)
+        r = check_dimension_bounds(12)
+        assert r.status == PASS
+        assert len(calls) == len(set(calls)) == sum(m + 1 for m in range(1, 13)) == 90
+        assert r.witnesses["observed_ratios"] == expected
 
     def test_one_census_pass_when_called_directly(self, monkeypatch):
         # with a cold cache, the rows it reads come from one pass, not one each

@@ -542,6 +542,30 @@ class TestLatticeDimPoly:
         assert proc.returncode == 1
         assert f"ArithmeticError: {self.skewed_message(parts, packed)}" in proc.stderr
 
+    # the counts are checked against the block totals, not against the
+    # sums of the order products they were made from: every product of
+    # count > 1 blocks raised by one in its middle, still a palindrome of
+    # the right length, raises on the packed path (7: the order-7 product
+    # (1, 2, 1) -> (1, 3, 1), a sum of 10 where the lattice size is 8) and
+    # on the half_product path (7^13)
+    @pytest.mark.parametrize("parts,packed", [((7,), True), ((7,) * 13, False)],
+                             ids=["7", "7^13"])
+    def test_wrong_order_product_raises(self, monkeypatch, parts, packed):
+        ct = CycleType(parts)
+        assert takes_packed_path(ct) == packed
+        size, real = lattice_size(ct), submodcount.order_lattice
+
+        def raised(lam, count, d):
+            poly = list(real(lam, count, d))
+            if count > 1:
+                for i in {(len(poly) - 1) // 2, len(poly) // 2}:
+                    poly[i] += 1
+            return poly
+
+        monkeypatch.setattr(submodcount, "order_lattice", raised)
+        with pytest.raises(ArithmeticError, match=f"not to its lattice size {size} "):
+            lattice_dim_poly(ct)
+
     def test_kernel_of_t_plus_1_block_is_cycle_count(self):
         for n in range(1, 13):
             for ct in cycle_types_of(n):
